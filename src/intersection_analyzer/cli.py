@@ -8,11 +8,12 @@ error record goes to stderr.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence, TextIO
 
 from . import report as rpt
 from .config import AnalysisConfig, load_config
@@ -87,13 +88,20 @@ def _print_error(subcommand: str, err: AnalyzerError) -> None:
     print(json.dumps(record, sort_keys=True), file=sys.stderr)
 
 
-def _read_text(path: str | Path):
+@contextlib.contextmanager
+def _read_text(path: str | Path) -> Iterator[TextIO]:
     try:
-        return open(path, encoding="utf-8", newline="")
+        # utf-8-sig drops the byte-order mark spreadsheet exports put first.
+        handle = open(path, encoding="utf-8-sig", newline="")
     except FileNotFoundError:
         raise InputError(f"file not found: {path}") from None
     except OSError as err:
         raise InputError(f"cannot read {path}: {err}") from None
+    with handle:
+        try:
+            yield handle
+        except UnicodeDecodeError as err:
+            raise InputError(f"{path} is not UTF-8 text: {err}") from None
 
 
 def _load_approaches(path: str | Path) -> dict[str, ApproachConfig]:
@@ -177,10 +185,13 @@ def cmd_variability(manifest: RunManifest, args) -> int:
         approach_id: five_number(values)
         for approach_id, values in sorted(samples.items())
     }
-    # pooled per-intersection groups back the inflow comparison box plot
-    for intersection_id, approach_samples in sorted(by_intersection.items()):
-        pooled = [v for vs in approach_samples.values() for v in vs]
-        summaries[intersection_id] = five_number(pooled)
+    # pooled per-intersection groups back the box plot and the inflow comparison
+    pooled = {
+        intersection_id: [v for vs in approach_samples.values() for v in vs]
+        for intersection_id, approach_samples in sorted(by_intersection.items())
+    }
+    for intersection_id, values in pooled.items():
+        summaries[intersection_id] = five_number(values)
 
     writer = rpt.ArtifactWriter(manifest.out or DEFAULT_OUT)
     writer.stage("pvalues.csv", rpt.pvalues_csv(matrices))
@@ -191,9 +202,7 @@ def cmd_variability(manifest: RunManifest, args) -> int:
         rows = []
         for i, first in enumerate(intersection_ids):
             for second in intersection_ids[i + 1:]:
-                pooled_a = [v for vs in by_intersection[first].values() for v in vs]
-                pooled_b = [v for vs in by_intersection[second].values() for v in vs]
-                outcome = z_test(pooled_a, pooled_b)
+                outcome = z_test(pooled[first], pooled[second])
                 rows.append((first, second,
                              f"{outcome.z_statistic:.6g}", f"{outcome.p_value:.6g}"))
         writer.stage("inflow_comparison.csv", rpt.inflow_comparison_csv(rows))

@@ -117,13 +117,27 @@ def _build_idle_rates(section: Mapping[str, Any]) -> IdleRateTable:
     return IdleRateTable(rates)
 
 
+def _build_city(section: Mapping[str, Any]) -> CityScaling:
+    intersection_count = int(section["intersection_count"])
+    if intersection_count < 1:
+        raise ConfigError(
+            f"city.intersection_count must be >= 1, got {intersection_count}")
+    active_hours = _finite(section["active_hours_per_day"], "active_hours_per_day")
+    if active_hours <= 0:
+        raise ConfigError(f"city.active_hours_per_day must be > 0, got {active_hours:g}")
+    rate = section.get("co2_kg_per_hour")
+    return CityScaling(
+        intersection_count=intersection_count,
+        active_hours_per_day=active_hours,
+        co2_kg_per_hour=None if rate is None else _finite(rate, "co2_kg_per_hour"),
+    )
+
+
 def _build(config: Mapping[str, Any]) -> AnalysisConfig:
     counts_unit = config["counts_unit"]
     if counts_unit not in (COUNTS_PCU, COUNTS_VEHICLES):
         raise ConfigError(
             f"counts_unit must be {COUNTS_PCU!r} or {COUNTS_VEHICLES!r}, got {counts_unit!r}")
-    city = config["city"]
-    rate = city.get("co2_kg_per_hour")
     return AnalysisConfig(
         version=int(config["version"]),
         counts_unit=counts_unit,
@@ -140,12 +154,7 @@ def _build(config: Mapping[str, Any]) -> AnalysisConfig:
         },
         default_platoon_ratio=_finite(
             config.get("default_platoon_ratio", 1.0), "default_platoon_ratio"),
-        city=CityScaling(
-            intersection_count=int(city["intersection_count"]),
-            active_hours_per_day=_finite(
-                city["active_hours_per_day"], "active_hours_per_day"),
-            co2_kg_per_hour=None if rate is None else _finite(rate, "co2_kg_per_hour"),
-        ),
+        city=_build_city(config["city"]),
     )
 
 
@@ -170,11 +179,11 @@ def load_config(path: str | Path | None = None) -> AnalysisConfig:
                 path = candidate
     if path is not None:
         try:
-            with open(path, encoding="utf-8") as handle:
+            with open(path, encoding="utf-8-sig") as handle:
                 overrides = json.load(handle)
         except FileNotFoundError:
             raise ConfigError(f"config file not found: {path}") from None
-        except json.JSONDecodeError as err:
+        except (json.JSONDecodeError, UnicodeDecodeError) as err:
             raise ConfigError(f"config file {path} is not valid JSON: {err}") from None
         if not isinstance(overrides, dict):
             raise ConfigError(f"config file {path} must hold a JSON object")

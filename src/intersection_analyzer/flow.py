@@ -145,10 +145,18 @@ def green_splits(
         if not records:
             raise EmptyIntersection(f"approach {approach_id!r} has no records")
         means[approach_id] = statistics.fmean(r.green_time for r in records)
-    total = sum(means.values())
+    return green_shares(means)
+
+
+def green_shares(mean_greens: Mapping[str, float]) -> dict[str, float]:
+    """``green_splits`` from already computed mean greens per approach."""
+    if not mean_greens:
+        raise EmptyIntersection("no approaches with records")
+    ordered = {approach_id: mean_greens[approach_id] for approach_id in sorted(mean_greens)}
+    total = sum(ordered.values())
     if total <= 0:
         raise ZeroGreen("total green time across the intersection is zero")
-    return {approach_id: mean / total for approach_id, mean in means.items()}
+    return {approach_id: mean / total for approach_id, mean in ordered.items()}
 
 
 def green_utilization(record: SignalCycleRecord, pcu_per_cycle: float) -> GreenReport:

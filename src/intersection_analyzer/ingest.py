@@ -10,10 +10,11 @@ from __future__ import annotations
 import csv
 import io
 import math
-from typing import Iterable, Mapping, Sequence, TextIO
+from typing import Callable, Iterable, Mapping, Sequence, TextIO
 
 from .errors import AnalyzerError, InputError, SchemaViolation, UnknownApproach
 from .model import (
+    VEHICLE_CLASSES,
     ApproachConfig,
     ClassifiedCount,
     Directionality,
@@ -30,8 +31,6 @@ APPROACH_COLUMNS = (
     "approach_id", "intersection_id", "lanes", "directionality",
     "width_m", "free_left", "is_major",
 )
-
-_CLASS_BY_COLUMN = {cls.value: cls for cls in VehicleClass}
 
 
 def _header(row: Sequence[str], allowed: Sequence[str], required: Sequence[str]) -> list[str]:
@@ -93,11 +92,14 @@ def scan_cycles(
     except SchemaViolation as err:
         return [], [err]
 
+    parse = _cycle_row_parser(names, configs)
+    append = records.append
     for line, row in enumerate(reader, start=2):
-        if not row or all(not cell.strip() for cell in row):
+        # A row with a non-blank first cell is never blank.
+        if not row or (not row[0].strip() and all(not cell.strip() for cell in row)):
             continue
         try:
-            records.append(_parse_cycle_row(names, row, line, configs))
+            append(parse(row, line))
         except InputError as err:
             if err.row is None:
                 err.row = line
@@ -105,54 +107,89 @@ def scan_cycles(
     return records, errors
 
 
-def _parse_cycle_row(
+def _cycle_row_parser(
     names: Sequence[str],
-    row: Sequence[str],
-    line: int,
     configs: Mapping[str, ApproachConfig] | None,
-) -> SignalCycleRecord:
-    if len(row) != len(names):
-        raise SchemaViolation(
-            f"expected {len(names)} fields, got {len(row)}", row=line)
-    cells = {name: cell.strip() for name, cell in zip(names, row)}
+) -> Callable[[Sequence[str], int], SignalCycleRecord]:
+    """Resolve a validated cycle header into one row parser.
 
-    approach_id = cells.get("approach_id", "")
-    if not approach_id:
-        raise SchemaViolation("empty approach_id", row=line)
-    if configs is not None and approach_id not in configs:
-        raise UnknownApproach(f"approach {approach_id!r} has no configuration", row=line)
+    Cells are checked in a fixed order, so a row with several problems
+    always reports the same one: field count, approach id, cycle, red and
+    green, the counts in ``VEHICLE_CLASSES`` order, the optional columns in
+    ``CYCLE_OPTIONAL`` order, then the record invariants.
 
-    cycle = _float_cell(cells["cycle_length_s"], "cycle_length_s", line)
-    red = _float_cell(cells["red_s"], "red_s", line)
-    green = _float_cell(cells["green_s"], "green_s", line)
+    ``float`` and ``int`` ignore surrounding whitespace exactly as
+    ``str.strip`` does, so a cell is converted unstripped; only a cell that
+    fails is stripped and handed to ``_float_cell``/``_int_cell``, which
+    raise the error.
+    """
+    width = len(names)
+    index = {name: i for i, name in enumerate(names)}
+    id_at = index["approach_id"]
+    timing_cells = tuple((name, index[name]) for name in CYCLE_REQUIRED[1:])
+    count_cells = tuple(
+        (cls, cls.value, index[cls.value]) for cls in VEHICLE_CLASSES if cls.value in index)
+    optional_cells = tuple(
+        (slot, name, index[name]) for slot, name in enumerate(CYCLE_OPTIONAL) if name in index)
 
-    counts: dict[VehicleClass, int] = {}
-    for column, cls in _CLASS_BY_COLUMN.items():
-        raw = cells.get(column, "")
-        counts[cls] = _int_cell(raw, column, line) if raw else 0
+    def parse(row: Sequence[str], line: int) -> SignalCycleRecord:
+        if len(row) != width:
+            raise SchemaViolation(f"expected {width} fields, got {len(row)}", row=line)
+        approach_id = row[id_at].strip()
+        if not approach_id:
+            raise SchemaViolation("empty approach_id", row=line)
+        if configs is not None and approach_id not in configs:
+            raise UnknownApproach(f"approach {approach_id!r} has no configuration", row=line)
 
-    def optional_float(column: str) -> float | None:
-        raw = cells.get(column, "")
-        return _float_cell(raw, column, line) if raw else None
+        timing = []
+        for column, at in timing_cells:
+            raw = row[at]
+            try:
+                value = float(raw)
+            except ValueError:
+                value = math.nan
+            if not math.isfinite(value):
+                value = _float_cell(raw.strip(), column, line)
+            timing.append(value)
+        cycle, red, green = timing
 
-    effective_green = optional_float("effective_green_s")
-    exited_pcu = optional_float("exited_pcu")
-    timestamp = optional_float("timestamp")
+        counts: dict[VehicleClass, int] = {}
+        for cls, column, at in count_cells:
+            raw = row[at]
+            try:
+                n = int(raw)
+            except ValueError:
+                raw = raw.strip()
+                n = _int_cell(raw, column, line) if raw else 0
+            if n < 0:
+                n = _int_cell(raw, column, line)
+            counts[cls] = n
 
-    try:
-        classified = ClassifiedCount(approach_id, counts, timestamp)
-        return SignalCycleRecord(
-            approach_id=approach_id,
-            cycle_length=cycle,
-            red_time=red,
-            green_time=green,
-            counts=classified,
-            effective_green=effective_green,
-            exited_pcu=exited_pcu,
-        )
-    except InputError as err:
-        err.row = line
-        raise
+        optional: list[float | None] = [None] * len(CYCLE_OPTIONAL)
+        for slot, column, at in optional_cells:
+            raw = row[at]
+            try:
+                value = float(raw)
+            except ValueError:
+                raw = raw.strip()
+                if not raw:
+                    continue
+                value = math.nan
+            if not math.isfinite(value):
+                value = _float_cell(raw.strip(), column, line)
+            optional[slot] = value
+        effective_green, exited_pcu, timestamp = optional
+
+        try:
+            return SignalCycleRecord(
+                approach_id, cycle, red, green,
+                ClassifiedCount(approach_id, counts, timestamp),
+                effective_green, exited_pcu)
+        except InputError as err:
+            err.row = line
+            raise
+
+    return parse
 
 
 def ingest_cycles(

@@ -26,6 +26,14 @@ class VehicleClass(Enum):
     LIGHT_COMMERCIAL = "lcv"
     BUS = "bus"
 
+    # Members are singletons compared by identity, so the C-level identity
+    # hash is sound; Enum's own __hash__ runs Python code on every lookup.
+    __hash__ = object.__hash__
+
+
+# Iterating a tuple skips EnumType.__iter__ on the per-record paths.
+VEHICLE_CLASSES = tuple(VehicleClass)
+
 
 class Directionality(Enum):
     ONE_WAY = "oneway"
@@ -39,12 +47,13 @@ class DayFilter(Enum):
     ALL = "all"
 
 
-@dataclass(frozen=True, eq=True)
+@dataclass(frozen=True, eq=True, slots=True)
 class ClassifiedCount:
     """Raw per-class vehicle counts for one approach, optionally timestamped.
 
     Missing classes are stored as zero; every instance addresses all five
-    classes.  ``timestamp`` is wall-clock seconds since the Unix epoch (UTC).
+    classes, and ``counts`` iterates them in ``VEHICLE_CLASSES`` order.
+    ``timestamp`` is wall-clock seconds since the Unix epoch (UTC).
     """
 
     approach_id: str
@@ -52,10 +61,12 @@ class ClassifiedCount:
     timestamp: float | None = None
 
     def __post_init__(self):
+        counts = self.counts
         full: dict[VehicleClass, int] = {}
-        for cls in VehicleClass:
-            value = self.counts.get(cls, 0)
-            if isinstance(value, bool) or not isinstance(value, int):
+        for cls in VEHICLE_CLASSES:
+            value = counts.get(cls, 0)
+            if type(value) is not int and (
+                    isinstance(value, bool) or not isinstance(value, int)):
                 raise InvariantViolation(
                     f"count for {cls.value} must be an integer, got {value!r}")
             if value < 0:
@@ -67,7 +78,7 @@ class ClassifiedCount:
         return sum(self.counts.values())
 
 
-@dataclass(frozen=True, eq=True)
+@dataclass(frozen=True, eq=True, slots=True)
 class SignalCycleRecord:
     """One signal cycle's timing joined with its classified counts.
 

@@ -25,14 +25,20 @@ from .errors import EmptyTraffic, NoData, NoMajorApproaches, UnknownApproach
 from .flow import (
     FlowReport,
     GreenReport,
-    green_splits,
+    green_shares,
     hourly_volume,
     saturation_flow_discharge,
     saturation_flow_width,
     vc_ratio,
 )
 from .los import LosResult
-from .model import ApproachConfig, SignalCycleRecord, VehicleClass
+from .model import (
+    VEHICLE_CLASSES,
+    ApproachConfig,
+    ClassifiedCount,
+    SignalCycleRecord,
+    VehicleClass,
+)
 from .pcu import composition_shares, to_pcu
 from .report import round_half_up
 
@@ -84,32 +90,53 @@ class AnalysisResult:
     city: CityEstimate
 
 
-def _mean_optional(values: Sequence[float | None]) -> float | None:
-    present = [v for v in values if v is not None]
-    return statistics.fmean(present) if present else None
+@dataclass(frozen=True)
+class _ApproachFold:
+    """What one pass over an approach's records collects.
+
+    ``totals`` sums each class over all records; ``record_totals`` holds
+    each record's vehicle total.  Both are exact integer sums.
+    """
+
+    cycles: list[float]
+    greens: list[float]
+    effective_greens: list[float]
+    exited: list[float]
+    totals: ClassifiedCount
+    record_totals: list[int]
+
+    def hourly_class_counts(self) -> dict[VehicleClass, float]:
+        cycle_time = sum(self.cycles)
+        return {cls: n * 3600.0 / cycle_time for cls, n in self.totals.counts.items()}
 
 
-def _approach_pcu_per_cycle(
-    records: Sequence[SignalCycleRecord],
-    intersection_shares: Mapping[VehicleClass, float] | None,
-    config: AnalysisConfig,
-) -> float:
-    if config.counts_unit == COUNTS_VEHICLES:
-        shares = intersection_shares or {}
-        return statistics.fmean(
-            to_pcu(r.counts, shares, config.pcu_factors) for r in records)
-    return statistics.fmean(r.counts.total() for r in records)
+def _fold_approach(approach_id: str, records: Sequence[SignalCycleRecord]) -> _ApproachFold:
+    cycles: list[float] = []
+    greens: list[float] = []
+    effective_greens: list[float] = []
+    exited: list[float] = []
+    class_counts: list[tuple[int, ...]] = []
+    for r in records:
+        cycles.append(r.cycle_length)
+        greens.append(r.green_time)
+        if r.effective_green is not None:
+            effective_greens.append(r.effective_green)
+        if r.exited_pcu is not None:
+            exited.append(r.exited_pcu)
+        class_counts.append(tuple(r.counts.counts.values()))
+    class_totals = map(sum, zip(*class_counts))
+    return _ApproachFold(
+        cycles=cycles,
+        greens=greens,
+        effective_greens=effective_greens,
+        exited=exited,
+        totals=ClassifiedCount(approach_id, dict(zip(VEHICLE_CLASSES, class_totals))),
+        record_totals=list(map(sum, class_counts)),
+    )
 
 
-def _hourly_class_counts(
-    records: Sequence[SignalCycleRecord],
-) -> dict[VehicleClass, float]:
-    total_cycle_time = sum(r.cycle_length for r in records)
-    counts = {cls: 0 for cls in VehicleClass}
-    for record in records:
-        for cls, n in record.counts.counts.items():
-            counts[cls] += n
-    return {cls: counts[cls] * 3600.0 / total_cycle_time for cls in VehicleClass}
+def _fmean_or_none(values: Sequence[float]) -> float | None:
+    return statistics.fmean(values) if values else None
 
 
 def analyze_records(
@@ -139,30 +166,36 @@ def analyze_records(
 
     for intersection_id in sorted(by_intersection):
         approach_ids = by_intersection[intersection_id]
-        grouped = {a: by_approach[a] for a in approach_ids}
+        folds = {a: _fold_approach(a, by_approach[a]) for a in approach_ids}
 
         intersection_shares: Mapping[VehicleClass, float] | None = None
         if config.counts_unit == COUNTS_VEHICLES:
-            all_counts = [r.counts for a in approach_ids for r in grouped[a]]
-            intersection_shares = composition_shares(all_counts)
+            intersection_shares = composition_shares(f.totals for f in folds.values())
 
-        shares_by_approach = green_splits(grouped)
+        mean_greens = {a: statistics.fmean(f.greens) for a, f in folds.items()}
+        shares_by_approach = green_shares(mean_greens)
 
         local_reports: list[ApproachReport] = []
         for approach_id in approach_ids:
             geometry = approaches[approach_id]
-            recs = grouped[approach_id]
-            mean_cycle = statistics.fmean(r.cycle_length for r in recs)
-            mean_green = statistics.fmean(r.green_time for r in recs)
-            mean_ge = _mean_optional([r.effective_green for r in recs])
-            mean_n = _mean_optional([r.exited_pcu for r in recs])
+            fold = folds[approach_id]
+            mean_cycle = statistics.fmean(fold.cycles)
+            mean_green = mean_greens[approach_id]
+            mean_ge = _fmean_or_none(fold.effective_greens)
+            mean_n = _fmean_or_none(fold.exited)
 
             try:
-                composition = composition_shares([r.counts for r in recs])
+                composition = composition_shares([fold.totals])
             except EmptyTraffic:
-                composition = {cls: 0.0 for cls in VehicleClass}
+                composition = {cls: 0.0 for cls in VEHICLE_CLASSES}
 
-            pcu_per_cycle = _approach_pcu_per_cycle(recs, intersection_shares, config)
+            if config.counts_unit == COUNTS_VEHICLES:
+                shares = intersection_shares or {}
+                pcu_per_cycle = statistics.fmean(
+                    to_pcu(r.counts, shares, config.pcu_factors)
+                    for r in by_approach[approach_id])
+            else:
+                pcu_per_cycle = statistics.fmean(fold.record_totals)
             volume = hourly_volume(pcu_per_cycle, mean_cycle)
             capacity = config.capacity_table.capacity_for(geometry)
             x = vc_ratio(volume, geometry, config.capacity_table)
@@ -196,7 +229,7 @@ def analyze_records(
                 lane_count=geometry.lane_count,
                 directionality=geometry.directionality.value,
                 width=geometry.width,
-                record_count=len(recs),
+                record_count=len(fold.cycles),
                 mean_cycle_length=mean_cycle,
                 mean_green=mean_green,
                 mean_effective_green=mean_ge,
@@ -226,7 +259,7 @@ def analyze_records(
 
         approach_reports.extend(local_reports)
         intersection_reports.append(_intersection_report(
-            intersection_id, local_reports, grouped, approaches, config,
+            intersection_id, local_reports, folds, approaches, config,
             emission_policy))
 
     totals = [r.emissions.total_co2_per_hour for r in intersection_reports]
@@ -247,7 +280,7 @@ def analyze_records(
 def _intersection_report(
     intersection_id: str,
     local_reports: Sequence[ApproachReport],
-    grouped: Mapping[str, Sequence[SignalCycleRecord]],
+    folds: Mapping[str, _ApproachFold],
     approaches: Mapping[str, ApproachConfig],
     config: AnalysisConfig,
     emission_policy: DelayPolicy,
@@ -278,11 +311,10 @@ def _intersection_report(
             f"the requested emission delay policy")
     emission_delay = mean_major if emission_policy is DelayPolicy.MAJOR_ONLY else mean_all
 
-    hourly_counts = {cls: 0.0 for cls in VehicleClass}
-    for approach_id in sorted(grouped):
-        per_approach = _hourly_class_counts(grouped[approach_id])
-        for cls in VehicleClass:
-            hourly_counts[cls] += per_approach[cls]
+    hourly_counts = {cls: 0.0 for cls in VEHICLE_CLASSES}
+    for approach_id in sorted(folds):
+        for cls, count in folds[approach_id].hourly_class_counts().items():
+            hourly_counts[cls] += count
 
     fuel = idle_fuel(hourly_counts, emission_delay, config.idle_rates)
     emissions = co2_from_fuel(fuel, config.emission_factors)

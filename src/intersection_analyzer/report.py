@@ -26,7 +26,7 @@ from .model import VehicleClass
 from .stats import FiveNumberSummary, WindowedAverage
 
 if TYPE_CHECKING:
-    from .pipeline import AnalysisResult
+    from .pipeline import AnalysisResult, ApproachReport
 
 SCHEMA_VERSION = 1
 
@@ -272,12 +272,13 @@ def boxplot_csv(summaries: Mapping[str, FiveNumberSummary]) -> str:
 
 def summary_text(result: AnalysisResult, active_hours: float) -> str:
     lines: list[str] = ["Signalized intersection analysis", ""]
+    by_intersection: dict[str, list[ApproachReport]] = {}
+    for r in result.approaches:
+        by_intersection.setdefault(r.intersection_id, []).append(r)
     for report in result.intersections:
         lines.append(f"Intersection {report.intersection_id} "
                      f"({len(report.approach_ids)} approaches)")
-        for r in result.approaches:
-            if r.intersection_id != report.intersection_id:
-                continue
+        for r in by_intersection.get(report.intersection_id, ()):
             grades = " ".join(
                 f"{name}={r.los[name].grade}" for name in sorted(r.los))
             lines.append(

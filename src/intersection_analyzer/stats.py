@@ -10,7 +10,6 @@ from __future__ import annotations
 import math
 import statistics
 from dataclasses import dataclass
-from datetime import datetime, timezone
 from typing import Iterable, Mapping, Sequence
 
 from .errors import (
@@ -22,6 +21,7 @@ from .errors import (
 )
 from .model import DayFilter, SignalCycleRecord
 
+SECONDS_PER_DAY = 86400
 DAY_START_S = 8 * 3600
 DAY_END_S = 21 * 3600
 
@@ -69,24 +69,39 @@ class FiveNumberSummary:
             raise InvariantViolation(f"five-number summary out of order: {ordered}")
 
 
-def _weekday(timestamp: float) -> int:
-    return datetime.fromtimestamp(timestamp, tz=timezone.utc).weekday()
+def _day_and_time(timestamp: float) -> tuple[int, float]:
+    """Days since the epoch and seconds since that day's midnight, in UTC.
+
+    Integer arithmetic that agrees with ``datetime.fromtimestamp(timestamp,
+    tz=timezone.utc)`` wherever datetime accepts the timestamp: like
+    datetime, it first rounds the fraction half-even to whole microseconds.
+    Timestamps beyond datetime's years 1-9999 still get a time of day.
+    """
+    fraction, whole = math.modf(timestamp)
+    micro = round(fraction * 1e6)
+    seconds = int(whole)
+    if micro >= 1_000_000:
+        seconds += 1
+        micro -= 1_000_000
+    elif micro < 0:
+        seconds -= 1
+        micro += 1_000_000
+    day, second = divmod(seconds, SECONDS_PER_DAY)
+    return day, second + micro / 1e6
 
 
-def _matches_day(timestamp: float, day_filter: DayFilter) -> bool:
-    if day_filter is DayFilter.ALL:
-        return True
-    weekday = _weekday(timestamp)
-    if day_filter is DayFilter.WEEKDAY:
-        return weekday < 5
-    if day_filter is DayFilter.SATURDAY:
-        return weekday == 5
-    return weekday == 6
+def _weekday(day: int) -> int:
+    """Monday = 0, as ``datetime.weekday``; the epoch day was a Thursday."""
+    return (day + 3) % 7
 
 
-def _seconds_since_midnight(timestamp: float) -> float:
-    dt = datetime.fromtimestamp(timestamp, tz=timezone.utc)
-    return dt.hour * 3600 + dt.minute * 60 + dt.second + dt.microsecond / 1e6
+# Weekdays each filter keeps; None keeps every day.
+_KEPT_WEEKDAYS = {
+    DayFilter.ALL: None,
+    DayFilter.WEEKDAY: range(5),
+    DayFilter.SATURDAY: (5,),
+    DayFilter.SUNDAY: (6,),
+}
 
 
 def window_cycle_lengths(
@@ -107,20 +122,21 @@ def window_cycle_lengths(
     if missing:
         raise NoTimestamps(f"{missing} of {len(records)} records carry no timestamp")
 
-    kept = [r for r in records if _matches_day(r.timestamp, day_filter)]
-    if not kept:
-        return []
-
     starts: list[float] = []
     start = float(DAY_START_S)
     while start < DAY_END_S:
         starts.append(start)
         start += window
 
+    kept_weekdays = _KEPT_WEEKDAYS[day_filter]
+    kept_any = False
     sums = [0.0] * len(starts)
     counts = [0] * len(starts)
-    for record in kept:
-        tod = _seconds_since_midnight(record.timestamp)
+    for record in records:
+        day, tod = _day_and_time(record.timestamp)
+        if kept_weekdays is not None and _weekday(day) not in kept_weekdays:
+            continue
+        kept_any = True
         if tod < DAY_START_S:
             continue
         index = int((tod - DAY_START_S) // window)
@@ -128,6 +144,8 @@ def window_cycle_lengths(
             continue
         sums[index] += record.cycle_length
         counts[index] += 1
+    if not kept_any:
+        return []
 
     return [
         WindowedAverage(

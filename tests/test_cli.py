@@ -1,7 +1,11 @@
 import json
 from pathlib import Path
 
+import pytest
+
+from intersection_analyzer import cli
 from intersection_analyzer.cli import main
+from intersection_analyzer.stats import z_test
 
 from conftest import STUDY_APPROACHES, STUDY_CYCLES, WEEK_APPROACHES, WEEK_CYCLES
 
@@ -193,3 +197,67 @@ def test_failed_run_leaves_existing_outputs_untouched(tmp_path, capsys):
     assert code == 2
     assert read(out / "flow.csv") == before
     assert not list(out.glob("*.tmp"))
+
+
+def test_byte_order_mark_in_inputs_is_accepted(tmp_path, capsys):
+    cycles = tmp_path / "cycles.csv"
+    approaches = tmp_path / "approaches.csv"
+    config = tmp_path / "config.json"
+    cycles.write_bytes(b"\xef\xbb\xbf" + STUDY_CYCLES.read_bytes())
+    approaches.write_bytes(b"\xef\xbb\xbf" + STUDY_APPROACHES.read_bytes())
+    config.write_bytes(b"\xef\xbb\xbf" + b'{"version": 1}\n')
+    assert main(["validate", "--cycles", str(cycles), "--approaches", str(approaches)]) == 0
+    assert "OK: 9 record(s)" in capsys.readouterr().out
+    assert main(["flow", *STUDY, "--out", str(tmp_path / "plain")]) == 0
+    assert main(["flow", "--cycles", str(cycles), "--approaches", str(approaches),
+                 "--config", str(config), "--out", str(tmp_path / "bom")]) == 0
+    for name in ("flow.csv", "saturation.csv"):
+        assert (tmp_path / "bom" / name).read_bytes() == (tmp_path / "plain" / name).read_bytes()
+
+
+def test_undecodable_inputs_are_input_errors(tmp_path, capsys):
+    cycles = tmp_path / "cycles.csv"
+    config = tmp_path / "config.json"
+    cycles.write_bytes(STUDY_CYCLES.read_bytes().replace(b"SR3", b"SR\xe9"))
+    config.write_bytes(b'{"version": 1, "_note": "caf\xe9"}')
+    assert main(["validate", "--cycles", str(cycles)]) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "InputError"
+    assert main(["flow", *STUDY, "--config", str(config), "--out", str(tmp_path)]) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
+
+
+@pytest.mark.parametrize("city", [
+    {"intersection_count": 0, "active_hours_per_day": 13},
+    {"intersection_count": 6, "active_hours_per_day": 0},
+    {"intersection_count": 6, "active_hours_per_day": -2},
+])
+def test_non_positive_city_scaling_is_a_config_error(tmp_path, capsys, city):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"city": city}))
+    code = main(["report", *STUDY, "--config", str(config), "--out", str(tmp_path / "out")])
+    assert code == 2
+    record = json.loads(capsys.readouterr().err)
+    assert record["error"] == "ConfigError"
+    assert not (tmp_path / "out").exists()
+
+
+def test_peak_hours_on_a_far_future_timestamp_exits_cleanly(tmp_path, capsys):
+    cycles = tmp_path / "cycles.csv"
+    cycles.write_text(WEEK_CYCLES.read_text() + "N1,118,85,30,14,6,5,2,1,1e300\n")
+    assert main(["peak-hours", "--cycles", str(cycles), "--span", "1"]) == 0
+    assert "peak window:" in capsys.readouterr().out
+
+
+def test_variability_runs_one_pooled_z_test_per_intersection_pair(tmp_path, capsys, monkeypatch):
+    approaches = tmp_path / "approaches.csv"
+    approaches.write_text(
+        "approach_id,intersection_id,lanes,directionality,width_m,free_left,is_major\n"
+        "N1,NX,2,oneway,7.0,0,1\n"
+        "N2,NY,1,oneway,3.5,0,0\n")
+    calls = []
+    monkeypatch.setattr(cli, "z_test", lambda a, b: calls.append((a, b)) or z_test(a, b))
+    assert main(["variability", "--cycles", str(WEEK_CYCLES), "--approaches", str(approaches),
+                 "--out", str(tmp_path / "out")]) == 0
+    assert len(calls) == 1
+    pooled_a, pooled_b = calls[0]
+    assert len(pooled_a) + len(pooled_b) == len(WEEK_CYCLES.read_text().splitlines()) - 1

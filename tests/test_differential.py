@@ -1,0 +1,178 @@
+"""Differential tests: the optimized cycle parser and time-of-day arithmetic
+against the reference implementations in ``oracles.py``."""
+
+import csv
+import io
+from datetime import date, datetime, timezone
+
+from hypothesis import assume, example, given, settings, strategies as st
+
+import oracles
+from intersection_analyzer import scan_cycles
+from intersection_analyzer.ingest import CYCLE_COUNT_COLUMNS, CYCLE_OPTIONAL, CYCLE_REQUIRED
+from intersection_analyzer.model import (
+    ApproachConfig,
+    ClassifiedCount,
+    DayFilter,
+    Directionality,
+    SignalCycleRecord,
+)
+from intersection_analyzer.stats import _day_and_time, _weekday, window_cycle_lengths
+
+CONFIGS = {
+    "SR1": ApproachConfig("SR1", "SSC", 3, Directionality.ONE_WAY, 10.5),
+    "SR2": ApproachConfig("SR2", "SSC", 2, Directionality.ONE_WAY, 7.0),
+}
+
+# Whitespace that str.strip removes, ASCII and not.
+PADDING = st.sampled_from(["", "", " ", "\t", " ", " ", "\x1c", "　"])
+JUNK = st.one_of(
+    st.sampled_from([
+        "", " ", "abc", "nan", "NaN", "inf", "-inf", "Infinity", "1e999", "-1e999",
+        "4.5", "+3", "-0", "1_000", "0x10", "1e3", "٣", "١٢", "--1", ".",
+    ]),
+    st.text(st.characters(blacklist_characters="\x00"), max_size=4),
+)
+APPROACH_ID = st.sampled_from(["SR1", "SR2", " SR1 "])
+BAD_CELL = st.one_of(
+    JUNK,
+    st.sampled_from(["", "ZZ9", "-1", "-7", "1e9", "0"]),
+    st.floats(-1e3, 1e3).map(repr),
+)
+NUMBER_OR_JUNK = st.one_of(st.integers(0, 200).map(str), JUNK)
+
+
+def number(value):
+    """A float cell in one of the spellings a CSV export may use."""
+    return st.sampled_from([repr(float(value)), f"{value:.1f}", f"{value:g}", f"{value:.3e}"])
+
+
+@st.composite
+def good_row(draw, columns):
+    """Cells that parse cleanly and satisfy the record invariants."""
+    cycle = draw(st.floats(1.0, 200.0))
+    red = draw(st.floats(0.0, cycle / 2))
+    green = draw(st.floats(0.0, cycle - red))
+    cells = {
+        "approach_id": draw(APPROACH_ID),
+        "cycle_length_s": repr(cycle),
+        "red_s": repr(red),
+        "green_s": repr(green),
+        "effective_green_s": draw(st.one_of(st.just(""), number(green / 2))),
+        "exited_pcu": draw(st.one_of(st.just(""), st.floats(0, 100).flatmap(number))),
+        "timestamp": draw(st.one_of(st.just(""), st.integers(0, 2 * 10**9).map(str),
+                                    st.floats(-1e10, 1e10).flatmap(number))),
+    }
+    for column in CYCLE_COUNT_COLUMNS:
+        cells[column] = draw(st.one_of(st.integers(0, 60).map(str), st.just("")))
+    return [cells.get(c, "1") for c in columns]
+
+
+@st.composite
+def cycle_csv(draw):
+    extra = draw(st.lists(st.sampled_from(CYCLE_COUNT_COLUMNS + CYCLE_OPTIONAL), unique=True))
+    columns = draw(st.permutations(list(CYCLE_REQUIRED) + extra))
+    if draw(st.integers(0, 19)) == 0:
+        columns.append(draw(st.sampled_from(["bogus", columns[0]])))
+    pad = draw(PADDING)
+    rows = [[pad + c for c in columns]]
+    for _ in range(draw(st.integers(0, 8))):
+        row = draw(good_row(columns))
+        # Most rows get zero to two bad cells; a few lose or gain a cell or go blank.
+        for _ in range(draw(st.sampled_from([0, 0, 1, 1, 2]))):
+            row[draw(st.integers(0, len(row) - 1))] = draw(BAD_CELL)
+        pad, mask = draw(PADDING), draw(st.integers(0, 2 ** len(row) - 1))
+        row = [pad + cell + pad if mask >> i & 1 else cell for i, cell in enumerate(row)]
+        mutation = draw(st.integers(0, 19))
+        if mutation == 0:
+            del row[draw(st.integers(0, len(row) - 1))]
+        elif mutation == 1:
+            row.append(draw(NUMBER_OR_JUNK))
+        elif mutation == 2:
+            row = [draw(PADDING) for _ in row]
+        rows.append(row)
+    buffer = io.StringIO()
+    # "\r\n" makes the writer quote every cell holding either character.
+    csv.writer(buffer, lineterminator="\r\n").writerows(rows)
+    return buffer.getvalue()
+
+
+def outcome(scan, text, configs):
+    records, errors = scan(io.StringIO(text), configs)
+    return records, [(type(e), str(e), e.row) for e in errors]
+
+
+@settings(max_examples=200, deadline=None)
+@given(cycle_csv(), st.sampled_from([None, CONFIGS]))
+@example("approach_id,cycle_length_s,red_s,green_s,car,timestamp\n"
+         "SR1,100,50,40,3,1646640000\n SR1 , 100 ,50,40, 3 ,\n", CONFIGS)
+@example("approach_id,cycle_length_s,red_s,green_s,car,effective_green_s\n"
+         "SR1,100,50,40,-2,inf\nSR1,abc,inf,40,-2,\nSR1,100,60,50,2,\n"
+         "SR1,100,50,40,2,45\n,,,,,\nSR1,100,50,40\n", CONFIGS)
+def test_parser_matches_reference(text, configs):
+    assert outcome(scan_cycles, text, configs) == outcome(oracles.scan_cycles, text, configs)
+
+
+# datetime's range: 0001-01-01T00:00:00Z up to the end of 9999-12-31.
+DATETIME_MIN = -62135596800
+DATETIME_MAX = 253402300800
+EPOCH = date(1970, 1, 1)
+
+timestamps = st.one_of(
+    st.floats(DATETIME_MIN, DATETIME_MAX),
+    st.integers(DATETIME_MIN, DATETIME_MAX - 1),
+    # whole seconds plus a fraction at or near a microsecond tie
+    st.builds(lambda s, us, nudge: s + (us + nudge) / 1e6,
+              st.integers(-10**6, 10**6), st.integers(-10**6, 10**6),
+              st.sampled_from([0.5, -0.5, 0.4999999, 0.5000001, 0.0])),
+    st.floats(-2.0, 2.0),
+)
+
+
+@settings(max_examples=300)
+@given(timestamps)
+@example(0.0)
+@example(-0.0)
+@example(5e-7)
+@example(-5e-7)
+@example(1.5e-6)
+@example(2.5e-6)
+@example(0.9999995)
+@example(-0.9999995)
+@example(-1e-9)
+@example(-1e-6)
+@example(-1.4e-6)
+@example(86399.9999996)
+@example(-86400.0000004)
+@example(1646640000.5)
+@example(float(DATETIME_MIN))
+@example(DATETIME_MAX - 1e-6)
+def test_time_of_day_matches_datetime(timestamp):
+    try:
+        dt = datetime.fromtimestamp(timestamp, tz=timezone.utc)
+    except (OverflowError, ValueError, OSError):
+        assume(False)
+    day, seconds = _day_and_time(timestamp)
+    assert seconds == oracles.seconds_since_midnight(timestamp)
+    assert _weekday(day) == dt.weekday() == oracles.weekday(timestamp)
+    assert day == (dt.date() - EPOCH).days
+
+
+def test_far_timestamps_still_get_a_time_of_day():
+    day, seconds = _day_and_time(1e300)
+    assert 0 <= seconds < 86400 and 0 <= _weekday(day) < 7
+
+
+week = st.floats(1704067200 - 86400, 1704067200 + 8 * 86400)
+
+
+@given(st.lists(st.tuples(week, st.floats(1.0, 300.0)), max_size=40),
+       st.sampled_from(list(DayFilter)),
+       st.sampled_from([600.0, 1800.0, 3600.0, 1234.5, 50000.0]))
+def test_windows_match_reference(samples, day_filter, window):
+    records = [
+        SignalCycleRecord("A", cycle, 0.0, 0.0, ClassifiedCount("A", {}, timestamp))
+        for timestamp, cycle in samples
+    ]
+    assert (window_cycle_lengths(records, window, day_filter)
+            == oracles.window_cycle_lengths(records, window, day_filter))
