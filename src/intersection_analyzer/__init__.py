@@ -67,11 +67,13 @@ from .pcu import (
 from .pipeline import AnalysisResult, ApproachReport, IntersectionReport, analyze_records
 from .stats import (
     FiveNumberSummary,
+    SampleSummary,
     WindowedAverage,
     ZTestResult,
     five_number,
     pairwise_z_matrix,
     peak_window,
+    summarize,
     window_cycle_lengths,
     z_test,
 )

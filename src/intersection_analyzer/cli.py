@@ -22,7 +22,9 @@ from .errors import AnalyzerError, EmptyInput, InputError, IoFailure
 from .ingest import ingest_approaches, ingest_cycles, scan_cycles
 from .model import ApproachConfig, DayFilter, SignalCycleRecord
 from .pipeline import AnalysisResult, analyze_records
-from .stats import five_number, pairwise_z_matrix, window_cycle_lengths, peak_window, z_test
+from .stats import (
+    five_number, pairwise_z_matrix, summarize, window_cycle_lengths, peak_window, z_test,
+)
 
 DEFAULT_OUT = "analysis_out"
 
@@ -199,10 +201,12 @@ def cmd_variability(manifest: RunManifest, args) -> int:
 
     intersection_ids = sorted(by_intersection)
     if len(intersection_ids) >= 2:
+        # each pooled sample takes part in one test per other intersection
+        inflow = {intersection_id: summarize(values) for intersection_id, values in pooled.items()}
         rows = []
         for i, first in enumerate(intersection_ids):
             for second in intersection_ids[i + 1:]:
-                outcome = z_test(pooled[first], pooled[second])
+                outcome = z_test(inflow[first], inflow[second])
                 rows.append((first, second,
                              f"{outcome.z_statistic:.6g}", f"{outcome.p_value:.6g}"))
         writer.stage("inflow_comparison.csv", rpt.inflow_comparison_csv(rows))

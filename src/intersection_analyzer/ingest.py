@@ -49,6 +49,12 @@ def _header(row: Sequence[str], allowed: Sequence[str], required: Sequence[str])
     return names
 
 
+def _unsplittable(err: csv.Error, line: int) -> SchemaViolation:
+    """A row the csv module cannot split, such as one with a field over its
+    size limit or a bare carriage return inside an unquoted field."""
+    return SchemaViolation(f"unreadable CSV row: {err}", row=line)
+
+
 def _float_cell(value: str, column: str, row: int) -> float:
     try:
         number = float(value)
@@ -87,6 +93,8 @@ def scan_cycles(
         first = next(reader)
     except StopIteration:
         return [], []
+    except csv.Error as err:
+        return [], [_unsplittable(err, 1)]
     try:
         names = _header(first, CYCLE_COLUMNS, CYCLE_REQUIRED)
     except SchemaViolation as err:
@@ -94,17 +102,25 @@ def scan_cycles(
 
     parse = _cycle_row_parser(names, configs)
     append = records.append
-    for line, row in enumerate(reader, start=2):
-        # A row with a non-blank first cell is never blank.
-        if not row or (not row[0].strip() and all(not cell.strip() for cell in row)):
-            continue
+    line = 1
+    while True:
+        # The reader goes on with the next row after a csv.Error; resuming the
+        # loop here keeps the per-row path free of any wrapper.
         try:
-            append(parse(row, line))
-        except InputError as err:
-            if err.row is None:
-                err.row = line
-            errors.append(err)
-    return records, errors
+            for line, row in enumerate(reader, start=line + 1):
+                # A row with a non-blank first cell is never blank.
+                if not row or (not row[0].strip() and all(not cell.strip() for cell in row)):
+                    continue
+                try:
+                    append(parse(row, line))
+                except InputError as err:
+                    if err.row is None:
+                        err.row = line
+                    errors.append(err)
+            return records, errors
+        except csv.Error as err:
+            line += 1
+            errors.append(_unsplittable(err, line))
 
 
 def _cycle_row_parser(
@@ -209,49 +225,56 @@ def ingest_approaches(source: TextIO | Iterable[str]) -> dict[str, ApproachConfi
         first = next(reader)
     except StopIteration:
         raise SchemaViolation("approach file is empty", row=1) from None
+    except csv.Error as err:
+        raise _unsplittable(err, 1) from None
     names = _header(first, APPROACH_COLUMNS, APPROACH_COLUMNS)
 
     configs: dict[str, ApproachConfig] = {}
-    for line, row in enumerate(reader, start=2):
-        if not row or all(not cell.strip() for cell in row):
-            continue
-        if len(row) != len(names):
-            raise SchemaViolation(f"expected {len(names)} fields, got {len(row)}", row=line)
-        cells = {name: cell.strip() for name, cell in zip(names, row)}
-        approach_id = cells["approach_id"]
-        if not approach_id:
-            raise SchemaViolation("empty approach_id", row=line)
-        if approach_id in configs:
-            raise SchemaViolation(f"duplicate approach {approach_id!r}", row=line)
-        try:
-            directionality = Directionality(cells["directionality"])
-        except ValueError:
-            raise SchemaViolation(
-                f"directionality must be 'oneway' or 'twoway', got {cells['directionality']!r}",
-                row=line) from None
-        try:
-            lanes = int(cells["lanes"])
-        except ValueError:
-            raise SchemaViolation(f"lanes: not an integer: {cells['lanes']!r}", row=line) from None
-        width = _float_cell(cells["width_m"], "width_m", line)
-        flags = {}
-        for column in ("free_left", "is_major"):
-            if cells[column] not in ("0", "1"):
-                raise SchemaViolation(f"column {column!r} must be 0 or 1", row=line)
-            flags[column] = cells[column] == "1"
-        try:
-            configs[approach_id] = ApproachConfig(
-                approach_id=approach_id,
-                intersection_id=cells["intersection_id"],
-                lane_count=lanes,
-                directionality=directionality,
-                width=width,
-                free_left=flags["free_left"],
-                is_major=flags["is_major"],
-            )
-        except AnalyzerError as err:
-            err.row = line
-            raise
+    line = 1
+    try:
+        for line, row in enumerate(reader, start=2):
+            if not row or all(not cell.strip() for cell in row):
+                continue
+            if len(row) != len(names):
+                raise SchemaViolation(f"expected {len(names)} fields, got {len(row)}", row=line)
+            cells = {name: cell.strip() for name, cell in zip(names, row)}
+            approach_id = cells["approach_id"]
+            if not approach_id:
+                raise SchemaViolation("empty approach_id", row=line)
+            if approach_id in configs:
+                raise SchemaViolation(f"duplicate approach {approach_id!r}", row=line)
+            try:
+                directionality = Directionality(cells["directionality"])
+            except ValueError:
+                raise SchemaViolation(
+                    f"directionality must be 'oneway' or 'twoway', got {cells['directionality']!r}",
+                    row=line) from None
+            try:
+                lanes = int(cells["lanes"])
+            except ValueError:
+                raise SchemaViolation(
+                    f"lanes: not an integer: {cells['lanes']!r}", row=line) from None
+            width = _float_cell(cells["width_m"], "width_m", line)
+            flags = {}
+            for column in ("free_left", "is_major"):
+                if cells[column] not in ("0", "1"):
+                    raise SchemaViolation(f"column {column!r} must be 0 or 1", row=line)
+                flags[column] = cells[column] == "1"
+            try:
+                configs[approach_id] = ApproachConfig(
+                    approach_id=approach_id,
+                    intersection_id=cells["intersection_id"],
+                    lane_count=lanes,
+                    directionality=directionality,
+                    width=width,
+                    free_left=flags["free_left"],
+                    is_major=flags["is_major"],
+                )
+            except AnalyzerError as err:
+                err.row = line
+                raise
+    except csv.Error as err:
+        raise _unsplittable(err, line + 1) from None
     return configs
 
 

@@ -72,11 +72,6 @@ VC_RATIO_BANDS = LosBandTable(
     upper_inclusive=False,
 )
 
-DEFAULT_TABLES = {
-    table.standard: table
-    for table in (DELAY_HETEROGENEOUS, DELAY_HCM, VC_RATIO_BANDS)
-}
-
 
 def classify_los(value: float, table: LosBandTable) -> LosResult:
     return table.classify(value)

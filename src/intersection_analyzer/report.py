@@ -12,6 +12,7 @@ failing run never leaves partially updated outputs behind.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import os
 import tempfile
@@ -31,9 +32,13 @@ if TYPE_CHECKING:
 SCHEMA_VERSION = 1
 
 
+@functools.cache
+def _quantum(places: int) -> Decimal:
+    return Decimal(1).scaleb(-places)
+
+
 def round_half_up(value: float, places: int = 0) -> float:
-    quantum = Decimal(1).scaleb(-places)
-    return float(Decimal(repr(float(value))).quantize(quantum, rounding=ROUND_HALF_UP))
+    return float(Decimal(repr(float(value))).quantize(_quantum(places), rounding=ROUND_HALF_UP))
 
 
 def fmt_int(value: float) -> str:

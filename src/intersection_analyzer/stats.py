@@ -55,6 +55,23 @@ class ZTestResult:
     n_b: int
 
 
+@dataclass(frozen=True, slots=True)
+class SampleSummary:
+    """Size, mean and sample variance of one sample, for reuse across z-tests.
+
+    ``len()`` is the sample size, so a summary can stand wherever ``z_test``
+    takes a sample.  Below two observations ``mean`` and ``variance`` are
+    NaN; ``z_test`` rejects such a sample before reading them.
+    """
+
+    n: int
+    mean: float
+    variance: float
+
+    def __len__(self) -> int:
+        return self.n
+
+
 @dataclass(frozen=True)
 class FiveNumberSummary:
     minimum: float
@@ -198,29 +215,40 @@ def normal_two_tailed_p(z: float) -> float:
     return math.erfc(abs(z) / _SQRT2)
 
 
-def z_test(sample_a: Sequence[float], sample_b: Sequence[float]) -> ZTestResult:
+def summarize(sample: Sequence[float]) -> SampleSummary:
+    """Summarise a sample once, with the exact ``fmean`` and ``variance``."""
+    n = len(sample)
+    if n < 2:
+        return SampleSummary(n, math.nan, math.nan)
+    return SampleSummary(n, statistics.fmean(sample), statistics.variance(sample))
+
+
+def z_test(
+    sample_a: Sequence[float] | SampleSummary,
+    sample_b: Sequence[float] | SampleSummary,
+) -> ZTestResult:
     """Two-sample z-test with unequal variances, two-tailed.
 
     z = (mean_a - mean_b) / sqrt(s_a^2/n_a + s_b^2/n_b) with sample
     variances.  Both variances zero is handled by convention: equal means
-    give p = 1, unequal means give the p floor.
+    give p = 1, unequal means give the p floor.  Either sample may be given
+    as a ``SampleSummary``, which gives the same result as its raw values.
     """
     n_a, n_b = len(sample_a), len(sample_b)
     if n_a < 2 or n_b < 2:
         raise TooFewSamples(
             f"z-test needs at least 2 observations per sample, got {n_a} and {n_b}")
-    mean_a = statistics.fmean(sample_a)
-    mean_b = statistics.fmean(sample_b)
-    var_a = statistics.variance(sample_a)
-    var_b = statistics.variance(sample_b)
+    a = sample_a if isinstance(sample_a, SampleSummary) else summarize(sample_a)
+    b = sample_b if isinstance(sample_b, SampleSummary) else summarize(sample_b)
+    mean_a, mean_b = a.mean, b.mean
 
-    if var_a == 0.0 and var_b == 0.0:
+    if a.variance == 0.0 and b.variance == 0.0:
         if mean_a == mean_b:
             return ZTestResult(0.0, 1.0, mean_a, mean_b, n_a, n_b)
         z = math.copysign(math.inf, mean_a - mean_b)
         return ZTestResult(z, P_VALUE_FLOOR, mean_a, mean_b, n_a, n_b)
 
-    z = (mean_a - mean_b) / math.sqrt(var_a / n_a + var_b / n_b)
+    z = (mean_a - mean_b) / math.sqrt(a.variance / n_a + b.variance / n_b)
     p = max(normal_two_tailed_p(z), P_VALUE_FLOOR)
     return ZTestResult(z, p, mean_a, mean_b, n_a, n_b)
 
@@ -232,14 +260,16 @@ def pairwise_z_matrix(
 
     Keys are (later_id, earlier_id) in sorted id order, matching the usual
     triangular table layout; exactly k(k-1)/2 entries for k approaches.
+    Each sample is summarised once and reused in all of its k-1 tests.
     """
     if len(samples) < 2:
         raise TooFewSamples(f"need at least 2 approaches, got {len(samples)}")
     ids = sorted(samples)
+    summaries = {approach_id: summarize(samples[approach_id]) for approach_id in ids}
     matrix: dict[tuple[str, str], float] = {}
     for i, row_id in enumerate(ids):
         for col_id in ids[:i]:
-            matrix[(row_id, col_id)] = z_test(samples[row_id], samples[col_id]).p_value
+            matrix[(row_id, col_id)] = z_test(summaries[row_id], summaries[col_id]).p_value
     return matrix
 
 

@@ -10,6 +10,8 @@ STUDY_CYCLES = FIXTURES / "study_cycles.csv"
 STUDY_APPROACHES = FIXTURES / "study_approaches.csv"
 WEEK_CYCLES = FIXTURES / "synthetic_week_cycles.csv"
 WEEK_APPROACHES = FIXTURES / "synthetic_week_approaches.csv"
+SPREAD_CYCLES = FIXTURES / "spread_cycles.csv"
+SPREAD_APPROACHES = FIXTURES / "spread_approaches.csv"
 
 
 @pytest.fixture(scope="session")

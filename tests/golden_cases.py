@@ -29,6 +29,11 @@ WEEK = ["--cycles", str(FIXTURES / "synthetic_week_cycles.csv"),
 WEEK_SPLIT = ["--cycles", str(FIXTURES / "synthetic_week_cycles.csv"),
               "--approaches", str(FIXTURES / "split_week_approaches.csv")]
 VEHICLES = ["--config", str(FIXTURES / "vehicles_config.json")]
+# Three intersections of three approaches, six cycles each, with varying counts:
+# every approach sample takes part in two pairwise tests and every pooled
+# sample in two inflow tests, so a summary reused in the wrong test shows.
+SPREAD = ["--cycles", str(FIXTURES / "spread_cycles.csv"),
+          "--approaches", str(FIXTURES / "spread_approaches.csv")]
 
 # name -> (argv without --out, writes artifacts)
 CASES = {
@@ -38,6 +43,7 @@ CASES = {
     "report_week_weekday": (["report", *WEEK, "--day", "weekday"], True),
     "variability_week": (["variability", *WEEK], True),
     "variability_week_split": (["variability", *WEEK_SPLIT], True),
+    "variability_spread": (["variability", *SPREAD], True),
     "validate_dirty": (["validate", "--cycles", str(FIXTURES / "dirty_cycles.csv"),
                         "--approaches", str(FIXTURES / "study_approaches.csv")], False),
     "validate_dirty_no_approaches": (

@@ -1,4 +1,5 @@
 import json
+import statistics
 from pathlib import Path
 
 import pytest
@@ -7,7 +8,14 @@ from intersection_analyzer import cli
 from intersection_analyzer.cli import main
 from intersection_analyzer.stats import z_test
 
-from conftest import STUDY_APPROACHES, STUDY_CYCLES, WEEK_APPROACHES, WEEK_CYCLES
+from conftest import (
+    SPREAD_APPROACHES,
+    SPREAD_CYCLES,
+    STUDY_APPROACHES,
+    STUDY_CYCLES,
+    WEEK_APPROACHES,
+    WEEK_CYCLES,
+)
 
 STUDY = ["--cycles", str(STUDY_CYCLES), "--approaches", str(STUDY_APPROACHES)]
 WEEK = ["--cycles", str(WEEK_CYCLES), "--approaches", str(WEEK_APPROACHES)]
@@ -77,6 +85,7 @@ def test_variability_needs_repeated_cycles(tmp_path, capsys):
     assert code == 2
     record = json.loads(capsys.readouterr().err)
     assert record["error"] == "TooFewSamples"
+    assert record["message"].endswith("got 1 and 1")
 
 
 def test_flow_artifacts(tmp_path, capsys):
@@ -261,3 +270,48 @@ def test_variability_runs_one_pooled_z_test_per_intersection_pair(tmp_path, caps
     assert len(calls) == 1
     pooled_a, pooled_b = calls[0]
     assert len(pooled_a) + len(pooled_b) == len(WEEK_CYCLES.read_text().splitlines()) - 1
+
+
+def test_variability_summarises_each_sample_once(tmp_path, capsys, monkeypatch):
+    # 3 intersections x 3 approaches x 6 cycles: each approach sample is in 2
+    # pairwise tests and each pooled sample in 2 inflow tests
+    sizes = []
+    variance = statistics.variance
+    monkeypatch.setattr(statistics, "variance",
+                        lambda data: sizes.append(len(data)) or variance(data))
+    assert main(["variability", "--cycles", str(SPREAD_CYCLES),
+                 "--approaches", str(SPREAD_APPROACHES), "--out", str(tmp_path)]) == 0
+    assert sorted(sizes) == [6] * 9 + [18] * 3
+
+
+OVERSIZED_CELL = "9" * 140_000  # over the csv module's 131,072-character field limit
+
+
+def test_validate_lists_a_row_csv_cannot_split(tmp_path, capsys):
+    bad = tmp_path / "bad.csv"
+    bad.write_text(
+        "approach_id,cycle_length_s,red_s,green_s,car\n"
+        f"SR1,152,120,32,{OVERSIZED_CELL}\n"
+        "SR1,152,120,32,3\n")
+    code = main(["validate", "--cycles", str(bad), "--approaches", str(STUDY_APPROACHES)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert ("SchemaViolation: row 2: unreadable CSV row: field larger than field limit"
+            in captured.out)
+    assert "1 valid record(s), 1 problem(s)" in captured.out
+    record = json.loads(captured.err)
+    assert (record["error"], record["row"], record["exit_code"]) == ("SchemaViolation", 2, 2)
+
+
+def test_oversized_approach_cell_is_a_schema_violation(tmp_path, capsys):
+    approaches = tmp_path / "approaches.csv"
+    approaches.write_text(
+        "approach_id,intersection_id,lanes,directionality,width_m,free_left,is_major\n"
+        "N1,NX,2,oneway,7.0,0,1\n"
+        f"N2,{OVERSIZED_CELL},1,oneway,3.5,0,0\n")
+    code = main(["variability", "--cycles", str(WEEK_CYCLES), "--approaches", str(approaches),
+                 "--out", str(tmp_path / "out")])
+    record = json.loads(capsys.readouterr().err)
+    assert code == 2
+    assert (record["error"], record["row"]) == ("SchemaViolation", 3)
+    assert not (tmp_path / "out").exists()

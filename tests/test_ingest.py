@@ -118,6 +118,31 @@ def test_scan_collects_every_problem():
     assert isinstance(errors[2], SchemaViolation)
 
 
+def test_bare_carriage_return_in_a_field_is_a_schema_violation():
+    # A text stream that is not split on "\r" hands csv a field holding one.
+    text = (HEADER + "\n"
+            "SR1,152,120,32,1,0,0,0,0\n"
+            "SR1,15\r2,120,32,1,0,0,0,0\n"
+            "SR1,152,120,32,2,0,0,0,0\n")
+    records, errors = scan_cycles(io.StringIO(text), CONFIGS)
+    assert len(records) == 2
+    assert [type(e) for e in errors] == [SchemaViolation]
+    assert errors[0].row == 3
+    assert "unreadable CSV row" in str(errors[0])
+
+    approaches = ("approach_id,intersection_id,lanes,directionality,width_m,free_left,is_major\n"
+                  "SR1,SS\rC,3,oneway,10.5,1,0\n")
+    with pytest.raises(SchemaViolation) as exc:
+        ingest_approaches(io.StringIO(approaches))
+    assert exc.value.row == 2
+
+    records, errors = scan_cycles(io.StringIO("approach_id,cycle\r_length_s\n"))
+    assert records == [] and [e.row for e in errors] == [1]
+    with pytest.raises(SchemaViolation) as exc:
+        ingest_approaches(io.StringIO("approach_id,inter\rsection_id\n"))
+    assert exc.value.row == 1
+
+
 def test_ingest_approaches_round():
     text = ("approach_id,intersection_id,lanes,directionality,width_m,free_left,is_major\n"
             "SR1,SSC,3,oneway,10.5,1,0\n"

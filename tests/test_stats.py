@@ -5,7 +5,7 @@ from datetime import datetime, timezone
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from intersection_analyzer import (
     ClassifiedCount,
@@ -15,6 +15,7 @@ from intersection_analyzer import (
     five_number,
     pairwise_z_matrix,
     peak_window,
+    summarize,
     window_cycle_lengths,
     z_test,
 )
@@ -246,6 +247,35 @@ def test_location_invariance_property(a, b, shift):
     moved = z_test([x + shift for x in a], [x + shift for x in b])
     assert moved.z_statistic == pytest.approx(base.z_statistic, rel=1e-9, abs=1e-9)
     assert moved.p_value == pytest.approx(base.p_value, rel=1e-8, abs=1e-15)
+
+
+def _z_outcome(sample_a, sample_b):
+    """The result's exact repr, or the TooFewSamples message."""
+    try:
+        return repr(z_test(sample_a, sample_b))
+    except TooFewSamples as err:
+        return f"TooFewSamples: {err}"
+
+
+# Few distinct values, so constant (zero-variance) samples come up often.
+loose_samples = st.lists(
+    st.one_of(st.integers(min_value=-2, max_value=2).map(float),
+              st.floats(min_value=-1e6, max_value=1e6)),
+    max_size=12)
+
+
+@given(loose_samples, loose_samples)
+@example([5.0, 5.0], [5.0, 5.0])
+@example([5.0, 5.0], [7.0, 7.0])
+@example([7.0, 7.0, 7.0], [5.0, 5.0])
+@example([1.0], [1.0])
+@example([], [1.0, 2.0])
+@example([1.0, 2.0], [3.0])
+def test_summaries_give_the_same_z_test_as_raw_samples(a, b):
+    expected = _z_outcome(a, b)
+    assert _z_outcome(summarize(a), summarize(b)) == expected
+    assert _z_outcome(summarize(a), b) == expected
+    assert _z_outcome(a, summarize(b)) == expected
 
 
 # --- pairwise matrix ---------------------------------------------------------
