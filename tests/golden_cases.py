@@ -1,13 +1,16 @@
 """Golden-output cases: CLI invocations whose exact bytes are locked.
 
 Each case runs ``cli.main`` in-process and records its exit code, every
-artifact it writes and, for cases without an output directory, its stdout
-and stderr.  ``tests/test_golden.py`` compares a fresh run against the
-files under ``tests/golden/<case>/``.
+artifact it writes and, where the case asks for them, its stdout and
+stderr, with the temporary output directory shown as ``<out>``.
+``tests/test_golden.py`` compares a fresh run against the files under
+``tests/golden/<case>/``.
 
 Regenerate the snapshots (only when an output change is intended) with
 
-    PYTHONPATH=src python tests/golden_cases.py
+    PYTHONPATH=src python tests/golden_cases.py [case ...]
+
+which rewrites the named cases, or every case when none is named.
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ from __future__ import annotations
 import contextlib
 import io
 import shutil
+import sys
 import tempfile
 from pathlib import Path
 
@@ -35,19 +39,37 @@ VEHICLES = ["--config", str(FIXTURES / "vehicles_config.json")]
 SPREAD = ["--cycles", str(FIXTURES / "spread_cycles.csv"),
           "--approaches", str(FIXTURES / "spread_approaches.csv")]
 
-# name -> (argv without --out, writes artifacts)
+OUT_PLACEHOLDER = "<out>"
+
+# name -> (argv without --out, writes artifacts, records stdout and stderr)
 CASES = {
-    "report_study": (["report", *STUDY], True),
-    "report_study_vehicles": (["report", *STUDY, *VEHICLES], True),
-    "report_week": (["report", *WEEK], True),
-    "report_week_weekday": (["report", *WEEK, "--day", "weekday"], True),
-    "variability_week": (["variability", *WEEK], True),
-    "variability_week_split": (["variability", *WEEK_SPLIT], True),
-    "variability_spread": (["variability", *SPREAD], True),
+    "report_study": (["report", *STUDY], True, False),
+    "report_study_vehicles": (["report", *STUDY, *VEHICLES], True, False),
+    "report_week": (["report", *WEEK], True, False),
+    "report_week_weekday": (["report", *WEEK, "--day", "weekday"], True, False),
+    "variability_week": (["variability", *WEEK], True, False),
+    "variability_week_split": (["variability", *WEEK_SPLIT], True, False),
+    "variability_spread": (["variability", *SPREAD], True, False),
     "validate_dirty": (["validate", "--cycles", str(FIXTURES / "dirty_cycles.csv"),
-                        "--approaches", str(FIXTURES / "study_approaches.csv")], False),
+                        "--approaches", str(FIXTURES / "study_approaches.csv")], False, True),
     "validate_dirty_no_approaches": (
-        ["validate", "--cycles", str(FIXTURES / "dirty_cycles.csv")], False),
+        ["validate", "--cycles", str(FIXTURES / "dirty_cycles.csv")], False, True),
+    "flow_study": (["flow", *STUDY], True, True),
+    "green_study": (["green", *STUDY], True, True),
+    "delay_study": (["delay", *STUDY], True, True),
+    "emissions_study": (["emissions", *STUDY], True, True),
+    "emissions_study_major": (["emissions", *STUDY, "--policy", "major"], True, True),
+    "peak_hours_week_weekday": (["peak-hours", *WEEK, "--day", "weekday"], True, True),
+    "los_values": (["los", "--delay", "56", "--delay", "36",
+                    "--vc", "0.73", "--vc", "0.84"], False, True),
+    "report_study_text": (["report", *STUDY, "--format", "text"], True, True),
+    # A relative path keeps the message the same on every machine.
+    "report_missing_cycles": (["report", "--cycles", "missing_cycles.csv",
+                               "--approaches", str(FIXTURES / "study_approaches.csv")],
+                              False, True),
+    "peak_hours_window_zero": (["peak-hours", "--cycles",
+                                str(FIXTURES / "synthetic_week_cycles.csv"),
+                                "--window", "0"], False, True),
 }
 
 
@@ -55,7 +77,7 @@ def run_case(name: str) -> dict[str, bytes]:
     """Run one case and return its recorded outputs by file name."""
     from intersection_analyzer.cli import main
 
-    argv, writes = CASES[name]
+    argv, writes, streams = CASES[name]
     stdout, stderr = io.StringIO(), io.StringIO()
     out_dir = Path(tempfile.mkdtemp())
     try:
@@ -66,9 +88,10 @@ def run_case(name: str) -> dict[str, bytes]:
         outputs = {"exit_code.txt": f"{code}\n".encode()}
         if writes:
             outputs.update({p.name: p.read_bytes() for p in sorted(out_dir.iterdir())})
-        else:
-            outputs["stdout.txt"] = stdout.getvalue().encode()
-            outputs["stderr.txt"] = stderr.getvalue().encode()
+        if streams:
+            for filename, stream in (("stdout.txt", stdout), ("stderr.txt", stderr)):
+                text = stream.getvalue().replace(str(out_dir), OUT_PLACEHOLDER)
+                outputs[filename] = text.encode()
         return outputs
     finally:
         shutil.rmtree(out_dir)
@@ -78,8 +101,8 @@ def read_golden(name: str) -> dict[str, bytes]:
     return {p.name: p.read_bytes() for p in sorted((GOLDEN / name).iterdir())}
 
 
-def write_golden() -> None:
-    for name in CASES:
+def write_golden(names: list[str]) -> None:
+    for name in names or CASES:
         target = GOLDEN / name
         if target.exists():
             shutil.rmtree(target)
@@ -89,4 +112,4 @@ def write_golden() -> None:
 
 
 if __name__ == "__main__":
-    write_golden()
+    write_golden(sys.argv[1:])
