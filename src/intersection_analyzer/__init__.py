@@ -31,7 +31,6 @@ from .emissions import (
 )
 from .flow import (
     CapacityTable,
-    DEFAULT_CAPACITY_TABLE,
     FlowReport,
     GreenReport,
     green_splits,
@@ -43,9 +42,6 @@ from .flow import (
 )
 from .ingest import cycles_to_csv, ingest_approaches, ingest_cycles, scan_cycles
 from .los import (
-    DELAY_HCM,
-    DELAY_HETEROGENEOUS,
-    VC_RATIO_BANDS,
     LosBandTable,
     LosResult,
     classify_los,
@@ -59,7 +55,6 @@ from .model import (
     VehicleClass,
 )
 from .pcu import (
-    DEFAULT_FACTOR_TABLE,
     PcuFactorTable,
     composition_shares,
     to_pcu,

@@ -10,73 +10,37 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator, Mapping, Sequence, TextIO
+from typing import Callable, Iterator, Sequence, TextIO
 
 from . import report as rpt
-from .config import AnalysisConfig, load_config
+from .config import load_config
 from .delay import DelayPolicy
 from .errors import AnalyzerError, EmptyInput, InputError, IoFailure
 from .ingest import ingest_approaches, ingest_cycles, scan_cycles
 from .model import ApproachConfig, DayFilter, SignalCycleRecord
-from .pipeline import AnalysisResult, analyze_records
+from .pipeline import analyze_records
 from .stats import (
-    five_number, pairwise_z_matrix, summarize, window_cycle_lengths, peak_window, z_test,
+    check_window, five_number, pairwise_z_matrix, summarize, window_cycle_lengths,
+    peak_window, z_test,
 )
 
 DEFAULT_OUT = "analysis_out"
 
 
-@dataclass(frozen=True)
-class RunManifest:
-    """One resolved invocation: inputs, config, destination and flags.
-
-    Referenced input paths are checked up front, before any parsing or
-    computation happens.
-    """
-
-    subcommand: str
-    cycles: Path | None = None
-    approaches: Path | None = None
-    config: Path | None = None
-    out: Path | None = None
-    format: str = "csv"
-    policy: str = "all"
-    window: float = 1800.0
-    span: int = 4
-    day: str = "all"
-
-    @classmethod
-    def from_args(cls, args: argparse.Namespace) -> "RunManifest":
-        def path_of(name):
-            value = getattr(args, name, None)
-            return None if value is None else Path(value)
-
-        return cls(
-            subcommand=args.command,
-            cycles=path_of("cycles"),
-            approaches=path_of("approaches"),
-            config=path_of("config"),
-            out=path_of("out"),
-            format=getattr(args, "format", "csv"),
-            policy=getattr(args, "policy", "all"),
-            window=getattr(args, "window", 1800.0),
-            span=getattr(args, "span", 4),
-            day=getattr(args, "day", "all"),
-        )
-
-    def validate(self) -> None:
-        if self.window <= 0:
-            raise InputError(f"--window must be > 0, got {self.window:g}")
-        if self.span < 1:
-            raise InputError(f"--span must be >= 1, got {self.span}")
-        for label, path in (("cycles", self.cycles),
-                            ("approaches", self.approaches),
-                            ("config", self.config)):
-            if path is not None and not path.is_file():
-                raise InputError(f"{label} file not found: {path}")
+def _check(args: argparse.Namespace) -> None:
+    """Reject bad flag values and missing input files before any parsing."""
+    if hasattr(args, "window"):
+        check_window(args.window, "--window")
+    if getattr(args, "span", 1) < 1:
+        raise InputError(f"--span must be >= 1, got {args.span}")
+    for label in ("cycles", "approaches", "config"):
+        path = getattr(args, label, None)
+        if path is not None and not path.is_file():
+            raise InputError(f"{label} file not found: {path}")
 
 
 def _print_error(subcommand: str, err: AnalyzerError) -> None:
@@ -106,28 +70,16 @@ def _read_text(path: str | Path) -> Iterator[TextIO]:
             raise InputError(f"{path} is not UTF-8 text: {err}") from None
 
 
-def _load_approaches(path: str | Path) -> dict[str, ApproachConfig]:
-    with _read_text(path) as handle:
+def _load_approaches(args) -> dict[str, ApproachConfig] | None:
+    if args.approaches is None:
+        return None
+    with _read_text(args.approaches) as handle:
         return ingest_approaches(handle)
 
 
-def _load_cycles(path: str | Path, approaches: Mapping[str, ApproachConfig] | None):
-    with _read_text(path) as handle:
-        if approaches is None:
-            records, errors = scan_cycles(handle, None)
-            if errors:
-                raise errors[0]
-            return records
+def _load_records(args, approaches) -> list[SignalCycleRecord]:
+    with _read_text(args.cycles) as handle:
         return ingest_cycles(handle, approaches)
-
-
-def _analyze(manifest: RunManifest) -> tuple[AnalysisConfig, list[SignalCycleRecord], AnalysisResult]:
-    config = load_config(manifest.config)
-    approaches = _load_approaches(manifest.approaches)
-    records = _load_cycles(manifest.cycles, approaches)
-    policy = DelayPolicy(manifest.policy)
-    result = analyze_records(records, approaches, config, emission_policy=policy)
-    return config, records, result
 
 
 def _commit(writer: rpt.ArtifactWriter) -> int:
@@ -138,9 +90,9 @@ def _commit(writer: rpt.ArtifactWriter) -> int:
 
 # --- subcommand handlers -----------------------------------------------------
 
-def cmd_validate(manifest: RunManifest, args) -> int:
-    approaches = _load_approaches(manifest.approaches) if manifest.approaches else None
-    with _read_text(manifest.cycles) as handle:
+def cmd_validate(args) -> int:
+    approaches = _load_approaches(args)
+    with _read_text(args.cycles) as handle:
         records, errors = scan_cycles(handle, approaches)
     for err in errors:
         print(f"{type(err).__name__}: {err}")
@@ -152,22 +104,21 @@ def cmd_validate(manifest: RunManifest, args) -> int:
     return 0
 
 
-def cmd_peak_hours(manifest: RunManifest, args) -> int:
-    approaches = _load_approaches(manifest.approaches) if manifest.approaches else None
-    records = _load_cycles(manifest.cycles, approaches)
-    windows = window_cycle_lengths(records, manifest.window, DayFilter(manifest.day))
-    start, end = peak_window(windows, manifest.span)
+def cmd_peak_hours(args) -> int:
+    records = _load_records(args, _load_approaches(args))
+    windows = window_cycle_lengths(records, args.window, DayFilter(args.day))
+    start, end = peak_window(windows, args.span)
     print(f"peak window: {rpt.hhmm(start)}-{rpt.hhmm(end)}")
-    if manifest.out:
-        writer = rpt.ArtifactWriter(manifest.out)
+    if args.out:
+        writer = rpt.ArtifactWriter(args.out)
         writer.stage("windowed.csv", rpt.windowed_csv(windows))
         return _commit(writer)
     return 0
 
 
-def cmd_variability(manifest: RunManifest, args) -> int:
-    approaches = _load_approaches(manifest.approaches)
-    records = _load_cycles(manifest.cycles, approaches)
+def cmd_variability(args) -> int:
+    approaches = _load_approaches(args)
+    records = _load_records(args, approaches)
 
     samples: dict[str, list[float]] = {}
     for record in records:
@@ -195,7 +146,7 @@ def cmd_variability(manifest: RunManifest, args) -> int:
     for intersection_id, values in pooled.items():
         summaries[intersection_id] = five_number(values)
 
-    writer = rpt.ArtifactWriter(manifest.out or DEFAULT_OUT)
+    writer = rpt.ArtifactWriter(args.out or DEFAULT_OUT)
     writer.stage("pvalues.csv", rpt.pvalues_csv(matrices))
     writer.stage("boxplot.csv", rpt.boxplot_csv(summaries))
 
@@ -213,37 +164,15 @@ def cmd_variability(manifest: RunManifest, args) -> int:
     return _commit(writer)
 
 
-def cmd_flow(manifest: RunManifest, args) -> int:
-    _, _, result = _analyze(manifest)
-    writer = rpt.ArtifactWriter(manifest.out or DEFAULT_OUT)
-    writer.stage("flow.csv", rpt.flow_csv(result))
-    writer.stage("saturation.csv", rpt.saturation_csv(result))
-    return _commit(writer)
-
-
-def cmd_green(manifest: RunManifest, args) -> int:
-    _, _, result = _analyze(manifest)
-    writer = rpt.ArtifactWriter(manifest.out or DEFAULT_OUT)
-    writer.stage("green.csv", rpt.green_csv(result))
-    writer.stage("green_series.csv", rpt.green_series_csv(result))
-    return _commit(writer)
-
-
-def cmd_delay(manifest: RunManifest, args) -> int:
-    _, _, result = _analyze(manifest)
-    writer = rpt.ArtifactWriter(manifest.out or DEFAULT_OUT)
-    writer.stage("delay_los.csv", rpt.delay_csv(result))
-    writer.stage("intersections.csv", rpt.intersections_csv(result))
-    return _commit(writer)
-
-
-def cmd_los(manifest: RunManifest, args) -> int:
+def cmd_los(args) -> int:
     if not args.delay and not args.vc:
         raise EmptyInput("nothing to classify: pass --delay and/or --vc values")
     for value in (args.delay or []) + (args.vc or []):
+        if not math.isfinite(value):
+            raise InputError(f"classified values must be finite, got {value:g}")
         if value < 0:
             raise InputError(f"classified values must be >= 0, got {value:g}")
-    config = load_config(manifest.config)
+    config = load_config(args.config)
     vc_table = config.los_tables.get("vc_ratio")
     delay_tables = {
         name: table for name, table in sorted(config.los_tables.items())
@@ -261,42 +190,102 @@ def cmd_los(manifest: RunManifest, args) -> int:
     return 0
 
 
-def cmd_emissions(manifest: RunManifest, args) -> int:
-    config, _, result = _analyze(manifest)
-    writer = rpt.ArtifactWriter(manifest.out or DEFAULT_OUT)
-    writer.stage("emissions.csv", rpt.emissions_csv(result))
-    writer.stage("emissions_summary.csv", rpt.emissions_summary_csv(
-        result, config.city.active_hours_per_day))
-    return _commit(writer)
+# artifact -> its text, from one analysis and the configured active hours per day
+ARTIFACTS: dict[str, Callable] = {
+    "flow.csv": lambda result, hours: rpt.flow_csv(result),
+    "saturation.csv": lambda result, hours: rpt.saturation_csv(result),
+    "composition.csv": lambda result, hours: rpt.composition_csv(result),
+    "green.csv": lambda result, hours: rpt.green_csv(result),
+    "green_series.csv": lambda result, hours: rpt.green_series_csv(result),
+    "delay_los.csv": lambda result, hours: rpt.delay_csv(result),
+    "intersections.csv": lambda result, hours: rpt.intersections_csv(result),
+    "emissions.csv": lambda result, hours: rpt.emissions_csv(result),
+    "emissions_summary.csv": lambda result, hours: rpt.emissions_summary_csv(result, hours),
+    "summary.txt": lambda result, hours: rpt.summary_text(result, hours),
+}
+# Windowed averages, staged when every record carries a timestamp.
+WINDOWED = "windowed.csv"
 
 
-def cmd_report(manifest: RunManifest, args) -> int:
-    config, records, result = _analyze(manifest)
-    writer = rpt.ArtifactWriter(manifest.out or DEFAULT_OUT)
-    writer.stage("flow.csv", rpt.flow_csv(result))
-    writer.stage("saturation.csv", rpt.saturation_csv(result))
-    writer.stage("composition.csv", rpt.composition_csv(result))
-    writer.stage("green.csv", rpt.green_csv(result))
-    writer.stage("green_series.csv", rpt.green_series_csv(result))
-    writer.stage("delay_los.csv", rpt.delay_csv(result))
-    writer.stage("intersections.csv", rpt.intersections_csv(result))
-    writer.stage("emissions.csv", rpt.emissions_csv(result))
-    writer.stage("emissions_summary.csv", rpt.emissions_summary_csv(
-        result, config.city.active_hours_per_day))
-    summary = rpt.summary_text(result, config.city.active_hours_per_day)
-    writer.stage("summary.txt", summary)
+def cmd_analysis(args) -> int:
+    """Run the pipeline once and stage the artifacts the subcommand lists."""
+    config = load_config(args.config)
+    approaches = _load_approaches(args)
+    records = _load_records(args, approaches)
+    result = analyze_records(records, approaches, config,
+                             emission_policy=DelayPolicy(getattr(args, "policy", "all")))
+    # Free the approach table before the artifact texts are built: with
+    # thousands of approaches it is most of a megabyte of peak RSS.
+    del approaches
+    hours = config.city.active_hours_per_day
+    artifacts = SUBCOMMANDS[args.command].artifacts
+    texts = {name: ARTIFACTS[name](result, hours) for name in artifacts if name != WINDOWED}
+    if WINDOWED in artifacts and records and all(r.timestamp is not None for r in records):
+        windows = window_cycle_lengths(records, args.window, DayFilter(args.day))
+        texts[WINDOWED] = rpt.windowed_csv(windows)
 
-    if records and all(r.timestamp is not None for r in records):
-        windows = window_cycle_lengths(records, manifest.window, DayFilter(manifest.day))
-        writer.stage("windowed.csv", rpt.windowed_csv(windows))
-
+    writer = rpt.ArtifactWriter(args.out or DEFAULT_OUT)
+    for name, text in texts.items():
+        writer.stage(name, text)
     status = _commit(writer)
-    if manifest.format == "text":
-        print(summary, end="")
+    if getattr(args, "format", "csv") == "text":
+        print(texts["summary.txt"], end="")
     return status
 
 
-# --- parser ------------------------------------------------------------------
+# --- subcommand table ---------------------------------------------------------
+
+# flag -> add_argument keywords; a trailing "?" in a subcommand's list drops `required`
+FLAGS: dict[str, dict] = {
+    "cycles": dict(type=Path, required=True, help="cycle records CSV"),
+    "approaches": dict(type=Path, required=True, help="approach configuration CSV"),
+    "config": dict(type=Path, default=None, help="JSON config overriding defaults"),
+    "out": dict(type=Path, default=None, help=f"output directory (default: {DEFAULT_OUT})"),
+    "policy": dict(choices=["all", "major"], default="all",
+                   help="delay aggregation policy for emissions"),
+    "format": dict(choices=["csv", "text"], default="csv"),
+    "window": dict(type=float, default=1800.0, help="aggregation window in seconds"),
+    "span": dict(type=int, default=4, help="consecutive windows forming the peak"),
+    "day": dict(choices=[d.value for d in DayFilter], default="all",
+                help="calendar-day filter for windowing"),
+    "delay": dict(type=float, action="append", help="delay in seconds (repeatable)"),
+    "vc": dict(type=float, action="append", help="volume-to-capacity ratio (repeatable)"),
+}
+
+ANALYSIS_FLAGS = ("cycles", "approaches", "config", "out")
+
+
+@dataclass(frozen=True)
+class Subcommand:
+    help: str
+    flags: tuple[str, ...]
+    handler: Callable[[argparse.Namespace], int] = cmd_analysis
+    artifacts: tuple[str, ...] = ()  # what cmd_analysis stages
+
+
+SUBCOMMANDS = {
+    "validate": Subcommand("check a cycles CSV, reporting every bad row",
+                           ("cycles", "approaches?"), cmd_validate),
+    "peak-hours": Subcommand("find the heaviest run of windows",
+                             ("cycles", "approaches?", "out", "window", "span", "day"),
+                             cmd_peak_hours),
+    "variability": Subcommand("pairwise z-tests and box-plot summaries",
+                              ("cycles", "approaches", "out"), cmd_variability),
+    "flow": Subcommand("volumes, V/C ratios and saturation flow", ANALYSIS_FLAGS,
+                       artifacts=("flow.csv", "saturation.csv")),
+    "green": Subcommand("green splits and green-time utilization", ANALYSIS_FLAGS,
+                        artifacts=("green.csv", "green_series.csv")),
+    "delay": Subcommand("control delay and level of service", ANALYSIS_FLAGS,
+                        artifacts=("delay_los.csv", "intersections.csv")),
+    "los": Subcommand("classify delay or V/C values directly",
+                      ("config", "delay", "vc"), cmd_los),
+    "emissions": Subcommand("idle fuel use and CO2", (*ANALYSIS_FLAGS, "policy"),
+                            artifacts=("emissions.csv", "emissions_summary.csv")),
+    "report": Subcommand("everything: all CSV families plus a text summary",
+                         (*ANALYSIS_FLAGS, "policy", "format", "window", "day"),
+                         artifacts=(*ARTIFACTS, WINDOWED)),
+}
+
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -305,65 +294,13 @@ def _build_parser() -> argparse.ArgumentParser:
                     "saturation flow, delay, level of service, green use "
                     "and idle emissions from per-cycle CSV records.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, approaches_required=True, out=True):
-        p.add_argument("--cycles", required=True, help="cycle records CSV")
-        p.add_argument("--approaches", required=approaches_required,
-                       help="approach configuration CSV")
-        p.add_argument("--config", default=None, help="JSON config overriding defaults")
-        if out:
-            p.add_argument("--out", default=None,
-                           help=f"output directory (default: {DEFAULT_OUT})")
-        p.add_argument("--policy", choices=["all", "major"], default="all",
-                       help="delay aggregation policy for emissions")
-        p.add_argument("--format", choices=["csv", "text"], default="csv")
-        p.add_argument("--window", type=float, default=1800.0,
-                       help="aggregation window in seconds")
-        p.add_argument("--span", type=int, default=4,
-                       help="consecutive windows forming the peak")
-        p.add_argument("--day", choices=[d.value for d in DayFilter],
-                       default="all", help="calendar-day filter for windowing")
-
-    p = sub.add_parser("validate", help="check a cycles CSV, reporting every bad row")
-    common(p, approaches_required=False, out=False)
-    p.set_defaults(handler=cmd_validate)
-
-    p = sub.add_parser("peak-hours", help="find the heaviest run of windows")
-    common(p, approaches_required=False)
-    p.set_defaults(handler=cmd_peak_hours)
-
-    p = sub.add_parser("variability", help="pairwise z-tests and box-plot summaries")
-    common(p)
-    p.set_defaults(handler=cmd_variability)
-
-    p = sub.add_parser("flow", help="volumes, V/C ratios and saturation flow")
-    common(p)
-    p.set_defaults(handler=cmd_flow)
-
-    p = sub.add_parser("green", help="green splits and green-time utilization")
-    common(p)
-    p.set_defaults(handler=cmd_green)
-
-    p = sub.add_parser("delay", help="control delay and level of service")
-    common(p)
-    p.set_defaults(handler=cmd_delay)
-
-    p = sub.add_parser("los", help="classify delay or V/C values directly")
-    p.add_argument("--config", default=None)
-    p.add_argument("--delay", type=float, action="append",
-                   help="delay in seconds (repeatable)")
-    p.add_argument("--vc", type=float, action="append",
-                   help="volume-to-capacity ratio (repeatable)")
-    p.set_defaults(handler=cmd_los)
-
-    p = sub.add_parser("emissions", help="idle fuel use and CO2")
-    common(p)
-    p.set_defaults(handler=cmd_emissions)
-
-    p = sub.add_parser("report", help="everything: all CSV families plus a text summary")
-    common(p)
-    p.set_defaults(handler=cmd_report)
-
+    for command, spec in SUBCOMMANDS.items():
+        p = sub.add_parser(command, help=spec.help)
+        for flag in spec.flags:
+            name = flag.rstrip("?")
+            options = dict(FLAGS[name], required=False) if flag.endswith("?") else FLAGS[name]
+            p.add_argument(f"--{name}", **options)
+        p.set_defaults(handler=spec.handler)
     return parser
 
 
@@ -371,9 +308,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        manifest = RunManifest.from_args(args)
-        manifest.validate()
-        return args.handler(manifest, args)
+        _check(args)
+        return args.handler(args)
     except AnalyzerError as err:
         _print_error(args.command, err)
         return err.exit_code

@@ -49,14 +49,6 @@ class CapacityTable:
         return self.capacities[key]
 
 
-DEFAULT_CAPACITY_TABLE = CapacityTable({
-    (3, Directionality.ONE_WAY): 3600.0,
-    (2, Directionality.ONE_WAY): 2400.0,
-    (1, Directionality.TWO_WAY): 2400.0,
-    (1, Directionality.ONE_WAY): 1500.0,
-})
-
-
 @dataclass(frozen=True)
 class FlowReport:
     """Volume, capacity and saturation-flow figures for one approach.
@@ -71,18 +63,15 @@ class FlowReport:
     vc_ratio: float
     sf_width: float
     sf_discharge: float | None = None
-    sf_difference: float | None = None
 
     def __post_init__(self):
         if self.vc_ratio < 0:
             raise InvariantViolation("vc_ratio must be >= 0")
-        if self.sf_discharge is not None:
-            expected = self.sf_discharge - self.sf_width
-            if self.sf_difference is None or abs(self.sf_difference - expected) > 1e-9:
-                raise InvariantViolation(
-                    "sf_difference must equal sf_discharge - sf_width")
-        elif self.sf_difference is not None:
-            raise InvariantViolation("sf_difference given without sf_discharge")
+
+    @property
+    def sf_difference(self) -> float | None:
+        """Discharge-model minus width-model saturation flow."""
+        return None if self.sf_discharge is None else self.sf_discharge - self.sf_width
 
 
 @dataclass(frozen=True)
@@ -105,8 +94,7 @@ def hourly_volume(pcu_per_cycle: float, cycle_length: float) -> float:
     return pcu_per_cycle * 3600.0 / cycle_length
 
 
-def vc_ratio(volume: float, config: ApproachConfig,
-             table: CapacityTable = DEFAULT_CAPACITY_TABLE) -> float:
+def vc_ratio(volume: float, config: ApproachConfig, table: CapacityTable) -> float:
     if volume < 0:
         raise ValueError(f"volume must be >= 0, got {volume}")
     return volume / table.capacity_for(config)

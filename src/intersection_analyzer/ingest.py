@@ -210,9 +210,12 @@ def _cycle_row_parser(
 
 def ingest_cycles(
     source: TextIO | Iterable[str],
-    configs: Mapping[str, ApproachConfig],
+    configs: Mapping[str, ApproachConfig] | None = None,
 ) -> list[SignalCycleRecord]:
-    """Parse and validate a cycle CSV stream, failing on the first bad row."""
+    """Parse and validate a cycle CSV stream, failing on the first bad row.
+
+    Without ``configs``, approach ids are not resolved (as in ``scan_cycles``).
+    """
     records, errors = scan_cycles(source, configs)
     if errors:
         raise errors[0]

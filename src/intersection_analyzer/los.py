@@ -54,24 +54,5 @@ class LosBandTable:
         raise AssertionError("unreachable: final band is open-ended")
 
 
-DELAY_HETEROGENEOUS = LosBandTable(
-    standard="delay_heterogeneous",
-    bands=((10.0, "A"), (45.0, "B"), (65.0, "C"), (100.0, "D"), (135.0, "E"), (None, "F")),
-    upper_inclusive=True,
-)
-
-DELAY_HCM = LosBandTable(
-    standard="delay_hcm",
-    bands=((10.0, "A"), (20.0, "B"), (35.0, "C"), (55.0, "D"), (80.0, "E"), (None, "F")),
-    upper_inclusive=True,
-)
-
-VC_RATIO_BANDS = LosBandTable(
-    standard="vc_ratio",
-    bands=((0.60, "A"), (0.70, "B"), (0.80, "C"), (0.90, "D"), (1.00, "E"), (None, "F")),
-    upper_inclusive=False,
-)
-
-
 def classify_los(value: float, table: LosBandTable) -> LosResult:
     return table.classify(value)

@@ -16,22 +16,12 @@ from typing import Iterable, Mapping
 from .errors import EmptyTraffic, InvariantViolation
 from .model import ClassifiedCount, VehicleClass
 
-DEFAULT_COMPOSITION_THRESHOLD = 0.05
-
-# (factor below threshold, factor at/above threshold) per class.
-DEFAULT_PCU_FACTORS: Mapping[VehicleClass, tuple[float, float]] = {
-    VehicleClass.TWO_WHEELER: (0.50, 0.75),
-    VehicleClass.CAR: (1.00, 1.00),
-    VehicleClass.AUTO_RICKSHAW: (1.20, 2.00),
-    VehicleClass.LIGHT_COMMERCIAL: (1.40, 2.00),
-    VehicleClass.BUS: (2.20, 3.70),
-}
-
-
 @dataclass(frozen=True)
 class PcuFactorTable:
+    """(factor below threshold, factor at/above threshold) per class."""
+
     factors: Mapping[VehicleClass, tuple[float, float]]
-    composition_threshold: float = DEFAULT_COMPOSITION_THRESHOLD
+    composition_threshold: float
 
     def __post_init__(self):
         if not 0.0 < self.composition_threshold < 1.0:
@@ -52,9 +42,6 @@ class PcuFactorTable:
         return below if share < self.composition_threshold else at_or_above
 
 
-DEFAULT_FACTOR_TABLE = PcuFactorTable(DEFAULT_PCU_FACTORS)
-
-
 def composition_shares(counts: Iterable[ClassifiedCount]) -> dict[VehicleClass, float]:
     """Fraction of total traffic contributed by each class, from raw counts.
 
@@ -73,7 +60,7 @@ def composition_shares(counts: Iterable[ClassifiedCount]) -> dict[VehicleClass, 
 
 def to_pcu(counts: ClassifiedCount,
            shares: Mapping[VehicleClass, float],
-           table: PcuFactorTable = DEFAULT_FACTOR_TABLE) -> float:
+           table: PcuFactorTable) -> float:
     """Convert one record's raw counts to total PCU.
 
     Linear in the counts; zero exactly when every count is zero.

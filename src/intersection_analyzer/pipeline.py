@@ -202,10 +202,8 @@ def analyze_records(
 
             sf_width = saturation_flow_width(geometry.width)
             sf_discharge = None
-            sf_difference = None
             if mean_ge is not None and mean_n is not None and mean_ge > 0:
                 sf_discharge = saturation_flow_discharge(mean_n, mean_ge)
-                sf_difference = sf_discharge - sf_width
 
             ratio = mean_green / pcu_per_cycle if pcu_per_cycle > 0 else None
             wastage = None
@@ -242,7 +240,6 @@ def analyze_records(
                     vc_ratio=x,
                     sf_width=sf_width,
                     sf_discharge=sf_discharge,
-                    sf_difference=sf_difference,
                 ),
                 green=GreenReport(
                     approach_id=approach_id,

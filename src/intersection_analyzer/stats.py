@@ -14,6 +14,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .errors import (
     EmptyInput,
+    InputError,
     InsufficientWindows,
     InvariantViolation,
     NoTimestamps,
@@ -121,6 +122,19 @@ _KEPT_WEEKDAYS = {
 }
 
 
+def check_window(window: float, name: str = "window") -> None:
+    """Reject a window that is not a finite number of seconds >= 1.
+
+    The operating day then holds at most 46,800 windows; a shorter window
+    needs ever more of them, and one too small to advance the running start
+    time would never end.
+    """
+    if window <= 0:
+        raise InputError(f"{name} must be > 0, got {window:g}")
+    if not 1 <= window < math.inf:
+        raise InputError(f"{name} must be a finite number of seconds >= 1, got {window:g}")
+
+
 def window_cycle_lengths(
     records: Sequence[SignalCycleRecord],
     window: float = 1800.0,
@@ -131,8 +145,7 @@ def window_cycle_lengths(
     Returns one entry for every window intersecting the 08:00-21:00
     operating span, in time order.  No surviving records means no output.
     """
-    if window <= 0:
-        raise ValueError(f"window must be > 0, got {window}")
+    check_window(window)
     if not records:
         return []
     missing = sum(1 for r in records if r.timestamp is None)

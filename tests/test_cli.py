@@ -315,3 +315,43 @@ def test_oversized_approach_cell_is_a_schema_violation(tmp_path, capsys):
     assert code == 2
     assert (record["error"], record["row"]) == ("SchemaViolation", 3)
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("window", ["nan", "inf", "1e-300", "0.5"])
+@pytest.mark.parametrize("command", ["peak-hours", "report"])
+def test_window_must_be_finite_seconds_of_at_least_one(tmp_path, capsys, command, window):
+    out = tmp_path / "out"
+    code = main([command, *WEEK, "--window", window, "--out", str(out)])
+    record = json.loads(capsys.readouterr().err)
+    assert code == 2
+    assert (record["error"], record["exit_code"]) == ("InputError", 2)
+    assert record["message"] == (
+        f"--window must be a finite number of seconds >= 1, got {float(window):g}")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("values", [
+    ["--delay", "nan"], ["--vc", "nan"], ["--delay", "inf"], ["--vc=-inf"],
+    ["--delay", "56", "--vc", "nan"],
+])
+def test_los_rejects_non_finite_values(capsys, values):
+    assert main(["los", *values]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    record = json.loads(captured.err)
+    assert record["error"] == "InputError"
+    assert record["message"].startswith("classified values must be finite, got ")
+
+
+@pytest.mark.parametrize("argv", [
+    ["validate", *STUDY, "--policy", "major"],
+    ["variability", *WEEK, "--config", "x.json"],
+    ["flow", *STUDY, "--window", "60"],
+    ["peak-hours", "--cycles", str(WEEK_CYCLES), "--format", "text"],
+    ["report", *STUDY, "--span", "2"],
+])
+def test_a_flag_the_subcommand_does_not_read_is_a_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err

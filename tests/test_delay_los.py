@@ -3,16 +3,14 @@ from hypothesis import given, strategies as st
 
 from intersection_analyzer import (
     ApproachConfig,
-    DELAY_HCM,
-    DELAY_HETEROGENEOUS,
     DelayInputs,
     DelayPolicy,
     Directionality,
     LosBandTable,
-    VC_RATIO_BANDS,
     classify_los,
     control_delay,
     intersection_delay,
+    load_config,
     platoon_ratio,
     platoon_ratio_from_delay,
 )
@@ -23,6 +21,11 @@ from intersection_analyzer.errors import (
     SaturatedRegime,
     ZeroPTG,
 )
+
+LOS_TABLES = load_config().los_tables
+DELAY_HETEROGENEOUS = LOS_TABLES["delay_heterogeneous"]
+DELAY_HCM = LOS_TABLES["delay_hcm"]
+VC_RATIO_BANDS = LOS_TABLES["vc_ratio"]
 
 # Back-solved against the recorded average delays at the 2-decimal V/C values.
 SR1_INPUTS = DelayInputs(152.0, 32.0, 0.34, platoon_ratio=0.45670411487070384)

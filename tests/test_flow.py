@@ -4,12 +4,12 @@ from hypothesis import given, strategies as st
 from intersection_analyzer import (
     ApproachConfig,
     ClassifiedCount,
-    DEFAULT_CAPACITY_TABLE,
     Directionality,
     SignalCycleRecord,
     green_splits,
     green_utilization,
     hourly_volume,
+    load_config,
     saturation_flow_discharge,
     saturation_flow_width,
     vc_ratio,
@@ -23,6 +23,8 @@ from intersection_analyzer.errors import (
     ZeroGreen,
 )
 from intersection_analyzer.report import round_half_up
+
+CAPACITY = load_config().capacity_table
 
 
 def approach(lanes, directionality=Directionality.ONE_WAY):
@@ -50,19 +52,19 @@ def test_hourly_volume_zero_cycle():
 
 
 def test_vc_ratio_values():
-    assert round_half_up(vc_ratio(1206, approach(3)), 2) == 0.34
-    assert round_half_up(vc_ratio(2027, approach(2)), 2) == 0.84
-    assert vc_ratio(0, approach(3)) == 0.0
+    assert round_half_up(vc_ratio(1206, approach(3), CAPACITY), 2) == 0.34
+    assert round_half_up(vc_ratio(2027, approach(2), CAPACITY), 2) == 0.84
+    assert vc_ratio(0, approach(3), CAPACITY) == 0.0
 
 
 def test_vc_ratio_unknown_lane_config():
     with pytest.raises(UnknownLaneConfig):
-        vc_ratio(100, approach(7))
+        vc_ratio(100, approach(7), CAPACITY)
 
 
 def test_vc_ratio_linear_in_volume():
     a = approach(2)
-    assert vc_ratio(600, a) * 2 == pytest.approx(vc_ratio(1200, a))
+    assert vc_ratio(600, a, CAPACITY) * 2 == pytest.approx(vc_ratio(1200, a, CAPACITY))
 
 
 def test_saturation_flow_discharge_values():
@@ -156,7 +158,7 @@ def test_green_utilization_zero_green():
 
 
 def test_default_capacity_cells():
-    table = DEFAULT_CAPACITY_TABLE.capacities
+    table = CAPACITY.capacities
     assert table[(3, Directionality.ONE_WAY)] == 3600.0
     assert table[(2, Directionality.ONE_WAY)] == 2400.0
     assert table[(1, Directionality.TWO_WAY)] == 2400.0

@@ -3,13 +3,15 @@ from hypothesis import given, strategies as st
 
 from intersection_analyzer import (
     ClassifiedCount,
-    DEFAULT_FACTOR_TABLE,
     PcuFactorTable,
     VehicleClass,
     composition_shares,
+    load_config,
     to_pcu,
 )
 from intersection_analyzer.errors import EmptyTraffic, InvariantViolation
+
+FACTORS = load_config().pcu_factors
 
 
 def counts(**kwargs):
@@ -17,7 +19,7 @@ def counts(**kwargs):
 
 
 def test_default_factor_selection():
-    t = DEFAULT_FACTOR_TABLE
+    t = FACTORS
     assert t.factor_for(VehicleClass.BUS, 0.04) == 2.20
     assert t.factor_for(VehicleClass.BUS, 0.05) == 3.70  # threshold itself uses the upper column
     assert t.factor_for(VehicleClass.TWO_WHEELER, 0.59) == 0.75
@@ -27,18 +29,18 @@ def test_default_factor_selection():
 def test_bus_below_threshold():
     shares = {cls: 0.0 for cls in VehicleClass}
     shares[VehicleClass.BUS] = 0.04
-    assert to_pcu(counts(bus=2), shares, DEFAULT_FACTOR_TABLE) == pytest.approx(4.4)
+    assert to_pcu(counts(bus=2), shares, FACTORS) == pytest.approx(4.4)
 
 
 def test_cars_are_unit_factor():
     shares = {cls: 0.2 for cls in VehicleClass}
-    assert to_pcu(counts(car=10), shares, DEFAULT_FACTOR_TABLE) == 10.0
+    assert to_pcu(counts(car=10), shares, FACTORS) == 10.0
 
 
 def test_two_wheelers_above_threshold():
     shares = {cls: 0.0 for cls in VehicleClass}
     shares[VehicleClass.TWO_WHEELER] = 0.59
-    assert to_pcu(counts(two_wheeler=100), shares, DEFAULT_FACTOR_TABLE) == 75.0
+    assert to_pcu(counts(two_wheeler=100), shares, FACTORS) == 75.0
 
 
 def test_composition_example():
@@ -63,12 +65,12 @@ def test_empty_traffic():
 
 
 def test_factor_table_validation():
-    bad = dict(DEFAULT_FACTOR_TABLE.factors)
+    bad = dict(FACTORS.factors)
     bad[VehicleClass.CAR] = (0.0, 1.0)
     with pytest.raises(InvariantViolation):
-        PcuFactorTable(bad)
+        PcuFactorTable(bad, FACTORS.composition_threshold)
     with pytest.raises(InvariantViolation):
-        PcuFactorTable(DEFAULT_FACTOR_TABLE.factors, composition_threshold=1.5)
+        PcuFactorTable(FACTORS.factors, composition_threshold=1.5)
 
 
 count_maps = st.fixed_dictionaries(
@@ -80,15 +82,15 @@ share_maps = st.fixed_dictionaries(
 @given(count_maps, count_maps, share_maps)
 def test_pcu_linear_in_counts(a, b, shares):
     combined = {cls: a[cls] + b[cls] for cls in VehicleClass}
-    total = to_pcu(ClassifiedCount("A1", combined), shares)
-    parts = (to_pcu(ClassifiedCount("A1", a), shares)
-             + to_pcu(ClassifiedCount("A1", b), shares))
+    total = to_pcu(ClassifiedCount("A1", combined), shares, FACTORS)
+    parts = (to_pcu(ClassifiedCount("A1", a), shares, FACTORS)
+             + to_pcu(ClassifiedCount("A1", b), shares, FACTORS))
     assert total == pytest.approx(parts, rel=1e-9, abs=1e-9)
 
 
 @given(count_maps, share_maps)
 def test_pcu_nonnegative_and_zero_iff_empty(a, shares):
-    value = to_pcu(ClassifiedCount("A1", a), shares)
+    value = to_pcu(ClassifiedCount("A1", a), shares, FACTORS)
     assert value >= 0.0
     assert (value == 0.0) == all(v == 0 for v in a.values())
 

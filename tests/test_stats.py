@@ -21,6 +21,7 @@ from intersection_analyzer import (
 )
 from intersection_analyzer.errors import (
     EmptyInput,
+    InputError,
     InsufficientWindows,
     NoTimestamps,
     TooFewSamples,
@@ -69,6 +70,28 @@ def test_empty_records_empty_output():
 def test_missing_timestamps_raise():
     with pytest.raises(NoTimestamps):
         window_cycle_lengths([record(150.0, None)], 1800.0)
+
+
+@pytest.mark.parametrize("window, message", [
+    (0.0, "window must be > 0, got 0"),
+    (-5.0, "window must be > 0, got -5"),
+    (math.nan, "window must be a finite number of seconds >= 1, got nan"),
+    (math.inf, "window must be a finite number of seconds >= 1, got inf"),
+    (1e-300, "window must be a finite number of seconds >= 1, got 1e-300"),
+    (0.999, "window must be a finite number of seconds >= 1, got 0.999"),
+])
+def test_window_must_be_finite_seconds_of_at_least_one(window, message):
+    # checked before the records, so an empty list still fails
+    for records in ([], [record(150.0, ts(TUE, 11, 5))]):
+        with pytest.raises(InputError) as err:
+            window_cycle_lengths(records, window)
+        assert str(err.value) == message
+
+
+def test_one_second_windows_tile_the_operating_day():
+    windows = window_cycle_lengths([record(150.0, ts(TUE, 20, 59) + 59)], 1.0)
+    assert len(windows) == 13 * 3600
+    assert windows[-1].window_start == 21 * 3600 - 1 and windows[-1].sample_count == 1
 
 
 def test_day_filter():
