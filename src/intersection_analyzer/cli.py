@@ -35,7 +35,7 @@ def _check(args: argparse.Namespace) -> None:
     """Reject bad flag values and missing input files before any parsing."""
     if hasattr(args, "window"):
         check_window(args.window, "--window")
-    if getattr(args, "span", 1) < 1:
+    if hasattr(args, "span") and args.span < 1:
         raise InputError(f"--span must be >= 1, got {args.span}")
     for label in ("cycles", "approaches", "config"):
         path = getattr(args, label, None)
@@ -212,8 +212,8 @@ def cmd_analysis(args) -> int:
     config = load_config(args.config)
     approaches = _load_approaches(args)
     records = _load_records(args, approaches)
-    result = analyze_records(records, approaches, config,
-                             emission_policy=DelayPolicy(getattr(args, "policy", "all")))
+    policy = DelayPolicy(getattr(args, "policy", FLAGS["policy"]["default"]))
+    result = analyze_records(records, approaches, config, emission_policy=policy)
     # Free the approach table before the artifact texts are built: with
     # thousands of approaches it is most of a megabyte of peak RSS.
     del approaches
@@ -228,14 +228,14 @@ def cmd_analysis(args) -> int:
     for name, text in texts.items():
         writer.stage(name, text)
     status = _commit(writer)
-    if getattr(args, "format", "csv") == "text":
+    if getattr(args, "format", FLAGS["format"]["default"]) == "text":
         print(texts["summary.txt"], end="")
     return status
 
 
 # --- subcommand table ---------------------------------------------------------
 
-# flag -> add_argument keywords; a trailing "?" in a subcommand's list drops `required`
+# flag -> add_argument keywords
 FLAGS: dict[str, dict] = {
     "cycles": dict(type=Path, required=True, help="cycle records CSV"),
     "approaches": dict(type=Path, required=True, help="approach configuration CSV"),
@@ -261,14 +261,16 @@ class Subcommand:
     flags: tuple[str, ...]
     handler: Callable[[argparse.Namespace], int] = cmd_analysis
     artifacts: tuple[str, ...] = ()  # what cmd_analysis stages
+    optional: tuple[str, ...] = ()  # flags in `flags` whose `required` is dropped
 
 
 SUBCOMMANDS = {
     "validate": Subcommand("check a cycles CSV, reporting every bad row",
-                           ("cycles", "approaches?"), cmd_validate),
+                           ("cycles", "approaches"), cmd_validate,
+                           optional=("approaches",)),
     "peak-hours": Subcommand("find the heaviest run of windows",
-                             ("cycles", "approaches?", "out", "window", "span", "day"),
-                             cmd_peak_hours),
+                             ("cycles", "approaches", "out", "window", "span", "day"),
+                             cmd_peak_hours, optional=("approaches",)),
     "variability": Subcommand("pairwise z-tests and box-plot summaries",
                               ("cycles", "approaches", "out"), cmd_variability),
     "flow": Subcommand("volumes, V/C ratios and saturation flow", ANALYSIS_FLAGS,
@@ -297,9 +299,8 @@ def _build_parser() -> argparse.ArgumentParser:
     for command, spec in SUBCOMMANDS.items():
         p = sub.add_parser(command, help=spec.help)
         for flag in spec.flags:
-            name = flag.rstrip("?")
-            options = dict(FLAGS[name], required=False) if flag.endswith("?") else FLAGS[name]
-            p.add_argument(f"--{name}", **options)
+            options = dict(FLAGS[flag], required=False) if flag in spec.optional else FLAGS[flag]
+            p.add_argument(f"--{flag}", **options)
         p.set_defaults(handler=spec.handler)
     return parser
 

@@ -8,9 +8,7 @@ stderr, with the temporary output directory shown as ``<out>``.
 
 Regenerate the snapshots (only when an output change is intended) with
 
-    PYTHONPATH=src python tests/golden_cases.py [case ...]
-
-which rewrites the named cases, or every case when none is named.
+    PYTHONPATH=src python tests/golden_cases.py
 """
 
 from __future__ import annotations
@@ -18,7 +16,6 @@ from __future__ import annotations
 import contextlib
 import io
 import shutil
-import sys
 import tempfile
 from pathlib import Path
 
@@ -101,8 +98,8 @@ def read_golden(name: str) -> dict[str, bytes]:
     return {p.name: p.read_bytes() for p in sorted((GOLDEN / name).iterdir())}
 
 
-def write_golden(names: list[str]) -> None:
-    for name in names or CASES:
+def write_golden() -> None:
+    for name in CASES:
         target = GOLDEN / name
         if target.exists():
             shutil.rmtree(target)
@@ -112,4 +109,4 @@ def write_golden(names: list[str]) -> None:
 
 
 if __name__ == "__main__":
-    write_golden(sys.argv[1:])
+    write_golden()
