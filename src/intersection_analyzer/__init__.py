@@ -40,7 +40,7 @@ from .flow import (
     saturation_flow_width,
     vc_ratio,
 )
-from .ingest import cycles_to_csv, ingest_approaches, ingest_cycles, scan_cycles
+from .ingest import ingest_approaches, ingest_cycles, scan_cycles
 from .los import (
     LosBandTable,
     LosResult,
@@ -49,6 +49,7 @@ from .los import (
 from .model import (
     ApproachConfig,
     ClassifiedCount,
+    CycleTable,
     DayFilter,
     Directionality,
     SignalCycleRecord,

@@ -21,7 +21,7 @@ from .config import load_config
 from .delay import DelayPolicy
 from .errors import AnalyzerError, EmptyInput, InputError, IoFailure
 from .ingest import ingest_approaches, ingest_cycles, scan_cycles
-from .model import ApproachConfig, DayFilter, SignalCycleRecord
+from .model import ApproachConfig, CycleTable, DayFilter
 from .pipeline import analyze_records
 from .stats import (
     check_window, five_number, pairwise_z_matrix, summarize, window_cycle_lengths,
@@ -77,7 +77,7 @@ def _load_approaches(args) -> dict[str, ApproachConfig] | None:
         return ingest_approaches(handle)
 
 
-def _load_records(args, approaches) -> list[SignalCycleRecord]:
+def _load_records(args, approaches) -> CycleTable:
     with _read_text(args.cycles) as handle:
         return ingest_cycles(handle, approaches)
 
@@ -93,20 +93,20 @@ def _commit(writer: rpt.ArtifactWriter) -> int:
 def cmd_validate(args) -> int:
     approaches = _load_approaches(args)
     with _read_text(args.cycles) as handle:
-        records, errors = scan_cycles(handle, approaches)
+        table, errors = scan_cycles(handle, approaches)
     for err in errors:
         print(f"{type(err).__name__}: {err}")
     if errors:
-        print(f"{len(records)} valid record(s), {len(errors)} problem(s)")
+        print(f"{len(table)} valid record(s), {len(errors)} problem(s)")
         _print_error("validate", errors[0])
         return errors[0].exit_code
-    print(f"OK: {len(records)} record(s)")
+    print(f"OK: {len(table)} record(s)")
     return 0
 
 
 def cmd_peak_hours(args) -> int:
-    records = _load_records(args, _load_approaches(args))
-    windows = window_cycle_lengths(records, args.window, DayFilter(args.day))
+    table = _load_records(args, _load_approaches(args))
+    windows = window_cycle_lengths(table, args.window, DayFilter(args.day))
     start, end = peak_window(windows, args.span)
     print(f"peak window: {rpt.hhmm(start)}-{rpt.hhmm(end)}")
     if args.out:
@@ -118,11 +118,13 @@ def cmd_peak_hours(args) -> int:
 
 def cmd_variability(args) -> int:
     approaches = _load_approaches(args)
-    records = _load_records(args, approaches)
+    table = _load_records(args, approaches)
 
-    samples: dict[str, list[float]] = {}
-    for record in records:
-        samples.setdefault(record.approach_id, []).append(float(record.counts.total()))
+    totals = table.row_totals()
+    samples = {
+        approach_id: [float(totals[i]) for i in rows]
+        for approach_id, rows in table.groups()
+    }
 
     by_intersection: dict[str, dict[str, list[float]]] = {}
     for approach_id, values in samples.items():
@@ -211,17 +213,17 @@ def cmd_analysis(args) -> int:
     """Run the pipeline once and stage the artifacts the subcommand lists."""
     config = load_config(args.config)
     approaches = _load_approaches(args)
-    records = _load_records(args, approaches)
+    table = _load_records(args, approaches)
     policy = DelayPolicy(getattr(args, "policy", FLAGS["policy"]["default"]))
-    result = analyze_records(records, approaches, config, emission_policy=policy)
+    result = analyze_records(table, approaches, config, emission_policy=policy)
     # Free the approach table before the artifact texts are built: with
     # thousands of approaches it is most of a megabyte of peak RSS.
     del approaches
     hours = config.city.active_hours_per_day
     artifacts = SUBCOMMANDS[args.command].artifacts
     texts = {name: ARTIFACTS[name](result, hours) for name in artifacts if name != WINDOWED}
-    if WINDOWED in artifacts and records and all(r.timestamp is not None for r in records):
-        windows = window_cycle_lengths(records, args.window, DayFilter(args.day))
+    if WINDOWED in artifacts and table and not table.untimed():
+        windows = window_cycle_lengths(table, args.window, DayFilter(args.day))
         texts[WINDOWED] = rpt.windowed_csv(windows)
 
     writer = rpt.ArtifactWriter(args.out or DEFAULT_OUT)

@@ -1,24 +1,23 @@
-"""CSV ingestion, validation and serialization for cycle and approach records.
+"""CSV ingestion and validation of cycle and approach records.
 
 Row numbers in errors are file line numbers (header = line 1).  Missing
 count columns read as zero; a negative count is a schema violation, not an
-invariant violation, so it is caught before a record is built.
+invariant violation, so it is caught before a row is stored.
 """
 
 from __future__ import annotations
 
 import csv
-import io
 import math
 from typing import Callable, Iterable, Mapping, Sequence, TextIO
 
 from .errors import AnalyzerError, InputError, SchemaViolation, UnknownApproach
 from .model import (
+    COUNT_MAX,
     VEHICLE_CLASSES,
     ApproachConfig,
-    ClassifiedCount,
+    CycleTable,
     Directionality,
-    SignalCycleRecord,
     VehicleClass,
 )
 
@@ -72,36 +71,37 @@ def _int_cell(value: str, column: str, row: int) -> int:
         raise SchemaViolation(f"column {column!r}: not an integer: {value!r}", row=row) from None
     if n < 0:
         raise SchemaViolation(f"column {column!r}: negative count {n}", row=row)
+    if n > COUNT_MAX:
+        raise SchemaViolation(f"column {column!r}: count exceeds {COUNT_MAX}: {n}", row=row)
     return n
 
 
 def scan_cycles(
     source: TextIO | Iterable[str],
     configs: Mapping[str, ApproachConfig] | None = None,
-) -> tuple[list[SignalCycleRecord], list[InputError]]:
+) -> tuple[CycleTable, list[InputError]]:
     """Parse a cycle CSV stream, collecting every row-level problem.
 
-    Returns the records that parsed cleanly and the full list of errors.
-    With ``configs`` given, approach ids must resolve; without, that check
-    is skipped.
+    Returns the rows that parsed cleanly, as one ``CycleTable``, and the
+    full list of errors.  With ``configs`` given, approach ids must
+    resolve; without, that check is skipped.
     """
     reader = csv.reader(source)
-    records: list[SignalCycleRecord] = []
+    table = CycleTable()
     errors: list[InputError] = []
 
     try:
         first = next(reader)
     except StopIteration:
-        return [], []
+        return table, []
     except csv.Error as err:
-        return [], [_unsplittable(err, 1)]
+        return table, [_unsplittable(err, 1)]
     try:
         names = _header(first, CYCLE_COLUMNS, CYCLE_REQUIRED)
     except SchemaViolation as err:
-        return [], [err]
+        return table, [err]
 
-    parse = _cycle_row_parser(names, configs)
-    append = records.append
+    parse = _cycle_row_parser(names, configs, table)
     line = 1
     while True:
         # The reader goes on with the next row after a csv.Error; resuming the
@@ -112,12 +112,12 @@ def scan_cycles(
                 if not row or (not row[0].strip() and all(not cell.strip() for cell in row)):
                     continue
                 try:
-                    append(parse(row, line))
+                    parse(row, line)
                 except InputError as err:
                     if err.row is None:
                         err.row = line
                     errors.append(err)
-            return records, errors
+            return table, errors
         except csv.Error as err:
             line += 1
             errors.append(_unsplittable(err, line))
@@ -126,13 +126,16 @@ def scan_cycles(
 def _cycle_row_parser(
     names: Sequence[str],
     configs: Mapping[str, ApproachConfig] | None,
-) -> Callable[[Sequence[str], int], SignalCycleRecord]:
-    """Resolve a validated cycle header into one row parser.
+    table: CycleTable,
+) -> Callable[[Sequence[str], int], None]:
+    """Resolve a validated cycle header into one row parser that appends
+    each row passing every check to ``table``.
 
     Cells are checked in a fixed order, so a row with several problems
     always reports the same one: field count, approach id, cycle, red and
     green, the counts in ``VEHICLE_CLASSES`` order, the optional columns in
-    ``CYCLE_OPTIONAL`` order, then the record invariants.
+    ``CYCLE_OPTIONAL`` order, then the record invariants (``check_cycle``,
+    run by ``CycleTable.append`` before it adds anything).
 
     ``float`` and ``int`` ignore surrounding whitespace exactly as
     ``str.strip`` does, so a cell is converted unstripped; only a cell that
@@ -144,11 +147,16 @@ def _cycle_row_parser(
     id_at = index["approach_id"]
     timing_cells = tuple((name, index[name]) for name in CYCLE_REQUIRED[1:])
     count_cells = tuple(
-        (cls, cls.value, index[cls.value]) for cls in VEHICLE_CLASSES if cls.value in index)
+        (slot, cls.value, index[cls.value])
+        for slot, cls in enumerate(VEHICLE_CLASSES) if cls.value in index)
     optional_cells = tuple(
         (slot, name, index[name]) for slot, name in enumerate(CYCLE_OPTIONAL) if name in index)
+    append = table.append
+    classes = len(VEHICLE_CLASSES)
+    isfinite = math.isfinite
+    nan = math.nan
 
-    def parse(row: Sequence[str], line: int) -> SignalCycleRecord:
+    def parse(row: Sequence[str], line: int) -> None:
         if len(row) != width:
             raise SchemaViolation(f"expected {width} fields, got {len(row)}", row=line)
         approach_id = row[id_at].strip()
@@ -163,25 +171,27 @@ def _cycle_row_parser(
             try:
                 value = float(raw)
             except ValueError:
-                value = math.nan
-            if not math.isfinite(value):
+                value = nan
+            if not isfinite(value):
                 value = _float_cell(raw.strip(), column, line)
             timing.append(value)
         cycle, red, green = timing
 
-        counts: dict[VehicleClass, int] = {}
-        for cls, column, at in count_cells:
+        counts = [0] * classes
+        for slot, column, at in count_cells:
             raw = row[at]
             try:
                 n = int(raw)
             except ValueError:
                 raw = raw.strip()
-                n = _int_cell(raw, column, line) if raw else 0
-            if n < 0:
-                n = _int_cell(raw, column, line)
-            counts[cls] = n
+                if not raw:
+                    continue
+                n = -1
+            if not 0 <= n <= COUNT_MAX:
+                n = _int_cell(raw.strip(), column, line)
+            counts[slot] = n
 
-        optional: list[float | None] = [None] * len(CYCLE_OPTIONAL)
+        optional = [nan] * len(CYCLE_OPTIONAL)
         for slot, column, at in optional_cells:
             raw = row[at]
             try:
@@ -190,17 +200,13 @@ def _cycle_row_parser(
                 raw = raw.strip()
                 if not raw:
                     continue
-                value = math.nan
-            if not math.isfinite(value):
+                value = nan
+            if not isfinite(value):
                 value = _float_cell(raw.strip(), column, line)
             optional[slot] = value
-        effective_green, exited_pcu, timestamp = optional
 
         try:
-            return SignalCycleRecord(
-                approach_id, cycle, red, green,
-                ClassifiedCount(approach_id, counts, timestamp),
-                effective_green, exited_pcu)
+            append(approach_id, cycle, red, green, counts, *optional)
         except InputError as err:
             err.row = line
             raise
@@ -211,15 +217,15 @@ def _cycle_row_parser(
 def ingest_cycles(
     source: TextIO | Iterable[str],
     configs: Mapping[str, ApproachConfig] | None = None,
-) -> list[SignalCycleRecord]:
+) -> CycleTable:
     """Parse and validate a cycle CSV stream, failing on the first bad row.
 
     Without ``configs``, approach ids are not resolved (as in ``scan_cycles``).
     """
-    records, errors = scan_cycles(source, configs)
+    table, errors = scan_cycles(source, configs)
     if errors:
         raise errors[0]
-    return records
+    return table
 
 
 def ingest_approaches(source: TextIO | Iterable[str]) -> dict[str, ApproachConfig]:
@@ -279,44 +285,3 @@ def ingest_approaches(source: TextIO | Iterable[str]) -> dict[str, ApproachConfi
     except csv.Error as err:
         raise _unsplittable(err, line + 1) from None
     return configs
-
-
-def _format_number(value: float) -> str:
-    if float(value).is_integer():
-        return str(int(value))
-    return repr(float(value))
-
-
-def cycles_to_csv(records: Iterable[SignalCycleRecord]) -> str:
-    """Serialize records to the cycle CSV schema; re-ingesting yields equal records."""
-    records = list(records)
-    with_optional = {
-        "effective_green_s": any(r.effective_green is not None for r in records),
-        "exited_pcu": any(r.exited_pcu is not None for r in records),
-        "timestamp": any(r.timestamp is not None for r in records),
-    }
-    columns = list(CYCLE_REQUIRED + CYCLE_COUNT_COLUMNS)
-    columns += [name for name in CYCLE_OPTIONAL if with_optional[name]]
-
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(columns)
-    for r in records:
-        cells: list[str] = [
-            r.approach_id,
-            _format_number(r.cycle_length),
-            _format_number(r.red_time),
-            _format_number(r.green_time),
-        ]
-        cells += [str(r.counts.counts[cls]) for cls in VehicleClass]
-        optional_values = {
-            "effective_green_s": r.effective_green,
-            "exited_pcu": r.exited_pcu,
-            "timestamp": r.timestamp,
-        }
-        for name in CYCLE_OPTIONAL:
-            if with_optional[name]:
-                value = optional_values[name]
-                cells.append("" if value is None else _format_number(value))
-        writer.writerow(cells)
-    return buffer.getvalue()

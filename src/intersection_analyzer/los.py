@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import InvariantViolation
+from .errors import InputError, InvariantViolation
 
 GRADES = ("A", "B", "C", "D", "E", "F")
 
@@ -44,8 +44,9 @@ class LosBandTable:
             raise InvariantViolation(f"bounds must be strictly increasing, got {bounds}")
 
     def classify(self, value: float) -> LosResult:
-        if value < 0:
-            raise ValueError(f"classified value must be >= 0, got {value}")
+        """Grade ``value``; NaN and negative values raise ``InputError``, inf grades F."""
+        if not value >= 0:
+            raise InputError(f"classified value must be >= 0, got {value}")
         for upper, grade in self.bands:
             if upper is None:
                 return LosResult(grade, self.standard, value)

@@ -1,20 +1,29 @@
-"""Domain model: classified counts, signal-cycle records and approach geometry.
+"""Domain model: classified counts, signal-cycle records, the columnar cycle
+table and approach geometry.
 
-All types are immutable after construction and safe to share across threads.
+Every type but ``CycleTable`` is immutable after construction and safe to
+share across threads; a table only grows, by ``CycleTable.append``.
 """
 
 from __future__ import annotations
 
+import math
+import operator
+from array import array
+from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
 from types import MappingProxyType
-from typing import Mapping
+from typing import Iterable, Iterator, Mapping
 
 from .errors import InvariantViolation
 
 # Allocated amber/lost time may make red + green fall short of the cycle,
 # never exceed it.  Small slack absorbs float noise in hand-edited CSVs.
 _TIMING_SLACK_S = 1e-9
+
+# The largest count a CycleTable's array('q') column holds.
+COUNT_MAX = 2**63 - 1
 
 
 class VehicleClass(Enum):
@@ -69,13 +78,44 @@ class ClassifiedCount:
                     isinstance(value, bool) or not isinstance(value, int)):
                 raise InvariantViolation(
                     f"count for {cls.value} must be an integer, got {value!r}")
-            if value < 0:
-                raise InvariantViolation(f"negative count for {cls.value}: {value}")
+            if not 0 <= value <= COUNT_MAX:
+                raise InvariantViolation(
+                    f"negative count for {cls.value}: {value}" if value < 0 else
+                    f"count for {cls.value} exceeds {COUNT_MAX}: {value}")
             full[cls] = value
         object.__setattr__(self, "counts", MappingProxyType(full))
 
     def total(self) -> int:
         return sum(self.counts.values())
+
+
+def check_cycle(
+    cycle_length: float,
+    red_time: float,
+    green_time: float,
+    effective_green: float | None,
+    exited_pcu: float | None,
+) -> None:
+    """Raise ``InvariantViolation`` unless one cycle's timing is consistent.
+
+    An absent optional value is None or NaN; NaN fails every comparison, so
+    it passes the checks as None does.
+    """
+    if cycle_length <= 0:
+        raise InvariantViolation(f"cycle_length must be > 0, got {cycle_length}")
+    if red_time < 0 or green_time < 0:
+        raise InvariantViolation("red_time and green_time must be >= 0")
+    if red_time + green_time > cycle_length + _TIMING_SLACK_S:
+        raise InvariantViolation(
+            f"red + green = {red_time + green_time} exceeds cycle length {cycle_length}")
+    if effective_green is not None:
+        if effective_green < 0:
+            raise InvariantViolation("effective_green must be >= 0")
+        if effective_green > green_time + _TIMING_SLACK_S:
+            raise InvariantViolation(
+                f"effective_green = {effective_green} exceeds green_time = {green_time}")
+    if exited_pcu is not None and exited_pcu < 0:
+        raise InvariantViolation("exited_pcu must be >= 0")
 
 
 @dataclass(frozen=True, eq=True, slots=True)
@@ -96,23 +136,8 @@ class SignalCycleRecord:
     exited_pcu: float | None = None
 
     def __post_init__(self):
-        if self.cycle_length <= 0:
-            raise InvariantViolation(f"cycle_length must be > 0, got {self.cycle_length}")
-        if self.red_time < 0 or self.green_time < 0:
-            raise InvariantViolation("red_time and green_time must be >= 0")
-        if self.red_time + self.green_time > self.cycle_length + _TIMING_SLACK_S:
-            raise InvariantViolation(
-                f"red + green = {self.red_time + self.green_time} exceeds "
-                f"cycle length {self.cycle_length}")
-        if self.effective_green is not None:
-            if self.effective_green < 0:
-                raise InvariantViolation("effective_green must be >= 0")
-            if self.effective_green > self.green_time + _TIMING_SLACK_S:
-                raise InvariantViolation(
-                    f"effective_green = {self.effective_green} exceeds "
-                    f"green_time = {self.green_time}")
-        if self.exited_pcu is not None and self.exited_pcu < 0:
-            raise InvariantViolation("exited_pcu must be >= 0")
+        check_cycle(self.cycle_length, self.red_time, self.green_time,
+                    self.effective_green, self.exited_pcu)
         if self.counts.approach_id != self.approach_id:
             raise InvariantViolation(
                 f"counts belong to {self.counts.approach_id!r}, record to {self.approach_id!r}")
@@ -120,6 +145,145 @@ class SignalCycleRecord:
     @property
     def timestamp(self) -> float | None:
         return self.counts.timestamp
+
+
+def _absent_as_none(value: float) -> float | None:
+    return None if math.isnan(value) else value
+
+
+def _none_as_nan(value: float | None) -> float:
+    return math.nan if value is None else value
+
+
+class CycleTable(Sequence[SignalCycleRecord]):
+    """Signal-cycle rows stored column by column, in file order.
+
+    ``cycle_length``, ``red_time``, ``green_time``, ``effective_green``,
+    ``exited_pcu`` and ``timestamp`` are ``array('d')`` columns with one
+    entry per row; NaN marks an absent optional value.  Every accepted value
+    is finite, so NaN is never a real one.  ``counts`` is an ``array('q')``
+    holding each row's class counts in ``VEHICLE_CLASSES`` order, row after
+    row.  ``groups()`` gives each approach's row numbers, approaches in the
+    order they first appear.
+
+    The table is a ``Sequence[SignalCycleRecord]``: indexing or iterating it
+    builds records on demand, and it compares equal to any sequence of
+    equal records.
+    """
+
+    __slots__ = (
+        "cycle_length", "red_time", "green_time", "effective_green",
+        "exited_pcu", "timestamp", "counts", "_approach", "_ids", "_rows",
+        "_number",
+    )
+
+    def __init__(self) -> None:
+        self.cycle_length = array("d")
+        self.red_time = array("d")
+        self.green_time = array("d")
+        self.effective_green = array("d")
+        self.exited_pcu = array("d")
+        self.timestamp = array("d")
+        self.counts = array("q")
+        self._approach = array("q")  # each row's index into _ids
+        self._ids: list[str] = []  # approach ids, first seen first
+        self._rows: list[array] = []  # row numbers of each approach in _ids
+        self._number: dict[str, int] = {}  # approach id -> its index in _ids
+
+    @classmethod
+    def from_records(cls, records: Iterable[SignalCycleRecord]) -> CycleTable:
+        """``records`` as a table: a table itself, or a new one built from records."""
+        if isinstance(records, CycleTable):
+            return records
+        table = cls()
+        for r in records:
+            table.append(
+                r.approach_id, r.cycle_length, r.red_time, r.green_time,
+                r.counts.counts.values(), _none_as_nan(r.effective_green),
+                _none_as_nan(r.exited_pcu), _none_as_nan(r.timestamp))
+        return table
+
+    def append(
+        self,
+        approach_id: str,
+        cycle_length: float,
+        red_time: float,
+        green_time: float,
+        counts: Iterable[int],
+        effective_green: float = math.nan,
+        exited_pcu: float = math.nan,
+        timestamp: float = math.nan,
+    ) -> None:
+        """Add one row after ``check_cycle`` passes it; NaN marks an absent value.
+
+        ``counts`` are the row's five class counts in ``VEHICLE_CLASSES``
+        order, each an int in [0, ``COUNT_MAX``]; they are not checked here.
+        """
+        check_cycle(cycle_length, red_time, green_time, effective_green, exited_pcu)
+        number = self._number.get(approach_id)
+        if number is None:
+            number = self._number[approach_id] = len(self._ids)
+            self._ids.append(approach_id)
+            self._rows.append(array("q"))
+        self._rows[number].append(len(self._approach))
+        self._approach.append(number)
+        self.cycle_length.append(cycle_length)
+        self.red_time.append(red_time)
+        self.green_time.append(green_time)
+        self.effective_green.append(effective_green)
+        self.exited_pcu.append(exited_pcu)
+        self.timestamp.append(timestamp)
+        self.counts.extend(counts)
+
+    def groups(self) -> Iterator[tuple[str, array]]:
+        """Each approach id with its row numbers in file order, approaches
+        in the order they first appear."""
+        return zip(self._ids, self._rows)
+
+    def class_columns(self) -> list[array]:
+        """One column per class in ``VEHICLE_CLASSES`` order: its count in each row."""
+        width = len(VEHICLE_CLASSES)
+        return [self.counts[k::width] for k in range(width)]
+
+    def row_totals(self) -> list[int]:
+        """Each row's vehicle total, in file order."""
+        return list(map(sum, zip(*self.class_columns())))
+
+    def untimed(self) -> int:
+        """How many rows carry no timestamp."""
+        return sum(map(math.isnan, self.timestamp))
+
+    def __len__(self) -> int:
+        return len(self._approach)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[i] for i in range(*index.indices(len(self)))]
+        index = operator.index(index)
+        cycle_length = self.cycle_length[index]  # raises IndexError out of range
+        if index < 0:
+            index += len(self)
+        approach_id = self._ids[self._approach[index]]
+        width = len(VEHICLE_CLASSES)
+        counts = ClassifiedCount(
+            approach_id,
+            dict(zip(VEHICLE_CLASSES, self.counts[index * width:(index + 1) * width])),
+            _absent_as_none(self.timestamp[index]))
+        return SignalCycleRecord(
+            approach_id, cycle_length, self.red_time[index], self.green_time[index],
+            counts, _absent_as_none(self.effective_green[index]),
+            _absent_as_none(self.exited_pcu[index]))
+
+    def __iter__(self) -> Iterator[SignalCycleRecord]:
+        return map(self.__getitem__, range(len(self)))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Sequence) or isinstance(other, (str, bytes)):
+            return NotImplemented
+        return len(self) == len(other) and all(map(operator.eq, self, other))
+
+    def __repr__(self) -> str:
+        return f"CycleTable({list(self)!r})"
 
 
 @dataclass(frozen=True, eq=True)

@@ -8,9 +8,12 @@ are processed in sorted id order.
 
 from __future__ import annotations
 
+import math
 import statistics
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from itertools import filterfalse
+from operator import itemgetter
+from typing import Callable, Mapping, Sequence
 
 from .config import COUNTS_VEHICLES, AnalysisConfig
 from .delay import DelayInputs, DelayPolicy, control_delay, intersection_delay
@@ -36,6 +39,7 @@ from .model import (
     VEHICLE_CLASSES,
     ApproachConfig,
     ClassifiedCount,
+    CycleTable,
     SignalCycleRecord,
     VehicleClass,
 )
@@ -92,16 +96,19 @@ class AnalysisResult:
 
 @dataclass(frozen=True)
 class _ApproachFold:
-    """What one pass over an approach's records collects.
+    """What one pass over an approach's rows collects, in file order.
 
-    ``totals`` sums each class over all records; ``record_totals`` holds
-    each record's vehicle total.  Both are exact integer sums.
+    ``class_counts`` holds one tuple per class with that class's count in
+    each row; ``totals`` sums each class over all rows and
+    ``record_totals`` holds each row's vehicle total.  Both are exact
+    integer sums.
     """
 
-    cycles: list[float]
-    greens: list[float]
+    cycles: Sequence[float]
+    greens: Sequence[float]
     effective_greens: list[float]
     exited: list[float]
+    class_counts: list[Sequence[int]]
     totals: ClassifiedCount
     record_totals: list[int]
 
@@ -110,28 +117,30 @@ class _ApproachFold:
         return {cls: n * 3600.0 / cycle_time for cls, n in self.totals.counts.items()}
 
 
-def _fold_approach(approach_id: str, records: Sequence[SignalCycleRecord]) -> _ApproachFold:
-    cycles: list[float] = []
-    greens: list[float] = []
-    effective_greens: list[float] = []
-    exited: list[float] = []
-    class_counts: list[tuple[int, ...]] = []
-    for r in records:
-        cycles.append(r.cycle_length)
-        greens.append(r.green_time)
-        if r.effective_green is not None:
-            effective_greens.append(r.effective_green)
-        if r.exited_pcu is not None:
-            exited.append(r.exited_pcu)
-        class_counts.append(tuple(r.counts.counts.values()))
-    class_totals = map(sum, zip(*class_counts))
+def _taker(rows: Sequence[int]) -> Callable[[Sequence], Sequence]:
+    """A function returning the given rows of a column, in order."""
+    if len(rows) == 1:
+        row = rows[0]
+        return lambda column: (column[row],)
+    return itemgetter(*rows)
+
+
+def _fold_approach(
+    approach_id: str,
+    table: CycleTable,
+    class_columns: Sequence[Sequence[int]],
+    rows: Sequence[int],
+) -> _ApproachFold:
+    take = _taker(rows)
+    class_counts = [take(column) for column in class_columns]
     return _ApproachFold(
-        cycles=cycles,
-        greens=greens,
-        effective_greens=effective_greens,
-        exited=exited,
-        totals=ClassifiedCount(approach_id, dict(zip(VEHICLE_CLASSES, class_totals))),
-        record_totals=list(map(sum, class_counts)),
+        cycles=take(table.cycle_length),
+        greens=take(table.green_time),
+        effective_greens=list(filterfalse(math.isnan, take(table.effective_green))),
+        exited=list(filterfalse(math.isnan, take(table.exited_pcu))),
+        class_counts=class_counts,
+        totals=ClassifiedCount(approach_id, dict(zip(VEHICLE_CLASSES, map(sum, class_counts)))),
+        record_totals=list(map(sum, zip(*class_counts))),
     )
 
 
@@ -145,16 +154,17 @@ def analyze_records(
     config: AnalysisConfig,
     emission_policy: DelayPolicy = DelayPolicy.ALL_APPROACHES,
 ) -> AnalysisResult:
-    """Run the full pipeline over validated records."""
+    """Run the full pipeline over validated records: a ``CycleTable`` or
+    any sequence of records."""
     if not records:
         raise NoData("no cycle records to analyze")
+    cycle_table = CycleTable.from_records(records)
 
-    by_approach: dict[str, list[SignalCycleRecord]] = {}
-    for record in records:
-        if record.approach_id not in approaches:
-            raise UnknownApproach(
-                f"approach {record.approach_id!r} has no configuration")
-        by_approach.setdefault(record.approach_id, []).append(record)
+    by_approach = dict(cycle_table.groups())
+    for approach_id in by_approach:
+        if approach_id not in approaches:
+            raise UnknownApproach(f"approach {approach_id!r} has no configuration")
+    class_columns = cycle_table.class_columns()
 
     by_intersection: dict[str, list[str]] = {}
     for approach_id in sorted(by_approach):
@@ -166,7 +176,10 @@ def analyze_records(
 
     for intersection_id in sorted(by_intersection):
         approach_ids = by_intersection[intersection_id]
-        folds = {a: _fold_approach(a, by_approach[a]) for a in approach_ids}
+        folds = {
+            a: _fold_approach(a, cycle_table, class_columns, by_approach[a])
+            for a in approach_ids
+        }
 
         intersection_shares: Mapping[VehicleClass, float] | None = None
         if config.counts_unit == COUNTS_VEHICLES:
@@ -192,8 +205,9 @@ def analyze_records(
             if config.counts_unit == COUNTS_VEHICLES:
                 shares = intersection_shares or {}
                 pcu_per_cycle = statistics.fmean(
-                    to_pcu(r.counts, shares, config.pcu_factors)
-                    for r in by_approach[approach_id])
+                    to_pcu(ClassifiedCount(approach_id, dict(zip(VEHICLE_CLASSES, counts))),
+                           shares, config.pcu_factors)
+                    for counts in zip(*fold.class_counts))
             else:
                 pcu_per_cycle = statistics.fmean(fold.record_totals)
             volume = hourly_volume(pcu_per_cycle, mean_cycle)

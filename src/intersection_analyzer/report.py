@@ -37,8 +37,12 @@ def _quantum(places: int) -> Decimal:
     return Decimal(1).scaleb(-places)
 
 
+def _rounded(value: float, places: int) -> Decimal:
+    return Decimal(repr(float(value))).quantize(_quantum(places), rounding=ROUND_HALF_UP)
+
+
 def round_half_up(value: float, places: int = 0) -> float:
-    return float(Decimal(repr(float(value))).quantize(_quantum(places), rounding=ROUND_HALF_UP))
+    return float(_rounded(value, places))
 
 
 def fmt_int(value: float) -> str:
@@ -46,7 +50,9 @@ def fmt_int(value: float) -> str:
 
 
 def fmt(value: float, places: int) -> str:
-    return f"{round_half_up(value, places):.{places}f}"
+    # Formatting the Decimal itself prints no binary digits past the rounding
+    # point, which a float of 1e13 or more would.
+    return f"{_rounded(value, places):.{places}f}"
 
 
 def fmt_opt(value: float | None, places: int) -> str:

@@ -20,7 +20,7 @@ from .errors import (
     NoTimestamps,
     TooFewSamples,
 )
-from .model import DayFilter, SignalCycleRecord
+from .model import CycleTable, DayFilter, SignalCycleRecord
 
 SECONDS_PER_DAY = 86400
 DAY_START_S = 8 * 3600
@@ -144,13 +144,15 @@ def window_cycle_lengths(
 
     Returns one entry for every window intersecting the 08:00-21:00
     operating span, in time order.  No surviving records means no output.
+    ``records`` is a ``CycleTable`` or any sequence of records.
     """
     check_window(window)
     if not records:
         return []
-    missing = sum(1 for r in records if r.timestamp is None)
+    table = CycleTable.from_records(records)
+    missing = table.untimed()
     if missing:
-        raise NoTimestamps(f"{missing} of {len(records)} records carry no timestamp")
+        raise NoTimestamps(f"{missing} of {len(table)} records carry no timestamp")
 
     starts: list[float] = []
     start = float(DAY_START_S)
@@ -162,8 +164,8 @@ def window_cycle_lengths(
     kept_any = False
     sums = [0.0] * len(starts)
     counts = [0] * len(starts)
-    for record in records:
-        day, tod = _day_and_time(record.timestamp)
+    for timestamp, cycle_length in zip(table.timestamp, table.cycle_length):
+        day, tod = _day_and_time(timestamp)
         if kept_weekdays is not None and _weekday(day) not in kept_weekdays:
             continue
         kept_any = True
@@ -172,7 +174,7 @@ def window_cycle_lengths(
         index = int((tod - DAY_START_S) // window)
         if index >= len(starts):
             continue
-        sums[index] += record.cycle_length
+        sums[index] += cycle_length
         counts[index] += 1
     if not kept_any:
         return []

@@ -4,18 +4,25 @@ These are the straightforward per-row cycle parser and the datetime-based
 time-of-day windowing that the optimized code in ``ingest`` and ``stats``
 replaced.  The differential tests require the optimized code to agree with
 them exactly: equal records, the same errors in the same order, and
-bit-identical window averages.
+bit-identical window averages.  ``cycles_to_csv`` writes records back in the
+cycle CSV schema for the round-trip tests.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import math
 from datetime import datetime, timezone
 from typing import Iterable, Mapping, Sequence
 
 from intersection_analyzer.errors import InputError, SchemaViolation, UnknownApproach
-from intersection_analyzer.ingest import CYCLE_COLUMNS, CYCLE_REQUIRED
+from intersection_analyzer.ingest import (
+    CYCLE_COLUMNS,
+    CYCLE_COUNT_COLUMNS,
+    CYCLE_OPTIONAL,
+    CYCLE_REQUIRED,
+)
 from intersection_analyzer.model import (
     ApproachConfig,
     ClassifiedCount,
@@ -202,3 +209,44 @@ def window_cycle_lengths(
         )
         for i in range(len(starts))
     ]
+
+
+def _format_number(value: float) -> str:
+    if float(value).is_integer():
+        return str(int(value))
+    return repr(float(value))
+
+
+def cycles_to_csv(records: Iterable[SignalCycleRecord]) -> str:
+    """Serialize records to the cycle CSV schema; re-ingesting yields equal records."""
+    records = list(records)
+    with_optional = {
+        "effective_green_s": any(r.effective_green is not None for r in records),
+        "exited_pcu": any(r.exited_pcu is not None for r in records),
+        "timestamp": any(r.timestamp is not None for r in records),
+    }
+    columns = list(CYCLE_REQUIRED + CYCLE_COUNT_COLUMNS)
+    columns += [name for name in CYCLE_OPTIONAL if with_optional[name]]
+
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(columns)
+    for r in records:
+        cells: list[str] = [
+            r.approach_id,
+            _format_number(r.cycle_length),
+            _format_number(r.red_time),
+            _format_number(r.green_time),
+        ]
+        cells += [str(r.counts.counts[cls]) for cls in VehicleClass]
+        optional_values = {
+            "effective_green_s": r.effective_green,
+            "exited_pcu": r.exited_pcu,
+            "timestamp": r.timestamp,
+        }
+        for name in CYCLE_OPTIONAL:
+            if with_optional[name]:
+                value = optional_values[name]
+                cells.append("" if value is None else _format_number(value))
+        writer.writerow(cells)
+    return buffer.getvalue()

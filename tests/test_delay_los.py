@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -16,6 +18,7 @@ from intersection_analyzer import (
 )
 from intersection_analyzer.errors import (
     EmptyInput,
+    InputError,
     InvariantViolation,
     NoMajorApproaches,
     SaturatedRegime,
@@ -189,6 +192,16 @@ def test_band_table_validation():
     with pytest.raises(InvariantViolation):
         LosBandTable("bad", ((10.0, "A"), (45.0, "B"), (65.0, "C"),
                              (100.0, "D"), (135.0, "E"), (200.0, "F")))
+
+
+def test_classify_rejects_nan_and_negative_values():
+    assert len(LOS_TABLES) == 3
+    for table in LOS_TABLES.values():
+        for value in (math.nan, -math.nan, -0.01, -math.inf):
+            with pytest.raises(InputError, match="classified value must be >= 0"):
+                table.classify(value)
+        assert table.classify(math.inf).grade == "F"
+        assert table.classify(0.0).grade == "A"
 
 
 # --- intersection aggregation ------------------------------------------------

@@ -3,13 +3,14 @@ import io
 import pytest
 from hypothesis import given, strategies as st
 
+import oracles
 from intersection_analyzer import (
     ApproachConfig,
     ClassifiedCount,
+    CycleTable,
     Directionality,
     SignalCycleRecord,
     VehicleClass,
-    cycles_to_csv,
     ingest_approaches,
     ingest_cycles,
     scan_cycles,
@@ -64,6 +65,14 @@ def test_unknown_approach():
 def test_negative_count_is_schema_violation():
     with pytest.raises(SchemaViolation):
         ingest(HEADER + "\nSR1,152,120,32,-1,0,0,0,0\n")
+
+
+def test_count_beyond_the_int64_column_is_schema_violation():
+    largest = ingest(HEADER + f"\nSR1,152,120,32,{2**63 - 1},0,0,0,0\n")[0]
+    assert largest.counts.total() == 2**63 - 1
+    with pytest.raises(SchemaViolation, match="count exceeds") as exc:
+        ingest(HEADER + f"\nSR1,152,120,32,1,0,0,0,0\nSR1,152,120,32,0,{2**63},0,0,0\n")
+    assert exc.value.row == 3
 
 
 def test_non_numeric_cell():
@@ -199,6 +208,9 @@ def records_strategy(draw):
 
 @given(st.lists(records_strategy(), max_size=12))
 def test_serialize_then_ingest_round_trips(records):
-    text = cycles_to_csv(records)
+    text = oracles.cycles_to_csv(records)
     again = ingest_cycles(io.StringIO(text), CONFIGS)
+    assert isinstance(again, CycleTable)
     assert again == records
+    assert oracles.cycles_to_csv(again) == text
+    assert CycleTable.from_records(records) == again

@@ -25,6 +25,8 @@ def test_missing_classes_default_to_zero():
 def test_negative_count_rejected():
     with pytest.raises(InvariantViolation):
         make_counts(car=-1)
+    with pytest.raises(InvariantViolation, match="exceeds"):
+        make_counts(car=2**63)
 
 
 def test_non_integer_count_rejected():
