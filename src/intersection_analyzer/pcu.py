@@ -14,7 +14,7 @@ from types import MappingProxyType
 from typing import Iterable, Mapping
 
 from .errors import EmptyTraffic, InvariantViolation
-from .model import ClassifiedCount, VehicleClass
+from .model import VEHICLE_CLASSES, ClassifiedCount, VehicleClass
 
 @dataclass(frozen=True)
 class PcuFactorTable:
@@ -48,14 +48,14 @@ def composition_shares(counts: Iterable[ClassifiedCount]) -> dict[VehicleClass, 
     Shares sum to 1 (within float noise) and are invariant under uniform
     scaling of all counts.
     """
-    totals = {cls: 0 for cls in VehicleClass}
+    totals = {cls: 0 for cls in VEHICLE_CLASSES}
     for record in counts:
         for cls, n in record.counts.items():
             totals[cls] += n
     grand_total = sum(totals.values())
     if grand_total == 0:
         raise EmptyTraffic("no vehicles counted in any record")
-    return {cls: totals[cls] / grand_total for cls in VehicleClass}
+    return {cls: totals[cls] / grand_total for cls in VEHICLE_CLASSES}
 
 
 def to_pcu(counts: ClassifiedCount,

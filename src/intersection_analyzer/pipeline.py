@@ -12,7 +12,7 @@ import math
 import statistics
 from dataclasses import dataclass
 from itertools import filterfalse
-from operator import itemgetter
+from operator import itemgetter, mul
 from typing import Callable, Mapping, Sequence
 
 from .config import COUNTS_VEHICLES, AnalysisConfig
@@ -43,7 +43,10 @@ from .model import (
     SignalCycleRecord,
     VehicleClass,
 )
-from .pcu import composition_shares, to_pcu
+from .pcu import composition_shares
+# Unused here: ``bench/tracing.py`` hooks its ``pcu.to_pcu`` layer at this
+# name, and a missing name reads as an absent layer.
+from .pcu import to_pcu  # noqa: F401
 from .report import round_half_up
 
 VC_STANDARD = "vc_ratio"
@@ -181,9 +184,14 @@ def analyze_records(
             for a in approach_ids
         }
 
-        intersection_shares: Mapping[VehicleClass, float] | None = None
+        # Each class's PCU factor, in VEHICLE_CLASSES order, from the
+        # intersection's composition: a row's PCU is the same sum of
+        # count * factor products that ``pcu.to_pcu`` forms.
+        factors: tuple[float, ...] = ()
         if config.counts_unit == COUNTS_VEHICLES:
-            intersection_shares = composition_shares(f.totals for f in folds.values())
+            shares = composition_shares(f.totals for f in folds.values())
+            factors = tuple(
+                config.pcu_factors.factor_for(cls, shares[cls]) for cls in VEHICLE_CLASSES)
 
         mean_greens = {a: statistics.fmean(f.greens) for a, f in folds.items()}
         shares_by_approach = green_shares(mean_greens)
@@ -203,11 +211,8 @@ def analyze_records(
                 composition = {cls: 0.0 for cls in VEHICLE_CLASSES}
 
             if config.counts_unit == COUNTS_VEHICLES:
-                shares = intersection_shares or {}
                 pcu_per_cycle = statistics.fmean(
-                    to_pcu(ClassifiedCount(approach_id, dict(zip(VEHICLE_CLASSES, counts))),
-                           shares, config.pcu_factors)
-                    for counts in zip(*fold.class_counts))
+                    [sum(map(mul, counts, factors)) for counts in zip(*fold.class_counts)])
             else:
                 pcu_per_cycle = statistics.fmean(fold.record_totals)
             volume = hourly_volume(pcu_per_cycle, mean_cycle)

@@ -16,14 +16,14 @@ import functools
 import io
 import os
 import tempfile
-from decimal import ROUND_HALF_UP, Decimal
+from decimal import ROUND_HALF_UP, Context, Decimal
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 from typing import TYPE_CHECKING
 
 from .errors import IoFailure
-from .model import VehicleClass
+from .model import VEHICLE_CLASSES
 from .stats import FiveNumberSummary, WindowedAverage
 
 if TYPE_CHECKING:
@@ -32,27 +32,59 @@ if TYPE_CHECKING:
 SCHEMA_VERSION = 1
 
 
+# A finite double has at most 309 integer digits, so 400 digits hold it
+# quantized at up to 91 places; the default context's 28 raise
+# InvalidOperation from about 1e28 up.  Nothing reads the flags it collects.
+_CONTEXT = Context(prec=400)
+
+
 @functools.cache
 def _quantum(places: int) -> Decimal:
     return Decimal(1).scaleb(-places)
 
 
 def _rounded(value: float, places: int) -> Decimal:
-    return Decimal(repr(float(value))).quantize(_quantum(places), rounding=ROUND_HALF_UP)
+    return Decimal(repr(value)).quantize(
+        _quantum(places), rounding=ROUND_HALF_UP, context=_CONTEXT)
+
+
+@functools.cache
+def _fast_specs(places: int) -> tuple[float, str, str]:
+    """Magnitude below which ``fmt`` may round in C, and the two specs it uses.
+
+    Below ``2**52 / 10**(places + 1)`` doubles lie closer together than
+    ``10**-(places + 1)``.  No rounding midpoint at ``places`` then lies
+    strictly between ``repr(v)`` and the exact value of ``v``.  If ``repr(v)``
+    has more than ``places + 1`` decimals, such a midpoint would read back as
+    ``v`` with no more digits and closer to it, and ``repr`` would have
+    printed it; if not, the two lie at least ``10**-(places + 1)`` apart,
+    further than ``v`` is from ``repr(v)``.  So C's round-to-nearest on the
+    exact value agrees with half-up on ``repr`` except at a tie, where one
+    of them is the midpoint.
+    """
+    return 2.0**52 / 10**(places + 1), f".{places}f", f".{places + 1}f"
+
+
+def fmt(value: float, places: int) -> str:
+    """``value`` rounded half-up at ``places`` >= 0, on its shortest ``repr``."""
+    value = float(value)
+    limit, spec, finer = _fast_specs(places)
+    if -limit < value < limit:
+        digits = format(value, finer)
+        if digits[-1] != "5" or float(digits) != value:
+            return format(value, spec)
+    # A tie, a large value or a non-finite one.  Formatting the Decimal itself
+    # prints no binary digits past the rounding point, which a float of 1e13
+    # or more would.
+    return f"{_rounded(value, places):.{places}f}"
 
 
 def round_half_up(value: float, places: int = 0) -> float:
-    return float(_rounded(value, places))
+    return float(fmt(value, places))
 
 
 def fmt_int(value: float) -> str:
     return str(int(round_half_up(value, 0)))
-
-
-def fmt(value: float, places: int) -> str:
-    # Formatting the Decimal itself prints no binary digits past the rounding
-    # point, which a float of 1e13 or more would.
-    return f"{_rounded(value, places):.{places}f}"
 
 
 def fmt_opt(value: float | None, places: int) -> str:
@@ -143,10 +175,11 @@ def saturation_csv(result: AnalysisResult) -> str:
 
 
 def composition_csv(result: AnalysisResult) -> str:
+    classes = [(cls, cls.value) for cls in VEHICLE_CLASSES]
     rows = [
-        (r.approach_id, cls.value, fmt(r.composition.get(cls, 0.0), 4))
+        (r.approach_id, name, fmt(r.composition.get(cls, 0.0), 4))
         for r in result.approaches
-        for cls in VehicleClass
+        for cls, name in classes
     ]
     return _csv_doc("composition", ("approach_id", "vehicle_class", "share"), rows)
 

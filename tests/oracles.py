@@ -1,19 +1,24 @@
 """Reference implementations kept as test oracles.
 
-These are the straightforward per-row cycle parser and the datetime-based
-time-of-day windowing that the optimized code in ``ingest`` and ``stats``
-replaced.  The differential tests require the optimized code to agree with
-them exactly: equal records, the same errors in the same order, and
-bit-identical window averages.  ``cycles_to_csv`` writes records back in the
+These are the straightforward per-row cycle parser, the datetime-based
+time-of-day windowing and the all-``Decimal`` half-up rounding that the
+optimized code in ``ingest``, ``stats`` and ``report`` replaced.  The
+differential tests require the optimized code to agree with them exactly:
+equal records, the same errors in the same order, bit-identical window
+averages and identical formatted strings.  The rounding functions quantize
+under the current ``decimal`` context, whose default 28 digits overflow from
+about 1e28 up; the tests widen it.  ``cycles_to_csv`` writes records back in the
 cycle CSV schema for the round-trip tests.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import math
 from datetime import datetime, timezone
+from decimal import ROUND_HALF_UP, Decimal
 from typing import Iterable, Mapping, Sequence
 
 from intersection_analyzer.errors import InputError, SchemaViolation, UnknownApproach
@@ -250,3 +255,26 @@ def cycles_to_csv(records: Iterable[SignalCycleRecord]) -> str:
                 cells.append("" if value is None else _format_number(value))
         writer.writerow(cells)
     return buffer.getvalue()
+
+
+@functools.cache
+def _quantum(places: int) -> Decimal:
+    return Decimal(1).scaleb(-places)
+
+
+def _rounded(value: float, places: int) -> Decimal:
+    return Decimal(repr(float(value))).quantize(_quantum(places), rounding=ROUND_HALF_UP)
+
+
+def round_half_up(value: float, places: int = 0) -> float:
+    return float(_rounded(value, places))
+
+
+def fmt_int(value: float) -> str:
+    return str(int(round_half_up(value, 0)))
+
+
+def fmt(value: float, places: int) -> str:
+    # Formatting the Decimal itself prints no binary digits past the rounding
+    # point, which a float of 1e13 or more would.
+    return f"{_rounded(value, places):.{places}f}"

@@ -187,6 +187,19 @@ def test_saturated_regime_exits_3(tmp_path, capsys):
     assert record["exit_code"] == 3
 
 
+def test_a_saturation_flow_past_1e28_prints_every_digit(tmp_path, capsys):
+    cycles = tmp_path / "cycles.csv"
+    cycles.write_text(
+        "approach_id,cycle_length_s,red_s,green_s,car,effective_green_s,exited_pcu\n"
+        "SR1,152,120,32,3,1e-20,1000000\n")
+    out = tmp_path / "out"
+    assert main(["flow", "--cycles", str(cycles), "--approaches", str(STUDY_APPROACHES),
+                 "--out", str(out)]) == 0
+    row = read(out / "saturation.csv").splitlines()[2].split(",")
+    # 3.6e29 PCU/h, printed as the integer value of the double
+    assert row[5] == row[7] == "360000000000000046564961681408"
+
+
 def test_write_failure_exits_4(tmp_path, capsys):
     blocker = tmp_path / "blocked"
     blocker.write_text("a file, not a directory")

@@ -1,4 +1,15 @@
+"""Half-up rounding on the shortest ``repr``, against the all-``Decimal``
+reference in ``oracles.py``."""
+
+import decimal
+import math
+
+from hypothesis import example, given, settings, strategies as st
+
+import oracles
 from intersection_analyzer.report import fmt, fmt_int, round_half_up
+
+PLACES = st.integers(0, 4)
 
 
 def test_fmt_prints_the_rounded_decimal():
@@ -9,3 +20,70 @@ def test_fmt_prints_the_rounded_decimal():
     assert fmt(12.5, 0) == "13"
     assert fmt_int(12.5) == "13"
     assert round_half_up(2.675, 2) == 2.68
+
+
+def test_the_largest_double_keeps_every_digit():
+    assert fmt(1.7976931348623157e308, 4) == "17976931348623157" + "0" * 292 + ".0000"
+    assert round_half_up(-1.7976931348623157e308, 2) == -1.7976931348623157e308
+    assert fmt_int(3.6e29) == str(int(3.6e29))
+
+
+@st.composite
+def ties(draw):
+    """The double nearest a decimal tie ``k5e-(places+1)``, or one next to it."""
+    places = draw(PLACES)
+    k = draw(st.integers(-10**13, 10**13))
+    value = float(f"{k}5e-{places + 1}")
+    step = draw(st.sampled_from([0.0, math.inf, -math.inf]))
+    return (value if step == 0.0 else math.nextafter(value, step)), places
+
+
+@st.composite
+def near_zero(draw):
+    """Zero of either sign, or a small negative that rounds to zero."""
+    places = draw(PLACES)
+    value = draw(st.one_of(
+        st.sampled_from([0.0, -0.0]),
+        st.floats(-5 * 10.0**-(places + 1), 0.0)))
+    return value, places
+
+
+@st.composite
+def near_limit(draw):
+    """A value at, just inside or just outside the magnitude where ``fmt``
+    stops rounding in C."""
+    places = draw(PLACES)
+    limit = 2.0**52 / 10**(places + 1)
+    value = draw(st.one_of(
+        st.sampled_from([limit, math.nextafter(limit, 0.0), math.nextafter(limit, math.inf)]),
+        st.floats(limit / 4, limit * 4)))
+    return draw(st.sampled_from([value, -value])), places
+
+
+def outcome(fn, *args):
+    try:
+        result = fn(*args)
+    except (ArithmeticError, ValueError) as err:
+        return type(err)
+    return repr(result) if isinstance(result, float) else result
+
+
+@settings(max_examples=1000, deadline=None)
+@given(case=st.one_of(st.tuples(st.floats(allow_infinity=False), PLACES),
+                      ties(), near_zero(), near_limit()))
+@example(case=(2.675, 2))
+@example(case=(0.125, 2))
+@example(case=(-2.5, 0))
+@example(case=(1e28, 2))
+@example(case=(5e-324, 4))
+def test_fast_rounding_matches_the_decimal_reference(case):
+    value, places = case
+    got = (outcome(fmt, value, places), outcome(round_half_up, value, places),
+           outcome(fmt_int, value))
+    # The reference quantizes under the current context; widen it so that it
+    # has an answer for every finite double.
+    with decimal.localcontext(decimal.Context(prec=400)):
+        expected = (outcome(oracles.fmt, value, places),
+                    outcome(oracles.round_half_up, value, places),
+                    outcome(oracles.fmt_int, value))
+    assert got == expected
