@@ -15,7 +15,6 @@ from .delay import (
     DelayPolicy,
     control_delay,
     intersection_delay,
-    platoon_ratio,
     platoon_ratio_from_delay,
 )
 from .emissions import (
@@ -33,8 +32,6 @@ from .flow import (
     CapacityTable,
     FlowReport,
     GreenReport,
-    green_splits,
-    green_utilization,
     hourly_volume,
     saturation_flow_discharge,
     saturation_flow_width,

@@ -43,7 +43,7 @@ def _check(args: argparse.Namespace) -> None:
             raise InputError(f"{label} file not found: {path}")
 
 
-def _print_error(subcommand: str, err: AnalyzerError) -> None:
+def _print_error(subcommand: str | None, err: AnalyzerError) -> None:
     record = {
         "subcommand": subcommand,
         "error": type(err).__name__,
@@ -291,8 +291,16 @@ SUBCOMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises a usage error as an ``InputError``, after the usage line."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        raise InputError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="analyze",
         description="Signalized-intersection analysis: volumes, V/C, "
                     "saturation flow, delay, level of service, green use "
@@ -308,18 +316,20 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    # A usage error comes before ``args``: name the subcommand from argv.
+    command = next((word for word in argv if word in SUBCOMMANDS), None)
     try:
+        args = _build_parser().parse_args(argv)
+        command = args.command
         _check(args)
         return args.handler(args)
     except AnalyzerError as err:
-        _print_error(args.command, err)
-        return err.exit_code
+        failure = err
     except OSError as err:
         failure = IoFailure(str(err))
-        _print_error(args.command, failure)
-        return failure.exit_code
+    _print_error(command, failure)
+    return failure.exit_code
 
 
 if __name__ == "__main__":

@@ -3,7 +3,8 @@
 Precedence is defaults < config file < CLI flags.  A config file replaces
 whole top-level sections of the defaults; keys it does not mention keep
 their default values.  With no ``--config`` flag, ``ANALYZER_CONFIG_DIR``
-is consulted for a ``config.json`` fallback.
+is consulted for a ``config.json`` fallback.  A ``pcu_factors`` section
+without ``composition_threshold`` keeps the shipped threshold.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 from typing import Any, Mapping
@@ -48,9 +49,9 @@ class AnalysisConfig:
     los_tables: Mapping[str, LosBandTable]
     emission_factors: EmissionFactorTable
     idle_rates: IdleRateTable
-    platoon_ratios: Mapping[str, float] = field(default_factory=dict)
-    default_platoon_ratio: float = 1.0
-    city: CityScaling = CityScaling(1, 13.0, None)
+    platoon_ratios: Mapping[str, float]
+    default_platoon_ratio: float
+    city: CityScaling
 
     def platoon_ratio_for(self, approach_id: str) -> float:
         return self.platoon_ratios.get(approach_id, self.default_platoon_ratio)
@@ -79,8 +80,7 @@ def _build_pcu(section: Mapping[str, Any]) -> PcuFactorTable:
             _finite(pair[1], f"pcu factor for {key}"),
         )
     return PcuFactorTable(
-        factors, _finite(section.get("composition_threshold", 0.05),
-                         "composition_threshold"))
+        factors, _finite(section["composition_threshold"], "composition_threshold"))
 
 
 def _build_capacity(entries: list[Mapping[str, Any]]) -> CapacityTable:
@@ -153,7 +153,7 @@ def _build(config: Mapping[str, Any]) -> AnalysisConfig:
             for k, v in config.get("platoon_ratios", {}).get("values", {}).items()
         },
         default_platoon_ratio=_finite(
-            config.get("default_platoon_ratio", 1.0), "default_platoon_ratio"),
+            config["default_platoon_ratio"], "default_platoon_ratio"),
         city=_build_city(config["city"]),
     )
 
@@ -187,7 +187,12 @@ def load_config(path: str | Path | None = None) -> AnalysisConfig:
             raise ConfigError(f"config file {path} is not valid JSON: {err}") from None
         if not isinstance(overrides, dict):
             raise ConfigError(f"config file {path} must hold a JSON object")
-        merged.update(_strip_notes(overrides))
+        overrides = _strip_notes(overrides)
+        pcu_factors = overrides.get("pcu_factors")
+        if isinstance(pcu_factors, dict):
+            pcu_factors.setdefault(
+                "composition_threshold", merged["pcu_factors"]["composition_threshold"])
+        merged.update(overrides)
     try:
         return _build(merged)
     except ConfigError:

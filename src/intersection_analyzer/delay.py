@@ -23,7 +23,6 @@ from .errors import (
     InvariantViolation,
     NoMajorApproaches,
     SaturatedRegime,
-    ZeroPTG,
 )
 from .model import ApproachConfig
 
@@ -39,17 +38,13 @@ class DelayInputs:
 
     ``platoon_ratio`` is normally >= 0 (1.0 means random arrivals) but may
     be negative when back-solved from recorded delays, so no sign check is
-    applied.  The underlying arrival profile (``pvg``: fraction of traffic
-    arriving on green, ``ptg``: green fraction of the cycle) may be carried
-    alongside, in which case it must agree with the ratio.
+    applied.
     """
 
     cycle_length: float
     green_time: float
     vc_ratio: float
-    platoon_ratio: float = 1.0
-    pvg: float | None = None
-    ptg: float | None = None
+    platoon_ratio: float
 
     def __post_init__(self):
         if not math.isfinite(self.cycle_length) or self.cycle_length <= 0:
@@ -61,22 +56,6 @@ class DelayInputs:
             raise InvariantViolation(f"vc_ratio must be >= 0 and finite, got {self.vc_ratio}")
         if not math.isfinite(self.platoon_ratio):
             raise InvariantViolation("platoon_ratio must be finite")
-        if (self.pvg is None) != (self.ptg is None):
-            raise InvariantViolation("pvg and ptg must be supplied together")
-        if self.pvg is not None:
-            if self.ptg <= 0:
-                raise InvariantViolation(f"ptg must be > 0, got {self.ptg}")
-            implied = self.pvg / self.ptg
-            if abs(self.platoon_ratio - implied) > 1e-9:
-                raise InvariantViolation(
-                    f"platoon_ratio {self.platoon_ratio} disagrees with "
-                    f"pvg/ptg = {implied}")
-
-    @classmethod
-    def from_arrival_profile(cls, cycle_length: float, green_time: float,
-                             vc_ratio: float, pvg: float, ptg: float) -> "DelayInputs":
-        return cls(cycle_length, green_time, vc_ratio,
-                   platoon_ratio=platoon_ratio(pvg, ptg), pvg=pvg, ptg=ptg)
 
 
 @dataclass(frozen=True)
@@ -88,18 +67,6 @@ class DelayEstimate:
 class DelayPolicy(Enum):
     ALL_APPROACHES = "all"
     MAJOR_ONLY = "major"
-
-
-def platoon_ratio(pvg: float, ptg: float) -> float:
-    """Platoon ratio from the fraction of traffic arriving on green (PVG)
-    and the green fraction of the cycle (PTG)."""
-    if not 0.0 <= pvg <= 1.0:
-        raise ValueError(f"pvg must lie in [0, 1], got {pvg}")
-    if not 0.0 <= ptg <= 1.0:
-        raise ValueError(f"ptg must lie in [0, 1], got {ptg}")
-    if ptg == 0.0:
-        raise ZeroPTG("ptg is zero; platoon ratio undefined")
-    return pvg / ptg
 
 
 def control_delay(inputs: DelayInputs) -> DelayEstimate:

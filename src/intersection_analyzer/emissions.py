@@ -24,9 +24,7 @@ class FuelType(Enum):
     DIESEL = "diesel"  # litres
     PETROL = "petrol"  # litres
 
-    @property
-    def unit(self) -> str:
-        return "kg" if self is FuelType.CNG else "L"
+    __hash__ = object.__hash__  # as VehicleClass
 
 
 @dataclass(frozen=True)

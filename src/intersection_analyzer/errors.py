@@ -104,10 +104,6 @@ class ZeroEffectiveGreen(InputError):
     pass
 
 
-class ZeroPTG(InputError):
-    pass
-
-
 class NonPositiveWidth(InputError):
     pass
 

@@ -6,13 +6,14 @@ and saturation flows to integers, ratios to two decimals).
 
 from __future__ import annotations
 
-import statistics
+import math
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Mapping, Sequence
+from typing import Mapping
 
 from .errors import (
     EmptyIntersection,
+    InputError,
     InvariantViolation,
     NonPositiveWidth,
     UnknownLaneConfig,
@@ -20,7 +21,7 @@ from .errors import (
     ZeroEffectiveGreen,
     ZeroGreen,
 )
-from .model import ApproachConfig, Directionality, SignalCycleRecord
+from .model import ApproachConfig, Directionality
 
 # Discharge rate supported per metre of approach width, PCU per hour.
 WIDTH_FLOW_RATE = 525.0
@@ -107,7 +108,12 @@ def saturation_flow_discharge(exited_pcu: float, effective_green: float) -> floa
             f"effective green must be > 0, got {effective_green}")
     if exited_pcu < 0:
         raise ValueError(f"exited_pcu must be >= 0, got {exited_pcu}")
-    return exited_pcu / effective_green * 3600.0
+    flow = exited_pcu / effective_green * 3600.0
+    if not math.isfinite(flow):
+        raise InputError(
+            f"saturation flow is not finite: exited_pcu {exited_pcu:g} over "
+            f"effective green {effective_green:g} s")
+    return flow
 
 
 def saturation_flow_width(width: float) -> float:
@@ -117,27 +123,8 @@ def saturation_flow_width(width: float) -> float:
     return WIDTH_FLOW_RATE * width
 
 
-def green_splits(
-    records_by_approach: Mapping[str, Sequence[SignalCycleRecord]],
-) -> dict[str, float]:
-    """Share of the intersection's total green allocated to each approach.
-
-    Computed from mean green per approach; shares sum to 1 and any subset's
-    combined share is the plain sum of its members.
-    """
-    if not records_by_approach:
-        raise EmptyIntersection("no approaches with records")
-    means: dict[str, float] = {}
-    for approach_id in sorted(records_by_approach):
-        records = records_by_approach[approach_id]
-        if not records:
-            raise EmptyIntersection(f"approach {approach_id!r} has no records")
-        means[approach_id] = statistics.fmean(r.green_time for r in records)
-    return green_shares(means)
-
-
 def green_shares(mean_greens: Mapping[str, float]) -> dict[str, float]:
-    """``green_splits`` from already computed mean greens per approach."""
+    """Each approach's share of the intersection's summed mean greens."""
     if not mean_greens:
         raise EmptyIntersection("no approaches with records")
     ordered = {approach_id: mean_greens[approach_id] for approach_id in sorted(mean_greens)}
@@ -145,24 +132,3 @@ def green_shares(mean_greens: Mapping[str, float]) -> dict[str, float]:
     if total <= 0:
         raise ZeroGreen("total green time across the intersection is zero")
     return {approach_id: mean / total for approach_id, mean in ordered.items()}
-
-
-def green_utilization(record: SignalCycleRecord, pcu_per_cycle: float) -> GreenReport:
-    """Green seconds spent per PCU served, and the wasted green fraction.
-
-    The ratio is absent when no PCU crossed; wastage (g - g_e)/g is absent
-    without an effective-green observation.
-    """
-    if record.green_time <= 0:
-        raise ZeroGreen(
-            f"approach {record.approach_id!r}: green_time must be > 0")
-    ratio = record.green_time / pcu_per_cycle if pcu_per_cycle > 0 else None
-    wastage = None
-    if record.effective_green is not None:
-        wastage = (record.green_time - record.effective_green) / record.green_time
-    return GreenReport(
-        approach_id=record.approach_id,
-        pcu_per_cycle=pcu_per_cycle,
-        green_to_pcu_ratio=ratio,
-        wastage=wastage,
-    )

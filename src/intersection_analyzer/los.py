@@ -19,7 +19,6 @@ GRADES = ("A", "B", "C", "D", "E", "F")
 class LosResult:
     grade: str
     standard: str
-    classified_value: float
 
 
 @dataclass(frozen=True)
@@ -49,9 +48,9 @@ class LosBandTable:
             raise InputError(f"classified value must be >= 0, got {value}")
         for upper, grade in self.bands:
             if upper is None:
-                return LosResult(grade, self.standard, value)
+                return LosResult(grade, self.standard)
             if (value <= upper) if self.upper_inclusive else (value < upper):
-                return LosResult(grade, self.standard, value)
+                return LosResult(grade, self.standard)
         raise AssertionError("unreachable: final band is open-ended")
 
 

@@ -48,6 +48,8 @@ class Directionality(Enum):
     ONE_WAY = "oneway"
     TWO_WAY = "twoway"
 
+    __hash__ = object.__hash__  # as VehicleClass
+
 
 class DayFilter(Enum):
     WEEKDAY = "weekday"

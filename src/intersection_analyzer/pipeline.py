@@ -61,7 +61,6 @@ class ApproachReport:
     lane_count: int
     directionality: str
     width: float
-    record_count: int
     mean_cycle_length: float
     mean_green: float
     mean_effective_green: float | None
@@ -246,7 +245,6 @@ def analyze_records(
                 lane_count=geometry.lane_count,
                 directionality=geometry.directionality.value,
                 width=geometry.width,
-                record_count=len(fold.cycles),
                 mean_cycle_length=mean_cycle,
                 mean_green=mean_green,
                 mean_effective_green=mean_ge,

@@ -50,10 +50,6 @@ class WindowedAverage:
 class ZTestResult:
     z_statistic: float
     p_value: float
-    mean_a: float
-    mean_b: float
-    n_a: int
-    n_b: int
 
 
 @dataclass(frozen=True, slots=True)
@@ -259,13 +255,13 @@ def z_test(
 
     if a.variance == 0.0 and b.variance == 0.0:
         if mean_a == mean_b:
-            return ZTestResult(0.0, 1.0, mean_a, mean_b, n_a, n_b)
+            return ZTestResult(0.0, 1.0)
         z = math.copysign(math.inf, mean_a - mean_b)
-        return ZTestResult(z, P_VALUE_FLOOR, mean_a, mean_b, n_a, n_b)
+        return ZTestResult(z, P_VALUE_FLOOR)
 
     z = (mean_a - mean_b) / math.sqrt(a.variance / n_a + b.variance / n_b)
     p = max(normal_two_tailed_p(z), P_VALUE_FLOOR)
-    return ZTestResult(z, p, mean_a, mean_b, n_a, n_b)
+    return ZTestResult(z, p)
 
 
 def pairwise_z_matrix(

@@ -200,6 +200,21 @@ def test_a_saturation_flow_past_1e28_prints_every_digit(tmp_path, capsys):
     assert row[5] == row[7] == "360000000000000046564961681408"
 
 
+def test_a_non_finite_saturation_flow_is_an_input_error(tmp_path, capsys):
+    cycles = tmp_path / "cycles.csv"
+    cycles.write_text(
+        "approach_id,cycle_length_s,red_s,green_s,car,effective_green_s,exited_pcu\n"
+        "SR1,152,120,32,3,1e-20,1e300\n")
+    out = tmp_path / "out"
+    code = main(["flow", "--cycles", str(cycles), "--approaches", str(STUDY_APPROACHES),
+                 "--out", str(out)])
+    record = json.loads(capsys.readouterr().err)
+    assert code == 2
+    assert (record["error"], record["subcommand"]) == ("InputError", "flow")
+    assert "1e+300" in record["message"] and "1e-20" in record["message"]
+    assert not out.exists()
+
+
 def test_write_failure_exits_4(tmp_path, capsys):
     blocker = tmp_path / "blocked"
     blocker.write_text("a file, not a directory")
@@ -364,7 +379,33 @@ def test_los_rejects_non_finite_values(capsys, values):
     ["report", *STUDY, "--span", "2"],
 ])
 def test_a_flag_the_subcommand_does_not_read_is_a_usage_error(capsys, argv):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    usage, _, last = captured.err.rstrip("\n").rpartition("\n")
+    assert usage.startswith("usage: analyze")
+    record = json.loads(last)
+    assert (record["error"], record["exit_code"]) == ("InputError", 2)
+    assert record["subcommand"] == argv[0]
+    assert record["message"].startswith("unrecognized arguments: ")
+
+
+@pytest.mark.parametrize("argv, subcommand", [
+    ([], None),
+    (["bogus"], None),
+    (["flow", "--cycles", str(STUDY_CYCLES)], "flow"),
+    (["report", *STUDY, "--window", "ten"], "report"),
+])
+def test_a_usage_error_ends_in_a_json_record(capsys, argv, subcommand):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: analyze")
+    record = json.loads(err.splitlines()[-1])
+    assert (record["error"], record["subcommand"]) == ("InputError", subcommand)
+
+
+def test_help_still_exits_0(capsys):
     with pytest.raises(SystemExit) as exit_info:
-        main(argv)
-    assert exit_info.value.code == 2
-    assert "unrecognized arguments" in capsys.readouterr().err
+        main(["flow", "--help"])
+    assert exit_info.value.code == 0
+    assert "--cycles" in capsys.readouterr().out

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from intersection_analyzer import Directionality, FuelType, load_config
+from intersection_analyzer import Directionality, FuelType, VehicleClass, load_config
 from intersection_analyzer.config import ENV_CONFIG_DIR
 from intersection_analyzer.errors import ConfigError
 
@@ -35,6 +35,24 @@ def test_section_override(tmp_path):
     assert cfg.city.co2_kg_per_hour is None
     # untouched sections keep their defaults
     assert cfg.capacity_table.capacities[(1, Directionality.ONE_WAY)] == 1500.0
+
+
+FACTORS = {
+    "two_wheeler": [0.5, 0.75], "car": [1.0, 1.0], "auto_rickshaw": [1.2, 2.0],
+    "lcv": [1.4, 2.0], "bus": [2.0, 3.0],
+}
+
+
+@pytest.mark.parametrize("section, threshold", [
+    ({"factors": FACTORS}, 0.05),  # the shipped pcu_factors threshold
+    ({"factors": FACTORS, "composition_threshold": 0.1}, 0.1),
+])
+def test_pcu_factors_threshold_falls_back_to_the_shipped_one(tmp_path, section, threshold):
+    path = tmp_path / "factors.json"
+    path.write_text(json.dumps({"pcu_factors": section}))
+    cfg = load_config(path)
+    assert cfg.pcu_factors.composition_threshold == threshold
+    assert cfg.pcu_factors.factors[VehicleClass.BUS] == (2.0, 3.0)
 
 
 def test_env_dir_fallback(tmp_path, monkeypatch):

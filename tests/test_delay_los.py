@@ -13,7 +13,6 @@ from intersection_analyzer import (
     control_delay,
     intersection_delay,
     load_config,
-    platoon_ratio,
     platoon_ratio_from_delay,
 )
 from intersection_analyzer.errors import (
@@ -22,7 +21,6 @@ from intersection_analyzer.errors import (
     InvariantViolation,
     NoMajorApproaches,
     SaturatedRegime,
-    ZeroPTG,
 )
 
 LOS_TABLES = load_config().los_tables
@@ -33,24 +31,6 @@ VC_RATIO_BANDS = LOS_TABLES["vc_ratio"]
 # Back-solved against the recorded average delays at the 2-decimal V/C values.
 SR1_INPUTS = DelayInputs(152.0, 32.0, 0.34, platoon_ratio=0.45670411487070384)
 TR4_INPUTS = DelayInputs(119.0, 45.0, 0.73, platoon_ratio=0.2600505519310491)
-
-
-def test_platoon_ratio_examples():
-    assert platoon_ratio(0.25, 0.25) == 1.0
-    assert platoon_ratio(0.0, 0.4) == 0.0
-    assert platoon_ratio(0.0962, 0.2105) == pytest.approx(0.457, abs=5e-4)
-
-
-def test_platoon_ratio_zero_ptg():
-    with pytest.raises(ZeroPTG):
-        platoon_ratio(0.2, 0.0)
-
-
-def test_platoon_ratio_rejects_out_of_range():
-    with pytest.raises(ValueError):
-        platoon_ratio(1.2, 0.5)
-    with pytest.raises(ValueError):
-        platoon_ratio(0.5, -0.1)
 
 
 def test_control_delay_reference_rows():
@@ -78,30 +58,20 @@ def test_control_delay_clamps_negative_to_zero():
 
 def test_saturated_regime_guard():
     with pytest.raises(SaturatedRegime):
-        control_delay(DelayInputs(100.0, 50.0, 2.0))
+        control_delay(DelayInputs(100.0, 50.0, 2.0, platoon_ratio=1.0))
     with pytest.raises(SaturatedRegime):
-        control_delay(DelayInputs(100.0, 100.0, 1.0))
+        control_delay(DelayInputs(100.0, 100.0, 1.0, platoon_ratio=1.0))
 
 
 def test_delay_inputs_validation():
     with pytest.raises(InvariantViolation):
-        DelayInputs(100.0, 0.0, 0.5)
+        DelayInputs(100.0, 0.0, 0.5, platoon_ratio=1.0)
     with pytest.raises(InvariantViolation):
-        DelayInputs(100.0, 120.0, 0.5)
+        DelayInputs(100.0, 120.0, 0.5, platoon_ratio=1.0)
     with pytest.raises(InvariantViolation):
-        DelayInputs(100.0, 50.0, -0.1)
+        DelayInputs(100.0, 50.0, -0.1, platoon_ratio=1.0)
     # negative platoon ratio is allowed (back-solved values can be negative)
     DelayInputs(100.0, 50.0, 0.5, platoon_ratio=-0.06)
-
-
-def test_delay_inputs_carry_consistent_arrival_profile():
-    inputs = DelayInputs.from_arrival_profile(152.0, 32.0, 0.34, pvg=0.0962, ptg=0.2105)
-    assert inputs.platoon_ratio == pytest.approx(0.457, abs=5e-4)
-    assert inputs.pvg == 0.0962 and inputs.ptg == 0.2105
-    with pytest.raises(InvariantViolation):
-        DelayInputs(152.0, 32.0, 0.34, platoon_ratio=1.0, pvg=0.0962, ptg=0.2105)
-    with pytest.raises(InvariantViolation):
-        DelayInputs(152.0, 32.0, 0.34, pvg=0.5, ptg=None)
 
 
 def test_delay_monotone_in_vc():

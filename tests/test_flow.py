@@ -6,8 +6,8 @@ from intersection_analyzer import (
     ClassifiedCount,
     Directionality,
     SignalCycleRecord,
-    green_splits,
-    green_utilization,
+    VehicleClass,
+    analyze_records,
     hourly_volume,
     load_config,
     saturation_flow_discharge,
@@ -22,20 +22,33 @@ from intersection_analyzer.errors import (
     ZeroEffectiveGreen,
     ZeroGreen,
 )
+from intersection_analyzer.flow import green_shares
 from intersection_analyzer.report import round_half_up
 
-CAPACITY = load_config().capacity_table
+CONFIG = load_config()
+CAPACITY = CONFIG.capacity_table
 
 
 def approach(lanes, directionality=Directionality.ONE_WAY):
     return ApproachConfig("A1", "X", lanes, directionality, 7.0)
 
 
-def cycle(approach_id, green, cycle_length=152.0, effective_green=None):
-    counts = ClassifiedCount(approach_id, {})
+def cycle(approach_id, green, cycle_length=152.0, effective_green=None, pcu=0):
+    counts = ClassifiedCount(approach_id, {VehicleClass.CAR: pcu})
     return SignalCycleRecord(
         approach_id, cycle_length, cycle_length - green, green, counts,
         effective_green=effective_green)
+
+
+def green_reports(*records):
+    """Each approach's ``GreenReport`` from analyzing ``records`` as one
+    intersection of three-lane one-way approaches."""
+    approaches = {
+        r.approach_id: ApproachConfig(r.approach_id, "X", 3, Directionality.ONE_WAY, 7.0)
+        for r in records
+    }
+    result = analyze_records(records, approaches, CONFIG)
+    return {r.approach_id: r.green for r in result.approaches}
 
 
 def test_hourly_volume_values():
@@ -100,61 +113,54 @@ def test_saturation_flow_width_rejects_nonpositive():
 
 
 def test_green_splits_shares():
-    grouped = {
-        "TR1": [cycle("TR1", 25, 119)],
-        "TR2": [cycle("TR2", 40, 119)],
-        "TR3": [cycle("TR3", 9, 119)],
-        "TR4": [cycle("TR4", 45, 119)],
-    }
-    shares = green_splits(grouped)
+    shares = green_shares({"TR1": 25.0, "TR2": 40.0, "TR3": 9.0, "TR4": 45.0})
     assert sum(shares.values()) == pytest.approx(1.0)
     assert shares["TR2"] + shares["TR4"] == pytest.approx(85 / 119)
+    assert list(shares) == ["TR1", "TR2", "TR3", "TR4"]
 
 
 def test_green_splits_single_approach():
-    shares = green_splits({"A1": [cycle("A1", 30)]})
-    assert shares == {"A1": 1.0}
+    assert green_shares({"A1": 30.0}) == {"A1": 1.0}
 
 
 def test_green_splits_uses_mean_green():
-    grouped = {
-        "A1": [cycle("A1", 20), cycle("A1", 40)],  # mean 30
-        "A2": [cycle("A2", 30)],
-    }
-    shares = green_splits(grouped)
-    assert shares["A1"] == pytest.approx(0.5)
+    greens = green_reports(cycle("A1", 20), cycle("A1", 40), cycle("A2", 30))  # A1 mean 30
+    assert greens["A1"].green_share == pytest.approx(0.5)
+    assert greens["A2"].green_share == pytest.approx(0.5)
 
 
 def test_green_splits_empty():
     with pytest.raises(EmptyIntersection):
-        green_splits({})
-    with pytest.raises(EmptyIntersection):
-        green_splits({"A1": []})
+        green_shares({})
+    with pytest.raises(ZeroGreen):
+        green_shares({"A1": 0.0, "A2": 0.0})
 
 
 def test_green_utilization_ratio_and_wastage():
-    entry = green_utilization(cycle("SR5", 28, 152, effective_green=16.0), 25.0)
-    assert entry.green_to_pcu_ratio == pytest.approx(1.12)
-    assert entry.wastage == pytest.approx(12 / 28)
-
-    entry = green_utilization(cycle("SR3", 12, 152, effective_green=10.0), 11.0)
-    assert entry.green_to_pcu_ratio == pytest.approx(12 / 11)
-    assert entry.wastage == pytest.approx(2 / 12)
+    greens = green_reports(cycle("SR5", 28, 152, effective_green=16.0, pcu=25),
+                           cycle("SR3", 12, 152, effective_green=10.0, pcu=11))
+    assert greens["SR5"].green_to_pcu_ratio == pytest.approx(1.12)
+    assert greens["SR5"].wastage == pytest.approx(12 / 28)
+    assert greens["SR3"].green_to_pcu_ratio == pytest.approx(12 / 11)
+    assert greens["SR3"].wastage == pytest.approx(2 / 12)
 
 
 def test_green_utilization_no_wastage_when_fully_used():
-    entry = green_utilization(cycle("A1", 30, 152, effective_green=30.0), 10.0)
-    assert entry.wastage == 0.0
+    greens = green_reports(cycle("A1", 30, 152, effective_green=30.0, pcu=10))
+    assert greens["A1"].wastage == 0.0
 
 
 def test_green_utilization_zero_pcu_leaves_ratio_absent():
-    entry = green_utilization(cycle("A1", 30), 0.0)
-    assert entry.green_to_pcu_ratio is None
+    greens = green_reports(cycle("A1", 30))
+    assert greens["A1"].pcu_per_cycle == 0.0
+    assert greens["A1"].green_to_pcu_ratio is None
+    # and no effective-green observation leaves wastage absent
+    assert greens["A1"].wastage is None
 
 
 def test_green_utilization_zero_green():
     with pytest.raises(ZeroGreen):
-        green_utilization(cycle("A1", 0.0), 5.0)
+        green_reports(cycle("A1", 0.0, pcu=5), cycle("A2", 0.0, pcu=5))
 
 
 def test_default_capacity_cells():
@@ -175,5 +181,5 @@ def test_hourly_volume_linearity(pcu, c):
 @given(st.floats(min_value=0.1, max_value=300.0), st.floats(min_value=0.0, max_value=1.0))
 def test_wastage_stays_in_unit_interval(green, used_fraction):
     effective = green * used_fraction
-    entry = green_utilization(cycle("A1", green, 400.0, effective_green=effective), 10.0)
-    assert 0.0 <= entry.wastage <= 1.0
+    greens = green_reports(cycle("A1", green, 400.0, effective_green=effective, pcu=10))
+    assert 0.0 <= greens["A1"].wastage <= 1.0
