@@ -19,7 +19,7 @@ from typing import Callable, Iterator, Sequence, TextIO
 from . import report as rpt
 from .config import load_config
 from .delay import DelayPolicy
-from .errors import AnalyzerError, EmptyInput, InputError, IoFailure
+from .errors import AnalyzerError, InputError, IoFailure
 from .ingest import ingest_approaches, ingest_cycles, scan_cycles
 from .model import ApproachConfig, CycleTable, DayFilter
 from .pipeline import analyze_records
@@ -168,7 +168,7 @@ def cmd_variability(args) -> int:
 
 def cmd_los(args) -> int:
     if not args.delay and not args.vc:
-        raise EmptyInput("nothing to classify: pass --delay and/or --vc values")
+        raise InputError("nothing to classify: pass --delay and/or --vc values")
     for value in (args.delay or []) + (args.vc or []):
         if not math.isfinite(value):
             raise InputError(f"classified values must be finite, got {value:g}")

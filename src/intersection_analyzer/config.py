@@ -197,5 +197,6 @@ def load_config(path: str | Path | None = None) -> AnalysisConfig:
         return _build(merged)
     except ConfigError:
         raise
-    except (KeyError, TypeError, ValueError, AnalyzerError) as err:
+    except (AttributeError, KeyError, OverflowError, TypeError, ValueError,
+            AnalyzerError) as err:
         raise ConfigError(f"invalid configuration: {err}") from None

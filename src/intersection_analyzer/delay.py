@@ -18,12 +18,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Mapping
 
-from .errors import (
-    EmptyInput,
-    InvariantViolation,
-    NoMajorApproaches,
-    SaturatedRegime,
-)
+from .errors import InputError, InvariantViolation, SaturatedRegime
 from .model import ApproachConfig
 
 BASE_DELAY_S = 6.23
@@ -102,11 +97,11 @@ def intersection_delay(
 ) -> float:
     """Unweighted mean delay over the approaches selected by the policy."""
     if not per_approach:
-        raise EmptyInput("no per-approach delays given")
+        raise InputError("no per-approach delays given")
     if policy is DelayPolicy.MAJOR_ONLY:
         selected = [a for a in per_approach if configs[a].is_major]
         if not selected:
-            raise NoMajorApproaches("no approach is flagged as major")
+            raise InputError("no approach is flagged as major")
     else:
         selected = list(per_approach)
     return statistics.fmean(per_approach[a] for a in selected)

@@ -15,7 +15,7 @@ from enum import Enum
 from types import MappingProxyType
 from typing import Mapping, Sequence
 
-from .errors import EmptyInput, InvariantViolation, MissingFactor
+from .errors import InputError, InvariantViolation
 from .model import VehicleClass
 
 
@@ -97,7 +97,7 @@ def idle_fuel(
     the rate table contribute nothing.
     """
     if mean_delay_s < 0:
-        raise ValueError(f"mean delay must be >= 0, got {mean_delay_s}")
+        raise InputError(f"mean delay must be >= 0, got {mean_delay_s}")
     idle_hours = mean_delay_s / 3600.0
     totals = {fuel: 0.0 for fuel in FuelType}
     for key in sorted(rates.rates, key=lambda k: (k[0].value, k[1].value)):
@@ -123,7 +123,7 @@ def co2_from_fuel(
             continue
         factor = factors.factors.get(fuel_type)
         if factor is None:
-            raise MissingFactor(f"no emission factor for {fuel_type.value}")
+            raise InputError(f"no emission factor for {fuel_type.value}")
         co2_out[fuel_type] = quantity * factor
     total = sum(co2_out[fuel_type] for fuel_type in FuelType)
     return EmissionReport(
@@ -146,15 +146,15 @@ def scale_emissions(
     count and the result is flagged as an estimate.
     """
     if intersection_count_citywide < 1:
-        raise ValueError("intersection count must be >= 1")
+        raise InputError("intersection count must be >= 1")
     if active_hours_per_day <= 0:
-        raise ValueError("active hours per day must be > 0")
+        raise InputError("active hours per day must be > 0")
     if city_rate_kg_per_hour is not None:
         rate = float(city_rate_kg_per_hour)
         extrapolated = False
     else:
         if not per_intersection:
-            raise EmptyInput("no per-intersection totals to extrapolate from")
+            raise InputError("no per-intersection totals to extrapolate from")
         rate = statistics.fmean(per_intersection) * intersection_count_citywide
         extrapolated = True
     return CityEstimate(

@@ -11,16 +11,7 @@ from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Mapping
 
-from .errors import (
-    EmptyIntersection,
-    InputError,
-    InvariantViolation,
-    NonPositiveWidth,
-    UnknownLaneConfig,
-    ZeroCycle,
-    ZeroEffectiveGreen,
-    ZeroGreen,
-)
+from .errors import InputError, InvariantViolation
 from .model import ApproachConfig, Directionality
 
 # Discharge rate supported per metre of approach width, PCU per hour.
@@ -44,7 +35,7 @@ class CapacityTable:
     def capacity_for(self, config: ApproachConfig) -> float:
         key = (config.lane_count, config.directionality)
         if key not in self.capacities:
-            raise UnknownLaneConfig(
+            raise InputError(
                 f"no capacity entry for {config.lane_count}-lane "
                 f"{config.directionality.value} (approach {config.approach_id})")
         return self.capacities[key]
@@ -89,25 +80,25 @@ class GreenReport:
 def hourly_volume(pcu_per_cycle: float, cycle_length: float) -> float:
     """Extrapolate one cycle's PCU to an hourly flow: pcu * 3600 / cycle."""
     if cycle_length <= 0:
-        raise ZeroCycle(f"cycle_length must be > 0, got {cycle_length}")
+        raise InputError(f"cycle_length must be > 0, got {cycle_length}")
     if pcu_per_cycle < 0:
-        raise ValueError(f"pcu_per_cycle must be >= 0, got {pcu_per_cycle}")
+        raise InputError(f"pcu_per_cycle must be >= 0, got {pcu_per_cycle}")
     return pcu_per_cycle * 3600.0 / cycle_length
 
 
 def vc_ratio(volume: float, config: ApproachConfig, table: CapacityTable) -> float:
     if volume < 0:
-        raise ValueError(f"volume must be >= 0, got {volume}")
+        raise InputError(f"volume must be >= 0, got {volume}")
     return volume / table.capacity_for(config)
 
 
 def saturation_flow_discharge(exited_pcu: float, effective_green: float) -> float:
     """Saturation flow from observed discharge: N / g_e * 3600 (PCU/hour)."""
     if effective_green <= 0:
-        raise ZeroEffectiveGreen(
+        raise InputError(
             f"effective green must be > 0, got {effective_green}")
     if exited_pcu < 0:
-        raise ValueError(f"exited_pcu must be >= 0, got {exited_pcu}")
+        raise InputError(f"exited_pcu must be >= 0, got {exited_pcu}")
     flow = exited_pcu / effective_green * 3600.0
     if not math.isfinite(flow):
         raise InputError(
@@ -119,16 +110,16 @@ def saturation_flow_discharge(exited_pcu: float, effective_green: float) -> floa
 def saturation_flow_width(width: float) -> float:
     """Saturation flow from geometry alone: 525 * width (PCU/hour)."""
     if width <= 0:
-        raise NonPositiveWidth(f"width must be > 0, got {width}")
+        raise InputError(f"width must be > 0, got {width}")
     return WIDTH_FLOW_RATE * width
 
 
 def green_shares(mean_greens: Mapping[str, float]) -> dict[str, float]:
     """Each approach's share of the intersection's summed mean greens."""
     if not mean_greens:
-        raise EmptyIntersection("no approaches with records")
+        raise InputError("no approaches with records")
     ordered = {approach_id: mean_greens[approach_id] for approach_id in sorted(mean_greens)}
     total = sum(ordered.values())
     if total <= 0:
-        raise ZeroGreen("total green time across the intersection is zero")
+        raise InputError("total green time across the intersection is zero")
     return {approach_id: mean / total for approach_id, mean in ordered.items()}

@@ -9,7 +9,8 @@ from __future__ import annotations
 
 import csv
 import math
-from typing import Callable, Iterable, Mapping, Sequence, TextIO
+import re
+from typing import Callable, Iterable, Iterator, Mapping, Sequence, TextIO
 
 from .errors import AnalyzerError, InputError, SchemaViolation, UnknownApproach
 from .model import (
@@ -25,6 +26,11 @@ CYCLE_REQUIRED = ("approach_id", "cycle_length_s", "red_s", "green_s")
 CYCLE_COUNT_COLUMNS = tuple(cls.value for cls in VehicleClass)
 CYCLE_OPTIONAL = ("effective_green_s", "exited_pcu", "timestamp")
 CYCLE_COLUMNS = CYCLE_REQUIRED + CYCLE_COUNT_COLUMNS + CYCLE_OPTIONAL
+
+# A line that csv's default dialect ends inside a quoted field: whole fields,
+# then an opening quote that no single quote closes ("" is a literal quote).
+_ENDS_QUOTED = re.compile(
+    r'(?:(?:"[^"]*(?:""[^"]*)*"(?!")[^,]*|[^",][^,]*)?,)*"[^"]*(?:""[^"]*)*')
 
 APPROACH_COLUMNS = (
     "approach_id", "intersection_id", "lanes", "directionality",
@@ -86,7 +92,17 @@ def scan_cycles(
     full list of errors.  With ``configs`` given, approach ids must
     resolve; without, that check is skipped.
     """
-    reader = csv.reader(source)
+    quoted = False  # whether the lines fed to the reader end inside a quoted field
+
+    def feed() -> Iterator[str]:
+        nonlocal quoted
+        for text in source:
+            if '"' in text or quoted:
+                quoted = bool(_ENDS_QUOTED.fullmatch('"' + text if quoted else text))
+            yield text
+
+    lines = feed()
+    reader = csv.reader(lines)
     table = CycleTable()
     errors: list[InputError] = []
 
@@ -103,6 +119,7 @@ def scan_cycles(
 
     parse = _cycle_row_parser(names, configs, table)
     line = 1
+    skipped = 0
     while True:
         # The reader goes on with the next row after a csv.Error; resuming the
         # loop here keeps the per-row path free of any wrapper.
@@ -121,6 +138,11 @@ def scan_cycles(
         except csv.Error as err:
             line += 1
             errors.append(_unsplittable(err, line))
+            # Skip the rest of a quoted field the error left open: no line
+            # inside it becomes a row, and later rows keep their line numbers.
+            while quoted and next(lines, None) is not None:
+                skipped += 1
+            line = reader.line_num + skipped
 
 
 def _cycle_row_parser(

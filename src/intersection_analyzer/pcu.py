@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Iterable, Mapping
 
-from .errors import EmptyTraffic, InvariantViolation
+from .errors import InputError, InvariantViolation
 from .model import VEHICLE_CLASSES, ClassifiedCount, VehicleClass
 
 @dataclass(frozen=True)
@@ -54,7 +54,7 @@ def composition_shares(counts: Iterable[ClassifiedCount]) -> dict[VehicleClass, 
             totals[cls] += n
     grand_total = sum(totals.values())
     if grand_total == 0:
-        raise EmptyTraffic("no vehicles counted in any record")
+        raise InputError("no vehicles counted in any record")
     return {cls: totals[cls] / grand_total for cls in VEHICLE_CLASSES}
 
 

@@ -24,7 +24,7 @@ from .emissions import (
     idle_fuel,
     scale_emissions,
 )
-from .errors import EmptyTraffic, NoData, NoMajorApproaches, UnknownApproach
+from .errors import InputError, UnknownApproach
 from .flow import (
     FlowReport,
     GreenReport,
@@ -159,7 +159,7 @@ def analyze_records(
     """Run the full pipeline over validated records: a ``CycleTable`` or
     any sequence of records."""
     if not records:
-        raise NoData("no cycle records to analyze")
+        raise InputError("no cycle records to analyze")
     cycle_table = CycleTable.from_records(records)
 
     by_approach = dict(cycle_table.groups())
@@ -204,9 +204,9 @@ def analyze_records(
             mean_ge = _fmean_or_none(fold.effective_greens)
             mean_n = _fmean_or_none(fold.exited)
 
-            try:
+            if sum(fold.record_totals) > 0:
                 composition = composition_shares([fold.totals])
-            except EmptyTraffic:
+            else:
                 composition = {cls: 0.0 for cls in VEHICLE_CLASSES}
 
             if config.counts_unit == COUNTS_VEHICLES:
@@ -303,10 +303,9 @@ def _intersection_report(
     major_ids = tuple(
         r.approach_id for r in local_reports if approaches[r.approach_id].is_major)
     mean_all = intersection_delay(delays, DelayPolicy.ALL_APPROACHES, approaches)
-    try:
+    mean_major = None
+    if major_ids:
         mean_major = intersection_delay(delays, DelayPolicy.MAJOR_ONLY, approaches)
-    except NoMajorApproaches:
-        mean_major = None
 
     delay_tables = {
         name: table for name, table in config.los_tables.items()
@@ -320,7 +319,7 @@ def _intersection_report(
     notes = list(_intersection_notes(local_reports, mean_all, mean_major))
 
     if emission_policy is DelayPolicy.MAJOR_ONLY and mean_major is None:
-        raise NoMajorApproaches(
+        raise InputError(
             f"intersection {intersection_id!r} has no major approaches for "
             f"the requested emission delay policy")
     emission_delay = mean_major if emission_policy is DelayPolicy.MAJOR_ONLY else mean_all

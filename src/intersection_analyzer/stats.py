@@ -12,14 +12,7 @@ import statistics
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from .errors import (
-    EmptyInput,
-    InputError,
-    InsufficientWindows,
-    InvariantViolation,
-    NoTimestamps,
-    TooFewSamples,
-)
+from .errors import InputError, InvariantViolation
 from .model import CycleTable, DayFilter, SignalCycleRecord
 
 SECONDS_PER_DAY = 86400
@@ -148,7 +141,7 @@ def window_cycle_lengths(
     table = CycleTable.from_records(records)
     missing = table.untimed()
     if missing:
-        raise NoTimestamps(f"{missing} of {len(table)} records carry no timestamp")
+        raise InputError(f"{missing} of {len(table)} records carry no timestamp")
 
     starts: list[float] = []
     start = float(DAY_START_S)
@@ -192,9 +185,9 @@ def peak_window(averages: Sequence[WindowedAverage], span: int) -> tuple[float, 
     earliest start.  Runs containing an empty window are not eligible.
     """
     if span < 1:
-        raise ValueError(f"span must be >= 1, got {span}")
+        raise InputError(f"span must be >= 1, got {span}")
     if len(averages) < span:
-        raise InsufficientWindows(
+        raise InputError(
             f"need at least {span} windows, have {len(averages)}")
 
     best_index: int | None = None
@@ -208,7 +201,7 @@ def peak_window(averages: Sequence[WindowedAverage], span: int) -> tuple[float, 
             best_sum = total
             best_index = i
     if best_index is None:
-        raise InsufficientWindows(
+        raise InputError(
             f"no run of {span} consecutive windows has data")
 
     first = averages[best_index]
@@ -247,7 +240,7 @@ def z_test(
     """
     n_a, n_b = len(sample_a), len(sample_b)
     if n_a < 2 or n_b < 2:
-        raise TooFewSamples(
+        raise InputError(
             f"z-test needs at least 2 observations per sample, got {n_a} and {n_b}")
     a = sample_a if isinstance(sample_a, SampleSummary) else summarize(sample_a)
     b = sample_b if isinstance(sample_b, SampleSummary) else summarize(sample_b)
@@ -274,7 +267,7 @@ def pairwise_z_matrix(
     Each sample is summarised once and reused in all of its k-1 tests.
     """
     if len(samples) < 2:
-        raise TooFewSamples(f"need at least 2 approaches, got {len(samples)}")
+        raise InputError(f"need at least 2 approaches, got {len(samples)}")
     ids = sorted(samples)
     summaries = {approach_id: summarize(samples[approach_id]) for approach_id in ids}
     matrix: dict[tuple[str, str], float] = {}
@@ -288,7 +281,7 @@ def five_number(values: Iterable[float]) -> FiveNumberSummary:
     """Min, quartiles and max with inclusive linear interpolation."""
     data = sorted(values)
     if not data:
-        raise EmptyInput("five-number summary over empty data")
+        raise InputError("five-number summary over empty data")
     if len(data) == 1:
         v = float(data[0])
         return FiveNumberSummary(v, v, v, v, v)

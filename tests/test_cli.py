@@ -84,7 +84,7 @@ def test_variability_needs_repeated_cycles(tmp_path, capsys):
     code = main(["variability", *STUDY, "--out", str(tmp_path)])
     assert code == 2
     record = json.loads(capsys.readouterr().err)
-    assert record["error"] == "TooFewSamples"
+    assert record["error"] == "InputError"
     assert record["message"].endswith("got 1 and 1")
 
 
@@ -171,7 +171,7 @@ def test_empty_cycles_is_no_data(tmp_path, capsys):
     code = main(["report", "--cycles", str(empty),
                  "--approaches", str(STUDY_APPROACHES), "--out", str(tmp_path)])
     assert code == 2
-    assert json.loads(capsys.readouterr().err)["error"] == "NoData"
+    assert json.loads(capsys.readouterr().err)["error"] == "InputError"
 
 
 def test_saturated_regime_exits_3(tmp_path, capsys):
@@ -276,6 +276,24 @@ def test_non_positive_city_scaling_is_a_config_error(tmp_path, capsys, city):
     record = json.loads(capsys.readouterr().err)
     assert record["error"] == "ConfigError"
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("section", [
+    {"platoon_ratios": []},
+    {"idle_rates": []},
+    {"los_bands": []},
+    {"emission_factors": []},
+    {"pcu_factors": {"factors": []}},
+    {"city": {"intersection_count": float("inf"), "active_hours_per_day": 13}},
+], ids=["platoon_ratios", "idle_rates", "los_bands", "emission_factors", "pcu_factors",
+        "infinite_count"])
+def test_a_config_section_of_the_wrong_type_is_a_config_error(tmp_path, capsys, section):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(section))
+    assert main(["los", "--delay", "5", "--config", str(config)]) == 2
+    record = json.loads(capsys.readouterr().err)
+    assert record["error"] == "ConfigError"
+    assert record["message"].startswith("invalid configuration: ")
 
 
 def test_peak_hours_on_a_far_future_timestamp_exits_cleanly(tmp_path, capsys):

@@ -15,13 +15,7 @@ from intersection_analyzer import (
     load_config,
     platoon_ratio_from_delay,
 )
-from intersection_analyzer.errors import (
-    EmptyInput,
-    InputError,
-    InvariantViolation,
-    NoMajorApproaches,
-    SaturatedRegime,
-)
+from intersection_analyzer.errors import InputError, InvariantViolation, SaturatedRegime
 
 LOS_TABLES = load_config().los_tables
 DELAY_HETEROGENEOUS = LOS_TABLES["delay_heterogeneous"]
@@ -206,10 +200,10 @@ def test_intersection_delay_single_approach():
 
 
 def test_intersection_delay_no_majors():
-    with pytest.raises(NoMajorApproaches):
+    with pytest.raises(InputError, match="no approach is flagged as major"):
         intersection_delay({"SR1": 42.0}, DelayPolicy.MAJOR_ONLY, CONFIGS)
 
 
 def test_intersection_delay_empty():
-    with pytest.raises(EmptyInput):
+    with pytest.raises(InputError, match="no per-approach delays given"):
         intersection_delay({}, DelayPolicy.ALL_APPROACHES, CONFIGS)

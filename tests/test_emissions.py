@@ -11,7 +11,7 @@ from intersection_analyzer import (
     idle_fuel,
     scale_emissions,
 )
-from intersection_analyzer.errors import EmptyInput, InvariantViolation, MissingFactor
+from intersection_analyzer.errors import InputError, InvariantViolation
 
 FACTORS = EmissionFactorTable({
     FuelType.CNG: 2.252,
@@ -110,7 +110,7 @@ def test_co2_identity_is_exact():
 
 def test_missing_factor():
     partial = EmissionFactorTable({FuelType.CNG: 2.252})
-    with pytest.raises(MissingFactor):
+    with pytest.raises(InputError, match="no emission factor for petrol"):
         co2_from_fuel({FuelType.PETROL: 1.0}, partial)
     # zero quantities do not need a factor
     report = co2_from_fuel({FuelType.PETROL: 0.0}, partial)
@@ -136,7 +136,7 @@ def test_scale_degenerate():
 
 
 def test_scale_empty_input():
-    with pytest.raises(EmptyInput):
+    with pytest.raises(InputError, match="no per-intersection totals"):
         scale_emissions([], 3, 13.0)
 
 

@@ -1,3 +1,4 @@
+import csv
 import io
 
 import pytest
@@ -20,6 +21,7 @@ from intersection_analyzer.errors import (
     SchemaViolation,
     UnknownApproach,
 )
+from intersection_analyzer.ingest import _ENDS_QUOTED
 
 HEADER = "approach_id,cycle_length_s,red_s,green_s,two_wheeler,auto_rickshaw,car,lcv,bus"
 
@@ -150,6 +152,49 @@ def test_bare_carriage_return_in_a_field_is_a_schema_violation():
     with pytest.raises(SchemaViolation) as exc:
         ingest_approaches(io.StringIO("approach_id,inter\rsection_id\n"))
     assert exc.value.row == 1
+
+
+OVERSIZED_CELL = "9" * 140_000  # over the csv module's 131,072-character field limit
+
+
+@pytest.mark.parametrize("closing", ['999",', '999"', '9""9",7'])
+def test_no_line_inside_an_unterminated_quoted_field_becomes_a_row(closing):
+    text = ("approach_id,cycle_length_s,red_s,green_s,car\n"
+            "SR1,152,120,32,1\n"
+            f'SR1,152,120,32,"{OVERSIZED_CELL}\n'
+            "SR1,120,80,35,5\n"
+            f"{closing}\n"
+            "SR1,152,120,32,3\n"
+            "SR1,152,120,32,x\n")
+    records, errors = scan_cycles(io.StringIO(text), CONFIGS)
+    assert [r.counts.counts[VehicleClass.CAR] for r in records] == [1, 3]
+    assert [(type(e), e.row) for e in errors] == [(SchemaViolation, 3), (SchemaViolation, 7)]
+    assert "field larger than field limit" in str(errors[0])
+    assert "not an integer: 'x'" in str(errors[1])
+
+
+def test_a_quoted_field_closed_on_its_own_line_skips_nothing():
+    text = ("approach_id,cycle_length_s,red_s,green_s,car\n"
+            f'SR1,152,120,32,"{OVERSIZED_CELL}"\n'
+            "SR1,152,120,32,3\n")
+    records, errors = scan_cycles(io.StringIO(text), CONFIGS)
+    assert len(records) == 1 and [e.row for e in errors] == [2]
+
+
+csv_lines = st.lists(
+    st.text(alphabet='ab,"', max_size=8).map(lambda line: line + "\n"), min_size=1, max_size=4)
+
+
+@given(csv_lines)
+def test_quote_tracking_ends_records_where_csv_does(lines):
+    reader = csv.reader(lines)
+    record_ends = [reader.line_num for _ in reader]
+    quoted, ends = False, []
+    for number, line in enumerate(lines, start=1):
+        quoted = bool(_ENDS_QUOTED.fullmatch('"' + line if quoted else line))
+        if not quoted or number == len(lines):
+            ends.append(number)
+    assert ends == record_ends
 
 
 def test_ingest_approaches_round():

@@ -11,7 +11,7 @@ from intersection_analyzer import (
     ingest_cycles,
     load_config,
 )
-from intersection_analyzer.errors import NoData, NoMajorApproaches, SaturatedRegime
+from intersection_analyzer.errors import InputError, SaturatedRegime
 
 # Computed expectations for the bundled study dataset.  Where the dataset's
 # own tables are internally inconsistent (rounded per-cycle PCU inputs), the
@@ -119,7 +119,7 @@ def test_composition_uses_count_columns(result):
 
 
 def test_no_records_raises():
-    with pytest.raises(NoData):
+    with pytest.raises(InputError, match="no cycle records to analyze"):
         analyze_records([], {}, load_config())
 
 
@@ -137,7 +137,7 @@ def test_emission_policy_major_without_majors(study_records, study_approaches, t
         )
         for approach_id, cfg in study_approaches.items()
     }
-    with pytest.raises(NoMajorApproaches):
+    with pytest.raises(InputError, match="has no major approaches"):
         analyze_records(study_records, no_majors, load_config(),
                         emission_policy=DelayPolicy.MAJOR_ONLY)
 

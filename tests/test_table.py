@@ -24,7 +24,7 @@ from intersection_analyzer import (
     to_pcu,
     window_cycle_lengths,
 )
-from intersection_analyzer.errors import AnalyzerError, NoTimestamps
+from intersection_analyzer.errors import AnalyzerError, InputError
 from intersection_analyzer.ingest import CYCLE_COLUMNS
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -144,7 +144,7 @@ def test_no_timestamps_message_is_unchanged():
             "SR1,100,50,40,3,1646640000\nSR1,100,50,40,3,\nSR2,100,50,40,3,\n")
     table = ingest_cycles(io.StringIO(text))
     for records in (table, list(table)):
-        with pytest.raises(NoTimestamps) as exc:
+        with pytest.raises(InputError) as exc:
             window_cycle_lengths(records)
         assert str(exc.value) == "2 of 3 records carry no timestamp"
 
