@@ -15,7 +15,7 @@ import os
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
-from typing import Any, Mapping
+from typing import Any, Callable, Mapping
 
 from .errors import AnalyzerError, ConfigError
 from .flow import CapacityTable
@@ -134,27 +134,34 @@ def _build_city(section: Mapping[str, Any]) -> CityScaling:
 
 
 def _build(config: Mapping[str, Any]) -> AnalysisConfig:
+    def section(name: str, build: Callable[[Any], Any]) -> Any:
+        try:
+            return build(config[name])
+        except ConfigError:
+            raise
+        except (AttributeError, KeyError, OverflowError, TypeError, ValueError,
+                AnalyzerError) as err:
+            raise ConfigError(f"invalid configuration: section {name!r}: {err}") from None
+
     counts_unit = config["counts_unit"]
     if counts_unit not in (COUNTS_PCU, COUNTS_VEHICLES):
         raise ConfigError(
             f"counts_unit must be {COUNTS_PCU!r} or {COUNTS_VEHICLES!r}, got {counts_unit!r}")
     return AnalysisConfig(
-        version=int(config["version"]),
+        version=section("version", int),
         counts_unit=counts_unit,
-        pcu_factors=_build_pcu(config["pcu_factors"]),
-        capacity_table=_build_capacity(config["capacity_table"]),
-        los_tables=_build_los(config["los_bands"]),
-        emission_factors=EmissionFactorTable(
-            {FuelType(k): _finite(v, f"emission factor {k}")
-             for k, v in config["emission_factors"].items()}),
-        idle_rates=_build_idle_rates(config["idle_rates"]),
-        platoon_ratios={
+        pcu_factors=section("pcu_factors", _build_pcu),
+        capacity_table=section("capacity_table", _build_capacity),
+        los_tables=section("los_bands", _build_los),
+        emission_factors=section("emission_factors", lambda factors: EmissionFactorTable(
+            {FuelType(k): _finite(v, f"emission factor {k}") for k, v in factors.items()})),
+        idle_rates=section("idle_rates", _build_idle_rates),
+        platoon_ratios=section("platoon_ratios", lambda ratios: {
             str(k): _finite(v, f"platoon ratio for {k}")
-            for k, v in config.get("platoon_ratios", {}).get("values", {}).items()
-        },
-        default_platoon_ratio=_finite(
-            config["default_platoon_ratio"], "default_platoon_ratio"),
-        city=_build_city(config["city"]),
+            for k, v in ratios.get("values", {}).items()}),
+        default_platoon_ratio=section(
+            "default_platoon_ratio", lambda ratio: _finite(ratio, "default_platoon_ratio")),
+        city=section("city", _build_city),
     )
 
 
@@ -193,10 +200,4 @@ def load_config(path: str | Path | None = None) -> AnalysisConfig:
             pcu_factors.setdefault(
                 "composition_threshold", merged["pcu_factors"]["composition_threshold"])
         merged.update(overrides)
-    try:
-        return _build(merged)
-    except ConfigError:
-        raise
-    except (AttributeError, KeyError, OverflowError, TypeError, ValueError,
-            AnalyzerError) as err:
-        raise ConfigError(f"invalid configuration: {err}") from None
+    return _build(merged)

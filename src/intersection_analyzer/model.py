@@ -2,11 +2,13 @@
 table and approach geometry.
 
 Every type but ``CycleTable`` is immutable after construction and safe to
-share across threads; a table only grows, by ``CycleTable.append``.
+share across threads; a table only grows, by ``CycleTable.append`` or
+``CycleTable.extend``.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 from array import array
@@ -120,6 +122,34 @@ def check_cycle(
         raise InvariantViolation("exited_pcu must be >= 0")
 
 
+def failing_cycles(
+    cycle_length: Sequence[float],
+    red_time: Sequence[float],
+    green_time: Sequence[float],
+    effective_green: Sequence[float],
+    exited_pcu: Sequence[float],
+) -> list[int]:
+    """Indices of the rows ``check_cycle`` rejects, given column by column.
+
+    The same comparisons on the same floats, as C-level passes over whole
+    columns; NaN fails every comparison, so a NaN row is never reported.
+    """
+    zero, slack = itertools.repeat(0.0), itertools.repeat(_TIMING_SLACK_S)
+    add, gt, lt = operator.add, operator.gt, operator.lt
+    found: set[int] = set()
+    for flags in (
+        map(operator.le, cycle_length, zero),
+        map(lt, red_time, zero),
+        map(lt, green_time, zero),
+        map(gt, map(add, red_time, green_time), map(add, cycle_length, slack)),
+        map(lt, effective_green, zero),
+        map(gt, effective_green, map(add, green_time, slack)),
+        map(lt, exited_pcu, zero),
+    ):
+        found.update(itertools.compress(itertools.count(), flags))
+    return sorted(found)
+
+
 @dataclass(frozen=True, eq=True, slots=True)
 class SignalCycleRecord:
     """One signal cycle's timing joined with its classified counts.
@@ -175,8 +205,7 @@ class CycleTable(Sequence[SignalCycleRecord]):
 
     __slots__ = (
         "cycle_length", "red_time", "green_time", "effective_green",
-        "exited_pcu", "timestamp", "counts", "_approach", "_ids", "_rows",
-        "_number",
+        "exited_pcu", "timestamp", "counts", "_approach", "_ids", "_number",
     )
 
     def __init__(self) -> None:
@@ -189,7 +218,6 @@ class CycleTable(Sequence[SignalCycleRecord]):
         self.counts = array("q")
         self._approach = array("q")  # each row's index into _ids
         self._ids: list[str] = []  # approach ids, first seen first
-        self._rows: list[array] = []  # row numbers of each approach in _ids
         self._number: dict[str, int] = {}  # approach id -> its index in _ids
 
     @classmethod
@@ -222,25 +250,49 @@ class CycleTable(Sequence[SignalCycleRecord]):
         order, each an int in [0, ``COUNT_MAX``]; they are not checked here.
         """
         check_cycle(cycle_length, red_time, green_time, effective_green, exited_pcu)
-        number = self._number.get(approach_id)
-        if number is None:
-            number = self._number[approach_id] = len(self._ids)
-            self._ids.append(approach_id)
-            self._rows.append(array("q"))
-        self._rows[number].append(len(self._approach))
-        self._approach.append(number)
-        self.cycle_length.append(cycle_length)
-        self.red_time.append(red_time)
-        self.green_time.append(green_time)
-        self.effective_green.append(effective_green)
-        self.exited_pcu.append(exited_pcu)
-        self.timestamp.append(timestamp)
+        self.extend((approach_id,), (cycle_length,), (red_time,), (green_time,), counts,
+                    (effective_green,), (exited_pcu,), (timestamp,))
+
+    def extend(
+        self,
+        approach_ids: Sequence[str],
+        cycle_length: Iterable[float],
+        red_time: Iterable[float],
+        green_time: Iterable[float],
+        counts: Iterable[int],
+        effective_green: Iterable[float],
+        exited_pcu: Iterable[float],
+        timestamp: Iterable[float],
+    ) -> None:
+        """Add rows given column by column, with no check: every row must
+        already pass ``check_cycle`` and hold counts in [0, ``COUNT_MAX``].
+
+        ``counts`` holds each row's five class counts in ``VEHICLE_CLASSES``
+        order, row after row; NaN marks an absent optional value.
+        """
+        numbers = self._number
+        for approach_id in dict.fromkeys(approach_ids):
+            if approach_id not in numbers:
+                numbers[approach_id] = len(self._ids)
+                self._ids.append(approach_id)
+        self._approach.extend(map(numbers.__getitem__, approach_ids))
+        self.cycle_length.extend(cycle_length)
+        self.red_time.extend(red_time)
+        self.green_time.extend(green_time)
+        self.effective_green.extend(effective_green)
+        self.exited_pcu.extend(exited_pcu)
+        self.timestamp.extend(timestamp)
         self.counts.extend(counts)
 
     def groups(self) -> Iterator[tuple[str, array]]:
         """Each approach id with its row numbers in file order, approaches
         in the order they first appear."""
-        return zip(self._ids, self._rows)
+        # Built per call, not as rows arrive: thousands of small arrays made
+        # while a batch of rows is alive keep its memory from being reused.
+        rows = [array("q") for _ in self._ids]
+        for row, number in enumerate(self._approach):
+            rows[number].append(row)
+        return zip(self._ids, rows)
 
     def class_columns(self) -> list[array]:
         """One column per class in ``VEHICLE_CLASSES`` order: its count in each row."""

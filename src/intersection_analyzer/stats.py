@@ -7,6 +7,7 @@ windows are half-open [start, start + window) anchored at 08:00.
 
 from __future__ import annotations
 
+import itertools
 import math
 import statistics
 from dataclasses import dataclass
@@ -149,12 +150,18 @@ def window_cycle_lengths(
         starts.append(start)
         start += window
 
+    timestamps = table.timestamp
+    if all(map(float.is_integer, timestamps)):
+        # Whole seconds carry no fraction to round; int time of day
+        # compares and divides exactly as _day_and_time's float does.
+        day_times = map(divmod, map(int, timestamps), itertools.repeat(SECONDS_PER_DAY))
+    else:
+        day_times = map(_day_and_time, timestamps)
     kept_weekdays = _KEPT_WEEKDAYS[day_filter]
     kept_any = False
     sums = [0.0] * len(starts)
     counts = [0] * len(starts)
-    for timestamp, cycle_length in zip(table.timestamp, table.cycle_length):
-        day, tod = _day_and_time(timestamp)
+    for (day, tod), cycle_length in zip(day_times, table.cycle_length):
         if kept_weekdays is not None and _weekday(day) not in kept_weekdays:
             continue
         kept_any = True

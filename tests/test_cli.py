@@ -293,7 +293,8 @@ def test_a_config_section_of_the_wrong_type_is_a_config_error(tmp_path, capsys, 
     assert main(["los", "--delay", "5", "--config", str(config)]) == 2
     record = json.loads(capsys.readouterr().err)
     assert record["error"] == "ConfigError"
-    assert record["message"].startswith("invalid configuration: ")
+    name = next(iter(section))
+    assert record["message"].startswith(f"invalid configuration: section {name!r}: ")
 
 
 def test_peak_hours_on_a_far_future_timestamp_exits_cleanly(tmp_path, capsys):

@@ -3,12 +3,15 @@ against the reference implementations in ``oracles.py``."""
 
 import csv
 import io
+import itertools
 from datetime import date, datetime, timezone
+from unittest import mock
 
 from hypothesis import assume, example, given, settings, strategies as st
 
 import oracles
-from intersection_analyzer import scan_cycles
+from intersection_analyzer import ingest, scan_cycles
+from intersection_analyzer.errors import SchemaViolation
 from intersection_analyzer.ingest import CYCLE_COUNT_COLUMNS, CYCLE_OPTIONAL, CYCLE_REQUIRED
 from intersection_analyzer.model import (
     ApproachConfig,
@@ -69,19 +72,20 @@ def good_row(draw, columns):
 
 
 @st.composite
-def cycle_csv(draw):
+def cycle_columns(draw):
     extra = draw(st.lists(st.sampled_from(CYCLE_COUNT_COLUMNS + CYCLE_OPTIONAL), unique=True))
-    columns = draw(st.permutations(list(CYCLE_REQUIRED) + extra))
-    if draw(st.integers(0, 19)) == 0:
-        columns.append(draw(st.sampled_from(["bogus", columns[0]])))
-    pad = draw(PADDING)
-    rows = [[pad + c for c in columns]]
-    for _ in range(draw(st.integers(0, 8))):
+    return draw(st.permutations(list(CYCLE_REQUIRED) + extra))
+
+
+@st.composite
+def dirty_rows(draw, columns, max_rows, padding=PADDING):
+    rows = []
+    for _ in range(draw(st.integers(0, max_rows))):
         row = draw(good_row(columns))
         # Most rows get zero to two bad cells; a few lose or gain a cell or go blank.
         for _ in range(draw(st.sampled_from([0, 0, 1, 1, 2]))):
             row[draw(st.integers(0, len(row) - 1))] = draw(BAD_CELL)
-        pad, mask = draw(PADDING), draw(st.integers(0, 2 ** len(row) - 1))
+        pad, mask = draw(padding), draw(st.integers(0, 2 ** len(row) - 1))
         row = [pad + cell + pad if mask >> i & 1 else cell for i, cell in enumerate(row)]
         mutation = draw(st.integers(0, 19))
         if mutation == 0:
@@ -89,12 +93,25 @@ def cycle_csv(draw):
         elif mutation == 1:
             row.append(draw(NUMBER_OR_JUNK))
         elif mutation == 2:
-            row = [draw(PADDING) for _ in row]
+            row = [draw(padding) for _ in row]
         rows.append(row)
+    return rows
+
+
+def to_csv(rows):
     buffer = io.StringIO()
     # "\r\n" makes the writer quote every cell holding either character.
     csv.writer(buffer, lineterminator="\r\n").writerows(rows)
     return buffer.getvalue()
+
+
+@st.composite
+def cycle_csv(draw):
+    columns = draw(cycle_columns())
+    if draw(st.integers(0, 19)) == 0:
+        columns.append(draw(st.sampled_from(["bogus", columns[0]])))
+    pad = draw(PADDING)
+    return to_csv([[pad + c for c in columns]] + draw(dirty_rows(columns, 8)))
 
 
 def outcome(scan, text, configs):
@@ -111,6 +128,72 @@ def outcome(scan, text, configs):
          "SR1,100,50,40,2,45\n,,,,,\nSR1,100,50,40\n", CONFIGS)
 def test_parser_matches_reference(text, configs):
     assert outcome(scan_cycles, text, configs) == outcome(oracles.scan_cycles, text, configs)
+
+
+# A padding "\n" makes the writer quote the cell, so its record spans lines.
+MULTILINE_PADDING = st.sampled_from(["", "", " ", "\n", " \n", "\n\n"])
+# Lines csv.reader cannot split: a bare carriage return in an unquoted field.
+UNSPLITTABLE = st.sampled_from(["SR1,15\r2,120,32,1\r\n", "x\ry\r\n", "\r1\r\n"])
+
+
+def csv_error(line):
+    try:
+        list(csv.reader([line]))
+    except csv.Error as err:
+        return str(err)
+    raise AssertionError(f"csv splits {line!r}")
+
+
+def reference_outcome(header, chunks, unsplittable, configs):
+    """What scan_cycles must return for ``header``, then each chunk of
+    records followed by its line of ``unsplittable``, from the oracle run
+    on each chunk alone.
+
+    Rows are numbered by record, as the oracle does, until the first
+    unsplittable line; from there on, by physical line, the number after
+    that line's, then again by record.
+    """
+    records, errors = [], []
+    last = 1  # the number of the last row read
+    physical = header.count("\n")
+    for chunk, bad_line in itertools.zip_longest(chunks, unsplittable):
+        chunk_records, chunk_errors = oracles.scan_cycles(io.StringIO(header + chunk), configs)
+        records += chunk_records
+        for err in chunk_errors:
+            err.row += last - 1
+            errors.append((type(err), str(err), err.row))
+        last += sum(1 for _ in csv.reader(io.StringIO(chunk)))
+        physical += chunk.count("\n")
+        if bad_line is not None:
+            last += 1
+            errors.append((SchemaViolation,
+                           f"row {last}: unreadable CSV row: {csv_error(bad_line)}", last))
+            physical += 1
+            last = physical
+    return records, errors
+
+
+@st.composite
+def batched_cycle_csv(draw):
+    """A header, chunks of up to ten dirty rows with cells spanning lines,
+    and the unsplittable lines between them."""
+    columns = draw(cycle_columns())
+    chunks = [to_csv(draw(dirty_rows(columns, 10, MULTILINE_PADDING)))
+              for _ in range(draw(st.integers(1, 4)))]
+    unsplittable = [draw(UNSPLITTABLE) for _ in chunks[1:]]
+    return to_csv([columns]), chunks, unsplittable
+
+
+@settings(max_examples=150, deadline=None)
+@given(batched_cycle_csv(), st.integers(1, 5), st.sampled_from([None, CONFIGS]))
+def test_batches_of_any_size_match_reference(parts, batch_rows, configs):
+    header, chunks, unsplittable = parts
+    text = header + "".join(
+        chunk + bad_line for chunk, bad_line in itertools.zip_longest(
+            chunks, unsplittable, fillvalue=""))
+    with mock.patch.object(ingest, "_BATCH_ROWS", batch_rows):
+        got = outcome(scan_cycles, text, configs)
+    assert got == reference_outcome(header, chunks, unsplittable, configs)
 
 
 # datetime's range: 0001-01-01T00:00:00Z up to the end of 9999-12-31.
@@ -163,12 +246,24 @@ def test_far_timestamps_still_get_a_time_of_day():
     assert 0 <= seconds < 86400 and 0 <= _weekday(day) < 7
 
 
-week = st.floats(1704067200 - 86400, 1704067200 + 8 * 86400)
+WEEK_START = 1704067200  # 2024-01-01 00:00 UTC, a Monday
+week = st.one_of(
+    st.floats(WEEK_START - 86400, WEEK_START + 8 * 86400),
+    # whole seconds, which window_cycle_lengths splits with integer divmod
+    st.integers(WEEK_START - 86400, WEEK_START + 8 * 86400).map(float),
+)
+# The 08:00 and 21:00 edges and the first and last second of a Saturday.
+WHOLE = [WEEK_START + 5 * 86400 + s for s in (0, 8 * 3600 - 1, 8 * 3600, 21 * 3600 - 1, 86399)]
 
 
 @given(st.lists(st.tuples(week, st.floats(1.0, 300.0)), max_size=40),
        st.sampled_from(list(DayFilter)),
        st.sampled_from([600.0, 1800.0, 3600.0, 1234.5, 50000.0]))
+@example([(float(t), 100.0 + i) for i, t in enumerate(WHOLE)], DayFilter.SATURDAY, 1800.0)
+@example([(float(t), 100.0 + i) for i, t in enumerate(WHOLE)], DayFilter.ALL, 1234.5)
+@example([(float(WHOLE[2]), 90.0), (WHOLE[2] + 0.5, 120.0), (WHOLE[3] + 0.9999995, 60.0)],
+         DayFilter.SATURDAY, 3600.0)
+@example([(WHOLE[1] + 0.9999996, 90.0), (float(WHOLE[2]), 120.0)], DayFilter.ALL, 600.0)
 def test_windows_match_reference(samples, day_filter, window):
     records = [
         SignalCycleRecord("A", cycle, 0.0, 0.0, ClassifiedCount("A", {}, timestamp))

@@ -1,5 +1,8 @@
 import csv
+import gc
 import io
+import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, strategies as st
@@ -195,6 +198,74 @@ def test_quote_tracking_ends_records_where_csv_does(lines):
         if not quoted or number == len(lines):
             ends.append(number)
     assert ends == record_ends
+
+
+def dirty_cycle_file(rows, seed):
+    """A deterministic cycle CSV with the five bad-row kinds of the bench's
+    dirty workload at about 1% each, empty count and optional cells, and
+    blank rows."""
+    rng = random.Random(seed)
+    columns = HEADER.split(",") + ["effective_green_s", "exited_pcu", "timestamp"]
+    lines = [",".join(columns)]
+    for _ in range(rows):
+        cycle = round(rng.uniform(60, 180), 1)
+        green = round(cycle * rng.uniform(0.2, 0.5), 1)
+        red = round(cycle - green - rng.uniform(0, 5), 1)
+        cells = [rng.choice(["SR1", "SR2", "SR3"]), f"{cycle:.1f}", f"{red:.1f}", f"{green:.1f}"]
+        cells += [str(rng.randrange(40)) for _ in range(5)]
+        cells += [f"{green * rng.uniform(0.8, 1.0):.1f}", f"{rng.uniform(0, 60):.2f}",
+                  str(1704067200 + rng.randrange(7 * 86400))]
+        for at in range(4, len(cells)):
+            if rng.random() < 0.03:
+                cells[at] = rng.choice(["", " "])
+        roll = rng.random()
+        if roll < 0.01:
+            cells[1] = "n/a"
+        elif roll < 0.02:
+            cells.pop()
+        elif roll < 0.03:
+            cells[4 + 2] = "-3"
+        elif roll < 0.04:
+            cells[2] = f"{cycle - green + 5.0:.1f}"
+        elif roll < 0.05:
+            cells[0] = "UNKNOWN" + cells[0]
+        elif roll < 0.06:
+            cells = rng.choice([[], [""] * len(cells), [" "]])
+        lines.append(",".join(cells))
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("configs", [None, {
+    approach_id: ApproachConfig(approach_id, "SSC", 2, Directionality.ONE_WAY, 7.0)
+    for approach_id in ("SR1", "SR2", "SR3")
+}], ids=["no_configs", "configs"])
+def test_a_long_dirty_file_matches_the_reference_parser(configs):
+    text = dirty_cycle_file(5000, seed=10)
+    table, errors = scan_cycles(io.StringIO(text), configs)
+    expected_records, expected_errors = oracles.scan_cycles(io.StringIO(text), configs)
+    assert len(table) > 4500 and len(errors) > 200
+    assert table == expected_records
+    assert ([(type(e), str(e), e.row) for e in errors]
+            == [(type(e), str(e), e.row) for e in expected_errors])
+
+
+def test_kept_errors_do_not_keep_the_rows_alive():
+    text = dirty_cycle_file(5000, seed=11)
+    tracemalloc.start()
+    try:
+        table, errors = scan_cycles(io.StringIO(text))
+        count = len(errors)
+        del table
+        gc.collect()
+        with_errors = tracemalloc.get_traced_memory()[0]
+        del errors
+        gc.collect()
+        held = with_errors - tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    # The errors themselves take well under 2 KB each; the rows they came
+    # from take about 2.5 MB.
+    assert count > 200 and held < 2000 * count
 
 
 def test_ingest_approaches_round():
