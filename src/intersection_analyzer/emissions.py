@@ -12,6 +12,8 @@ from __future__ import annotations
 import statistics
 from dataclasses import dataclass
 from enum import Enum
+from itertools import repeat
+from operator import add, mul, truediv
 from types import MappingProxyType
 from typing import Mapping, Sequence
 
@@ -86,6 +88,25 @@ class CityEstimate:
     extrapolated: bool
 
 
+def idle_fuel_columns(
+    hourly_counts: Mapping[VehicleClass, Sequence[float]],
+    mean_delay_s: Sequence[float],
+    rates: IdleRateTable,
+) -> dict[FuelType, list[float]]:
+    """``idle_fuel`` for many intersections at once, given column by column:
+    one entry per intersection in each class's counts and in the delays."""
+    idle_hours = list(map(truediv, mean_delay_s, repeat(3600.0)))
+    totals = {fuel: [0.0] * len(idle_hours) for fuel in FuelType}
+    for key in sorted(rates.rates, key=lambda k: (k[0].value, k[1].value)):
+        cls, fuel = key
+        rate = rates.rates[key]
+        counts = hourly_counts.get(cls, repeat(0.0))
+        burned = map(mul, map(mul, map(mul, counts, idle_hours), repeat(rate.fleet_fraction)),
+                     repeat(rate.rate_per_hour))
+        totals[fuel] = list(map(add, totals[fuel], burned))
+    return totals
+
+
 def idle_fuel(
     hourly_counts: Mapping[VehicleClass, float],
     mean_delay_s: float,
@@ -98,14 +119,9 @@ def idle_fuel(
     """
     if mean_delay_s < 0:
         raise InputError(f"mean delay must be >= 0, got {mean_delay_s}")
-    idle_hours = mean_delay_s / 3600.0
-    totals = {fuel: 0.0 for fuel in FuelType}
-    for key in sorted(rates.rates, key=lambda k: (k[0].value, k[1].value)):
-        cls, fuel = key
-        rate = rates.rates[key]
-        count = hourly_counts.get(cls, 0.0)
-        totals[fuel] += count * idle_hours * rate.fleet_fraction * rate.rate_per_hour
-    return totals
+    columns = idle_fuel_columns(
+        {cls: (count,) for cls, count in hourly_counts.items()}, (mean_delay_s,), rates)
+    return {fuel: column[0] for fuel, column in columns.items()}
 
 
 def co2_from_fuel(

@@ -1,15 +1,20 @@
 """Flow-side computations: hourly volume, V/C ratio, saturation flow, green use.
 
 Everything returns full-precision floats; report emitters round (volumes
-and saturation flows to integers, ratios to two decimals).
+and saturation flows to integers, ratios to two decimals).  Each formula is
+written once, as a pass over columns (iterables of floats, one entry per
+approach) that returns an iterator; the scalar functions check their
+arguments and evaluate the same pass over one-entry columns.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
+from operator import mul, sub, truediv
 from types import MappingProxyType
-from typing import Mapping
+from typing import Iterable, Iterator, Mapping
 
 from .errors import InputError, InvariantViolation
 from .model import ApproachConfig, Directionality
@@ -77,19 +82,61 @@ class GreenReport:
     wastage: float | None = None
 
 
+def hourly_volumes(
+    pcu_per_cycle: Iterable[float], cycle_length: Iterable[float],
+) -> Iterator[float]:
+    """pcu * 3600 / cycle for each approach."""
+    return map(truediv, map(mul, pcu_per_cycle, repeat(3600.0)), cycle_length)
+
+
+def vc_ratios(volume: Iterable[float], capacity: Iterable[float]) -> Iterator[float]:
+    """volume / capacity for each approach."""
+    return map(truediv, volume, capacity)
+
+
+def discharge_flows(
+    exited_pcu: Iterable[float], effective_green: Iterable[float],
+) -> Iterator[float]:
+    """N / g_e * 3600 for each approach."""
+    return map(mul, map(truediv, exited_pcu, effective_green), repeat(3600.0))
+
+
+def width_flows(width: Iterable[float]) -> Iterator[float]:
+    """525 * width for each approach."""
+    return map(mul, repeat(WIDTH_FLOW_RATE), width)
+
+
+def shares_of_green(mean_green: Iterable[float], total: Iterable[float]) -> Iterator[float]:
+    """Each approach's mean green over its intersection's summed mean greens."""
+    return map(truediv, mean_green, total)
+
+
+def green_per_pcu(mean_green: Iterable[float], pcu_per_cycle: Iterable[float]) -> Iterator[float]:
+    """Seconds of green per PCU served in a cycle."""
+    return map(truediv, mean_green, pcu_per_cycle)
+
+
+def green_wastage(
+    mean_green: Iterable[float], mean_effective_green: Iterable[float],
+) -> Iterator[float]:
+    """The share of allocated green in which nothing discharged: (g - g_e) / g."""
+    mean_green = list(mean_green)
+    return map(truediv, map(sub, mean_green, mean_effective_green), mean_green)
+
+
 def hourly_volume(pcu_per_cycle: float, cycle_length: float) -> float:
     """Extrapolate one cycle's PCU to an hourly flow: pcu * 3600 / cycle."""
     if cycle_length <= 0:
         raise InputError(f"cycle_length must be > 0, got {cycle_length}")
     if pcu_per_cycle < 0:
         raise InputError(f"pcu_per_cycle must be >= 0, got {pcu_per_cycle}")
-    return pcu_per_cycle * 3600.0 / cycle_length
+    return next(hourly_volumes((pcu_per_cycle,), (cycle_length,)))
 
 
 def vc_ratio(volume: float, config: ApproachConfig, table: CapacityTable) -> float:
     if volume < 0:
         raise InputError(f"volume must be >= 0, got {volume}")
-    return volume / table.capacity_for(config)
+    return next(vc_ratios((volume,), (table.capacity_for(config),)))
 
 
 def saturation_flow_discharge(exited_pcu: float, effective_green: float) -> float:
@@ -99,7 +146,7 @@ def saturation_flow_discharge(exited_pcu: float, effective_green: float) -> floa
             f"effective green must be > 0, got {effective_green}")
     if exited_pcu < 0:
         raise InputError(f"exited_pcu must be >= 0, got {exited_pcu}")
-    flow = exited_pcu / effective_green * 3600.0
+    flow = next(discharge_flows((exited_pcu,), (effective_green,)))
     if not math.isfinite(flow):
         raise InputError(
             f"saturation flow is not finite: exited_pcu {exited_pcu:g} over "
@@ -111,7 +158,7 @@ def saturation_flow_width(width: float) -> float:
     """Saturation flow from geometry alone: 525 * width (PCU/hour)."""
     if width <= 0:
         raise InputError(f"width must be > 0, got {width}")
-    return WIDTH_FLOW_RATE * width
+    return next(width_flows((width,)))
 
 
 def green_shares(mean_greens: Mapping[str, float]) -> dict[str, float]:
@@ -122,4 +169,4 @@ def green_shares(mean_greens: Mapping[str, float]) -> dict[str, float]:
     total = sum(ordered.values())
     if total <= 0:
         raise InputError("total green time across the intersection is zero")
-    return {approach_id: mean / total for approach_id, mean in ordered.items()}
+    return dict(zip(ordered, shares_of_green(ordered.values(), repeat(total))))

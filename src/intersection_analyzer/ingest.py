@@ -365,6 +365,8 @@ def ingest_approaches(source: TextIO | Iterable[str]) -> dict[str, ApproachConfi
             approach_id = cells["approach_id"]
             if not approach_id:
                 raise SchemaViolation("empty approach_id", row=line)
+            if not cells["intersection_id"]:
+                raise SchemaViolation("empty intersection_id", row=line)
             if approach_id in configs:
                 raise SchemaViolation(f"duplicate approach {approach_id!r}", row=line)
             try:

@@ -8,7 +8,11 @@ lower-inclusive with an open-ended F at 1.0.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from itertools import repeat
+from operator import le
+from typing import Sequence
 
 from .errors import InputError, InvariantViolation
 
@@ -42,16 +46,23 @@ class LosBandTable:
         if any(b2 <= b1 for b1, b2 in zip(bounds, bounds[1:])):
             raise InvariantViolation(f"bounds must be strictly increasing, got {bounds}")
 
+    def grades(self, values: Sequence[float]) -> list[str]:
+        """The grade of each value; NaN and negative values raise ``InputError``,
+        inf grades F.
+
+        A value's band is the number of bounds below it (upper-inclusive
+        bands) or at or below it (lower-inclusive ones): one binary search.
+        """
+        if not all(map(le, repeat(0.0), values)):
+            bad = next(value for value in values if not value >= 0)
+            raise InputError(f"classified value must be >= 0, got {bad}")
+        bounds = [upper for upper, _ in self.bands[:-1]]
+        search = bisect_left if self.upper_inclusive else bisect_right
+        return list(map(GRADES.__getitem__, map(search, repeat(bounds), values)))
+
     def classify(self, value: float) -> LosResult:
         """Grade ``value``; NaN and negative values raise ``InputError``, inf grades F."""
-        if not value >= 0:
-            raise InputError(f"classified value must be >= 0, got {value}")
-        for upper, grade in self.bands:
-            if upper is None:
-                return LosResult(grade, self.standard)
-            if (value <= upper) if self.upper_inclusive else (value < upper):
-                return LosResult(grade, self.standard)
-        raise AssertionError("unreachable: final band is open-ended")
+        return LosResult(self.grades((value,))[0], self.standard)
 
 
 def classify_los(value: float, table: LosBandTable) -> LosResult:

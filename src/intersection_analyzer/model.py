@@ -294,6 +294,11 @@ class CycleTable(Sequence[SignalCycleRecord]):
             rows[number].append(row)
         return zip(self._ids, rows)
 
+    def approach_column(self) -> tuple[list[str], array]:
+        """The approach ids in the order they first appear, and each row's
+        approach as an index into them."""
+        return self._ids, self._approach
+
     def class_columns(self) -> list[array]:
         """One column per class in ``VEHICLE_CLASSES`` order: its count in each row."""
         width = len(VEHICLE_CLASSES)

@@ -2,152 +2,280 @@
 
 Per-approach figures aggregate over however many cycles were recorded for
 that approach (single-row aggregate datasets reduce to the plain per-cycle
-formulas).  Orchestration is deterministic: approaches and intersections
-are processed in sorted id order.
+formulas).  Orchestration is deterministic: approaches are ordered by
+(intersection id, approach id) and intersections by id.
+
+The analysis works a column at a time.  One stable sort puts the table's
+rows in that order, each table column is gathered once, per-approach sums
+are taken over contiguous slices, and every formula is one C-level ``map``
+pass over the per-approach columns.  ``AnalysisResult`` holds the columns;
+``ApproachReport`` and ``IntersectionReport`` are views of one entry, built
+on demand.
 """
 
 from __future__ import annotations
 
 import math
-import statistics
-from dataclasses import dataclass
-from itertools import filterfalse
-from operator import itemgetter, mul
-from typing import Callable, Mapping, Sequence
+from bisect import bisect_left, bisect_right
+from itertools import chain, compress, count, repeat
+from operator import add, and_, attrgetter, itemgetter, le, lt, mul, ne, not_, sub, truediv
+from types import MappingProxyType
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .config import COUNTS_VEHICLES, AnalysisConfig
-from .delay import DelayInputs, DelayPolicy, control_delay, intersection_delay
+from .delay import (
+    DelayInputs,
+    DelayPolicy,
+    clamp_delays,
+    control_delay,
+    delay_loads,
+    saturated,
+    unclamped_delays,
+)
 from .emissions import (
     CityEstimate,
     EmissionReport,
+    FuelType,
     co2_from_fuel,
     idle_fuel,
+    idle_fuel_columns,
     scale_emissions,
 )
 from .errors import InputError, UnknownApproach
 from .flow import (
     FlowReport,
     GreenReport,
+    discharge_flows,
+    green_per_pcu,
     green_shares,
+    green_wastage,
     hourly_volume,
+    hourly_volumes,
     saturation_flow_discharge,
     saturation_flow_width,
+    shares_of_green,
     vc_ratio,
+    vc_ratios,
+    width_flows,
 )
 from .los import LosResult
-from .model import (
-    VEHICLE_CLASSES,
-    ApproachConfig,
-    ClassifiedCount,
-    CycleTable,
-    SignalCycleRecord,
-    VehicleClass,
-)
+from .model import VEHICLE_CLASSES, ApproachConfig, ClassifiedCount, CycleTable, SignalCycleRecord
 from .pcu import composition_shares
 # Unused here: ``bench/tracing.py`` hooks its ``pcu.to_pcu`` layer at this
 # name, and a missing name reads as an absent layer.
 from .pcu import to_pcu  # noqa: F401
-from .report import round_half_up
+from .report import fmt_column
 
 VC_STANDARD = "vc_ratio"
 
+# A divisor of 0 read through this becomes NaN, so the quotient is NaN (an
+# absent value) instead of a ZeroDivisionError.
+_ZERO_AS_NAN = {0: math.nan}
 
-@dataclass(frozen=True)
-class ApproachReport:
+
+def _zero_as_nan(divisors: Sequence[float]) -> Iterator[float]:
+    return map(_ZERO_AS_NAN.get, divisors, divisors)
+
+
+def _first(flags: Iterable[bool], none: int) -> int:
+    """The index of the first true flag, or ``none``."""
+    return next(compress(count(), flags), none)
+
+
+class _Columns:
+    """Named columns of equal length: ``columns.name[i]`` is entry ``i``."""
+
+    def __init__(self, **columns):
+        self.__dict__.update(columns)
+
+
+class _Field:
+    """A view attribute: the view's entry of the column of the same name.
+    An ``optional`` column marks an absent value with NaN; it reads as None."""
+
+    def __init__(self, optional: bool = False):
+        self.optional = optional
+
+    def __set_name__(self, owner, name: str) -> None:
+        self.name = name
+
+    def __get__(self, view, owner=None):
+        if view is None:
+            return self
+        value = getattr(view._columns, self.name)[view._index]
+        return None if self.optional and value != value else value
+
+
+class _View:
+    """A read-only record over entry ``index`` of a result's columns; it
+    compares and prints like a frozen dataclass with fields ``_fields``."""
+
+    __slots__ = ("_result", "_columns", "_index")
+    _fields: tuple[str, ...] = ()
+    _table = ""
+
+    def __init__(self, result: AnalysisResult, index: int):
+        self._result = result
+        self._columns = getattr(result, self._table)
+        self._index = index
+
+    def _values(self) -> list:
+        return [getattr(self, name) for name in self._fields]
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({fields})"
+
+
+class ApproachReport(_View):
     """Computed bundle for one approach."""
 
-    approach_id: str
-    intersection_id: str
-    lane_count: int
-    directionality: str
-    width: float
-    mean_cycle_length: float
-    mean_green: float
-    mean_effective_green: float | None
-    mean_exited_pcu: float | None
-    composition: Mapping[VehicleClass, float]
-    flow: FlowReport
-    green: GreenReport
-    platoon_ratio: float
-    delay_s: float
-    delay_clamped: bool
-    los: Mapping[str, LosResult]
-
-
-@dataclass(frozen=True)
-class IntersectionReport:
-    intersection_id: str
-    approach_ids: tuple[str, ...]
-    major_approach_ids: tuple[str, ...]
-    mean_delay_all: float
-    mean_delay_major: float | None
-    los_all: Mapping[str, LosResult]
-    los_major: Mapping[str, LosResult] | None
-    emissions: EmissionReport
-    emission_delay_s: float
-    notes: tuple[str, ...]
-
-
-@dataclass(frozen=True)
-class AnalysisResult:
-    approaches: tuple[ApproachReport, ...]
-    intersections: tuple[IntersectionReport, ...]
-    study_total_co2_kg_per_hour: float
-    city: CityEstimate
-
-
-@dataclass(frozen=True)
-class _ApproachFold:
-    """What one pass over an approach's rows collects, in file order.
-
-    ``class_counts`` holds one tuple per class with that class's count in
-    each row; ``totals`` sums each class over all rows and
-    ``record_totals`` holds each row's vehicle total.  Both are exact
-    integer sums.
-    """
-
-    cycles: Sequence[float]
-    greens: Sequence[float]
-    effective_greens: list[float]
-    exited: list[float]
-    class_counts: list[Sequence[int]]
-    totals: ClassifiedCount
-    record_totals: list[int]
-
-    def hourly_class_counts(self) -> dict[VehicleClass, float]:
-        cycle_time = sum(self.cycles)
-        return {cls: n * 3600.0 / cycle_time for cls, n in self.totals.counts.items()}
-
-
-def _taker(rows: Sequence[int]) -> Callable[[Sequence], Sequence]:
-    """A function returning the given rows of a column, in order."""
-    if len(rows) == 1:
-        row = rows[0]
-        return lambda column: (column[row],)
-    return itemgetter(*rows)
-
-
-def _fold_approach(
-    approach_id: str,
-    table: CycleTable,
-    class_columns: Sequence[Sequence[int]],
-    rows: Sequence[int],
-) -> _ApproachFold:
-    take = _taker(rows)
-    class_counts = [take(column) for column in class_columns]
-    return _ApproachFold(
-        cycles=take(table.cycle_length),
-        greens=take(table.green_time),
-        effective_greens=list(filterfalse(math.isnan, take(table.effective_green))),
-        exited=list(filterfalse(math.isnan, take(table.exited_pcu))),
-        class_counts=class_counts,
-        totals=ClassifiedCount(approach_id, dict(zip(VEHICLE_CLASSES, map(sum, class_counts)))),
-        record_totals=list(map(sum, zip(*class_counts))),
+    __slots__ = ()
+    _table = "by_approach"
+    _fields = (
+        "approach_id", "intersection_id", "lane_count", "directionality", "width",
+        "mean_cycle_length", "mean_green", "mean_effective_green", "mean_exited_pcu",
+        "composition", "flow", "green", "platoon_ratio", "delay_s", "delay_clamped", "los",
     )
 
+    approach_id = _Field()
+    intersection_id = _Field()
+    lane_count = _Field()
+    directionality = _Field()
+    width = _Field()
+    mean_cycle_length = _Field()
+    mean_green = _Field()
+    mean_effective_green = _Field(optional=True)
+    mean_exited_pcu = _Field(optional=True)
+    platoon_ratio = _Field()
+    delay_s = _Field()
+    delay_clamped = _Field()
+    hourly_volume = _Field()
+    capacity = _Field()
+    vc_ratio = _Field()
+    sf_width = _Field()
+    sf_discharge = _Field(optional=True)
+    pcu_per_cycle = _Field()
+    green_share = _Field()
+    green_to_pcu_ratio = _Field(optional=True)
+    wastage = _Field(optional=True)
 
-def _fmean_or_none(values: Sequence[float]) -> float | None:
-    return statistics.fmean(values) if values else None
+    @property
+    def composition(self) -> dict:
+        i = self._index
+        return {cls: shares[i] for cls, shares in self._columns.composition.items()}
+
+    @property
+    def flow(self) -> FlowReport:
+        return FlowReport(self.approach_id, self.hourly_volume, self.capacity,
+                          self.vc_ratio, self.sf_width, self.sf_discharge)
+
+    @property
+    def green(self) -> GreenReport:
+        return GreenReport(self.approach_id, self.pcu_per_cycle, self.green_share,
+                           self.green_to_pcu_ratio, self.wastage)
+
+    @property
+    def los(self) -> dict[str, LosResult]:
+        i, standards = self._index, self._result.los_standards
+        return {name: LosResult(grades[i], standards[name])
+                for name, grades in self._columns.los.items()}
+
+
+class IntersectionReport(_View):
+    __slots__ = ()
+    _table = "by_intersection"
+    _fields = (
+        "intersection_id", "approach_ids", "major_approach_ids", "mean_delay_all",
+        "mean_delay_major", "los_all", "los_major", "emissions", "emission_delay_s", "notes",
+    )
+
+    intersection_id = _Field()
+    mean_delay_all = _Field()
+    mean_delay_major = _Field(optional=True)
+    emission_delay_s = _Field()
+    notes = _Field()
+
+    @property
+    def approach_ids(self) -> tuple[str, ...]:
+        return tuple(self._result.by_approach.approach_id[self._columns.span[self._index]])
+
+    @property
+    def major_approach_ids(self) -> tuple[str, ...]:
+        span = self._columns.span[self._index]
+        by_approach = self._result.by_approach
+        return tuple(compress(by_approach.approach_id[span], by_approach.is_major[span]))
+
+    def _los(self, grades: Mapping[str, Sequence[str]]) -> dict[str, LosResult]:
+        i, standards = self._index, self._result.los_standards
+        return {name: LosResult(column[i], standards[name]) for name, column in grades.items()}
+
+    @property
+    def los_all(self) -> dict[str, LosResult]:
+        return self._los(self._columns.los_all)
+
+    @property
+    def los_major(self) -> dict[str, LosResult] | None:
+        return None if self.mean_delay_major is None else self._los(self._columns.los_major)
+
+    @property
+    def emissions(self) -> EmissionReport:
+        i, columns = self._index, self._columns
+        return EmissionReport(
+            fuel_per_hour=MappingProxyType({f: c[i] for f, c in columns.fuel_per_hour.items()}),
+            co2_per_hour=MappingProxyType({f: c[i] for f, c in columns.co2_per_hour.items()}),
+            total_co2_per_hour=columns.total_co2_per_hour[i],
+        )
+
+
+class AnalysisResult:
+    """The analysis as columns.
+
+    ``by_approach`` holds one entry per approach, in (intersection id,
+    approach id) order, and ``by_intersection`` one per intersection, in id
+    order; NaN marks an absent value.  ``los_standards`` names the standard
+    of each band table.  ``approaches`` and ``intersections`` build a view
+    of every entry on each access.
+    """
+
+    __slots__ = ("by_approach", "by_intersection", "los_standards",
+                 "study_total_co2_kg_per_hour", "city")
+
+    def __init__(self, by_approach: _Columns, by_intersection: _Columns,
+                 los_standards: Mapping[str, str], study_total_co2_kg_per_hour: float,
+                 city: CityEstimate):
+        self.by_approach = by_approach
+        self.by_intersection = by_intersection
+        self.los_standards = los_standards
+        self.study_total_co2_kg_per_hour = study_total_co2_kg_per_hour
+        self.city = city
+
+    @property
+    def approaches(self) -> tuple[ApproachReport, ...]:
+        return tuple(map(ApproachReport, repeat(self), range(len(self.by_approach.approach_id))))
+
+    @property
+    def intersections(self) -> tuple[IntersectionReport, ...]:
+        return tuple(map(IntersectionReport, repeat(self),
+                         range(len(self.by_intersection.intersection_id))))
+
+    def _values(self) -> tuple:
+        return (self.approaches, self.intersections, self.study_total_co2_kg_per_hour, self.city)
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not AnalysisResult:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __repr__(self) -> str:
+        approaches, intersections, total, city = self._values()
+        return (f"AnalysisResult(approaches={approaches!r}, intersections={intersections!r}, "
+                f"study_total_co2_kg_per_hour={total!r}, city={city!r})")
 
 
 def analyze_records(
@@ -160,214 +288,259 @@ def analyze_records(
     any sequence of records."""
     if not records:
         raise InputError("no cycle records to analyze")
-    cycle_table = CycleTable.from_records(records)
-
-    by_approach = dict(cycle_table.groups())
-    for approach_id in by_approach:
+    table = CycleTable.from_records(records)
+    ids, numbers = table.approach_column()
+    for approach_id in ids:
         if approach_id not in approaches:
             raise UnknownApproach(f"approach {approach_id!r} has no configuration")
-    class_columns = cycle_table.class_columns()
 
-    by_intersection: dict[str, list[str]] = {}
-    for approach_id in sorted(by_approach):
-        intersection_id = approaches[approach_id].intersection_id
-        by_intersection.setdefault(intersection_id, []).append(approach_id)
+    # The approaches in output order, and the rows stably sorted by their
+    # approach's place in it: each approach's rows are then contiguous.
+    output = sorted(ids, key=lambda a: (approaches[a].intersection_id, a))
+    place = dict(zip(output, count()))
+    row_place = list(map(list(map(place.__getitem__, ids)).__getitem__, numbers))
+    order = sorted(range(len(row_place)), key=row_place.__getitem__)
+    row_place.sort()
+    row_start = list(map(bisect_left, repeat(row_place), range(len(output) + 1)))
+    del row_place, place
+    rows = list(map(slice, row_start, row_start[1:]))
+    sizes = list(map(sub, row_start[1:], row_start))
 
-    approach_reports: list[ApproachReport] = []
-    intersection_reports: list[IntersectionReport] = []
+    geometry = list(map(approaches.__getitem__, output))
+    a = _Columns(
+        approach_id=output,
+        intersection_id=list(map(attrgetter("intersection_id"), geometry)),
+        lane_count=list(map(attrgetter("lane_count"), geometry)),
+        directionality=[g.directionality.value for g in geometry],
+        width=list(map(attrgetter("width"), geometry)),
+        is_major=list(map(attrgetter("is_major"), geometry)),
+    )
+    # Each intersection's approaches, as a slice of the approach columns.
+    start = [0, *compress(count(1), map(ne, a.intersection_id, a.intersection_id[1:])),
+             len(output)]
+    spans = list(map(slice, start, start[1:]))
+    counts = list(map(sub, start[1:], start))
 
-    for intersection_id in sorted(by_intersection):
-        approach_ids = by_intersection[intersection_id]
-        folds = {
-            a: _fold_approach(a, cycle_table, class_columns, by_approach[a])
-            for a in approach_ids
-        }
+    take = itemgetter(*order) if len(order) > 1 else (lambda column: (column[order[0]],))
 
-        # Each class's PCU factor, in VEHICLE_CLASSES order, from the
-        # intersection's composition: a row's PCU is the same sum of
-        # count * factor products that ``pcu.to_pcu`` forms.
-        factors: tuple[float, ...] = ()
-        if config.counts_unit == COUNTS_VEHICLES:
-            shares = composition_shares(f.totals for f in folds.values())
-            factors = tuple(
-                config.pcu_factors.factor_for(cls, shares[cls]) for cls in VEHICLE_CLASSES)
+    def per_approach(column: Sequence, total=math.fsum) -> list:
+        """``total`` of each approach's run of an output-ordered row column."""
+        return list(map(total, map(column.__getitem__, rows)))
 
-        mean_greens = {a: statistics.fmean(f.greens) for a, f in folds.items()}
-        shares_by_approach = green_shares(mean_greens)
+    def per_intersection(column: Sequence, total=sum) -> list:
+        return list(map(total, map(column.__getitem__, spans)))
 
-        local_reports: list[ApproachReport] = []
-        for approach_id in approach_ids:
-            geometry = approaches[approach_id]
-            fold = folds[approach_id]
-            mean_cycle = statistics.fmean(fold.cycles)
-            mean_green = mean_greens[approach_id]
-            mean_ge = _fmean_or_none(fold.effective_greens)
-            mean_n = _fmean_or_none(fold.exited)
+    cycles = take(table.cycle_length)
+    a.mean_cycle_length = list(map(truediv, per_approach(cycles), sizes))
+    cycle_time = per_approach(cycles, sum)
+    del cycles
+    a.mean_green = list(map(truediv, per_approach(take(table.green_time)), sizes))
+    a.mean_effective_green = _present_means(take(table.effective_green), per_approach, sizes)
+    a.mean_exited_pcu = _present_means(take(table.exited_pcu), per_approach, sizes)
 
-            if sum(fold.record_totals) > 0:
-                composition = composition_shares([fold.totals])
-            else:
-                composition = {cls: 0.0 for cls in VEHICLE_CLASSES}
+    classes = [take(column) for column in table.class_columns()]
+    class_totals = [per_approach(column, sum) for column in classes]
+    # Shares of at least one vehicle: an approach with none has shares of 0.
+    vehicles = list(map(max, map(sum, zip(*class_totals)), repeat(1)))
+    a.composition = dict(zip(VEHICLE_CLASSES, (
+        list(map(truediv, totals, vehicles)) for totals in class_totals)))
+    intersection_vehicles = None
+    if config.counts_unit == COUNTS_VEHICLES:
+        # A row's PCU is the sum of count * factor in class order, the
+        # factors chosen by its intersection's composition.
+        intersection_totals = [per_intersection(totals) for totals in class_totals]
+        intersection_vehicles = list(map(sum, zip(*intersection_totals)))
+        divisors = list(map(max, intersection_vehicles, repeat(1)))
+        intersection_rows = [row_start[s.stop] - row_start[s.start] for s in spans]
+        pcu_rows = None
+        for cls, column, totals in zip(VEHICLE_CLASSES, classes, intersection_totals):
+            shares = map(truediv, totals, divisors)
+            factors = map(config.pcu_factors.factor_for, repeat(cls), shares)
+            pcu = map(mul, column, chain.from_iterable(map(repeat, factors, intersection_rows)))
+            pcu_rows = pcu if pcu_rows is None else map(add, pcu_rows, pcu)
+        pcu_rows = tuple(pcu_rows)
+    else:
+        pcu_rows = tuple(map(sum, zip(*classes)))
+    del classes
+    a.pcu_per_cycle = list(map(truediv, per_approach(pcu_rows), sizes))
+    del pcu_rows
 
-            if config.counts_unit == COUNTS_VEHICLES:
-                pcu_per_cycle = statistics.fmean(
-                    [sum(map(mul, counts, factors)) for counts in zip(*fold.class_counts)])
-            else:
-                pcu_per_cycle = statistics.fmean(fold.record_totals)
-            volume = hourly_volume(pcu_per_cycle, mean_cycle)
-            capacity = config.capacity_table.capacity_for(geometry)
-            x = vc_ratio(volume, geometry, config.capacity_table)
+    a.hourly_volume = list(hourly_volumes(a.pcu_per_cycle, a.mean_cycle_length))
+    capacities = config.capacity_table.capacities
+    a.capacity = list(map(capacities.get, map(attrgetter("lane_count", "directionality"),
+                                              geometry), repeat(math.nan)))
+    del geometry
+    a.vc_ratio = list(vc_ratios(a.hourly_volume, a.capacity))
+    a.sf_width = list(width_flows(a.width))
+    # A mean effective green of 0 gives no discharge figure, as an absent one does.
+    a.sf_discharge = list(discharge_flows(
+        a.mean_exited_pcu, _zero_as_nan(a.mean_effective_green)))
+    a.platoon_ratio = list(map(config.platoon_ratios.get, output,
+                               repeat(config.default_platoon_ratio)))
+    green_ratio, load = delay_loads(a.mean_cycle_length, a.mean_green, a.vc_ratio)
+    green_total = per_intersection(a.mean_green)
+    major_count = per_intersection(a.is_major)
 
-            sf_width = saturation_flow_width(geometry.width)
-            sf_discharge = None
-            if mean_ge is not None and mean_n is not None and mean_ge > 0:
-                sf_discharge = saturation_flow_discharge(mean_n, mean_ge)
+    # Find the first intersection the scalar path would raise an error for:
+    # its approaches' failures in the formulas above, then its own.
+    failing_approach = min(_first(flags, len(output)) for flags in (
+        map(math.isnan, a.capacity),  # no capacity entry
+        map(math.isinf, a.sf_discharge),
+        map(not_, map(and_, map(lt, repeat(0.0), a.mean_green),
+                      map(le, a.mean_green, a.mean_cycle_length))),
+        map(not_, map(math.isfinite, a.vc_ratio)),
+        saturated(load),
+    ))
+    failing = min(
+        bisect_right(start, failing_approach) - 1,
+        _first(map(le, green_total, repeat(0.0)), len(spans)),
+        _first(map(not_, intersection_vehicles or ()), len(spans)),
+        _first(map(not_, major_count), len(spans))
+        if emission_policy is DelayPolicy.MAJOR_ONLY else len(spans),
+    )
 
-            ratio = mean_green / pcu_per_cycle if pcu_per_cycle > 0 else None
-            wastage = None
-            if mean_ge is not None and mean_green > 0:
-                wastage = (mean_green - mean_ge) / mean_green
+    # The delay model over the intersections before it, which hold no
+    # saturated or out-of-range approach.
+    seconds = list(unclamped_delays(
+        a.mean_cycle_length[:start[failing]], green_ratio, load, a.platoon_ratio))
+    a.delay_s, a.delay_clamped = clamp_delays(seconds)
+    del seconds, green_ratio, load
+    clean = spans[:failing]
+    n = counts[:failing]
+    i = _Columns(
+        intersection_id=[a.intersection_id[s.start] for s in spans],
+        span=spans,
+        mean_delay_all=list(map(truediv, map(math.fsum, map(a.delay_s.__getitem__, clean)), n)),
+        # A delay times is_major is the delay or 0, which leaves the exact
+        # sum of the major approaches' delays alone.
+        mean_delay_major=list(map(
+            truediv, map(math.fsum, map(list(map(mul, a.delay_s, a.is_major)).__getitem__,
+                                        clean)),
+            _zero_as_nan(major_count))),
+    )
+    i.emission_delay_s = (
+        i.mean_delay_major if emission_policy is DelayPolicy.MAJOR_ONLY else i.mean_delay_all)
+    hourly = {
+        cls: per_intersection(list(map(truediv, map(mul, totals, repeat(3600.0)), cycle_time)))
+        for cls, totals in zip(VEHICLE_CLASSES, class_totals)
+    }
+    i.fuel_per_hour = idle_fuel_columns(hourly, i.emission_delay_s, config.idle_rates)
+    factors = config.emission_factors.factors
+    failing = min([failing] + [
+        _first(map(ne, fuel, repeat(0.0)), failing)
+        for fuel_type, fuel in i.fuel_per_hour.items() if fuel_type not in factors
+    ])
+    if failing < len(spans):
+        _raise_error(spans[failing], a, class_totals, approaches, config, emission_policy,
+                     {cls: column[failing] for cls, column in hourly.items()},
+                     i.emission_delay_s[failing:failing + 1])
 
-            r_p = config.platoon_ratio_for(approach_id)
-            estimate = control_delay(
-                DelayInputs(mean_cycle, mean_green, x, platoon_ratio=r_p))
+    # Every intersection passed: every approach's mean green lies in (0, C].
+    totals = chain.from_iterable(map(repeat, green_total, counts))
+    a.green_share = list(shares_of_green(a.mean_green, totals))
+    a.green_to_pcu_ratio = list(green_per_pcu(a.mean_green, _zero_as_nan(a.pcu_per_cycle)))
+    a.wastage = list(green_wastage(a.mean_green, a.mean_effective_green))
 
-            # Grade at report precision so the emitted 2-decimal V/C and its
-            # grade can never disagree.
-            los: dict[str, LosResult] = {}
-            for name, table in config.los_tables.items():
-                value = round_half_up(x, 2) if name == VC_STANDARD else estimate.seconds
-                los[name] = table.classify(value)
+    # Grade V/C at report precision so the emitted 2-decimal V/C and its
+    # grade can never disagree.
+    a.vc_text = fmt_column(a.vc_ratio, 2)
+    a.los = {
+        name: bands.grades(list(map(float, a.vc_text)) if name == VC_STANDARD else a.delay_s)
+        for name, bands in config.los_tables.items()
+    }
+    delay_bands = {
+        name: bands for name, bands in config.los_tables.items() if name != VC_STANDARD}
+    i.los_all = {name: bands.grades(i.mean_delay_all) for name, bands in delay_bands.items()}
+    # An intersection with no major approach has no major-only grades: its
+    # NaN mean is graded as 0 and never read.
+    majors = list(map(max, repeat(0.0), i.mean_delay_major))
+    i.los_major = {name: bands.grades(majors) for name, bands in delay_bands.items()}
+    i.notes = list(map(_notes, map(a.approach_id.__getitem__, spans),
+                       map(a.los[VC_STANDARD].__getitem__, spans) if VC_STANDARD in a.los
+                       else repeat(None), i.mean_delay_all, i.mean_delay_major))
 
-            local_reports.append(ApproachReport(
-                approach_id=approach_id,
-                intersection_id=intersection_id,
-                lane_count=geometry.lane_count,
-                directionality=geometry.directionality.value,
-                width=geometry.width,
-                mean_cycle_length=mean_cycle,
-                mean_green=mean_green,
-                mean_effective_green=mean_ge,
-                mean_exited_pcu=mean_n,
-                composition=composition,
-                flow=FlowReport(
-                    approach_id=approach_id,
-                    hourly_volume=volume,
-                    capacity=capacity,
-                    vc_ratio=x,
-                    sf_width=sf_width,
-                    sf_discharge=sf_discharge,
-                ),
-                green=GreenReport(
-                    approach_id=approach_id,
-                    pcu_per_cycle=pcu_per_cycle,
-                    green_share=shares_by_approach[approach_id],
-                    green_to_pcu_ratio=ratio,
-                    wastage=wastage,
-                ),
-                platoon_ratio=r_p,
-                delay_s=estimate.seconds,
-                delay_clamped=estimate.clamped,
-                los=los,
-            ))
-
-        approach_reports.extend(local_reports)
-        intersection_reports.append(_intersection_report(
-            intersection_id, local_reports, folds, approaches, config,
-            emission_policy))
-
-    totals = [r.emissions.total_co2_per_hour for r in intersection_reports]
+    i.co2_per_hour = {
+        fuel_type: list(map(mul, fuel, repeat(factors.get(fuel_type, 0.0))))
+        for fuel_type, fuel in i.fuel_per_hour.items()
+    }
+    i.total_co2_per_hour = list(map(sum, zip(*i.co2_per_hour.values())))
     city = scale_emissions(
-        totals,
+        i.total_co2_per_hour,
         config.city.intersection_count,
         config.city.active_hours_per_day,
         config.city.co2_kg_per_hour,
     )
-    return AnalysisResult(
-        approaches=tuple(approach_reports),
-        intersections=tuple(intersection_reports),
-        study_total_co2_kg_per_hour=sum(totals),
-        city=city,
-    )
+    standards = {name: bands.standard for name, bands in config.los_tables.items()}
+    return AnalysisResult(a, i, standards, sum(i.total_co2_per_hour), city)
 
 
-def _intersection_report(
-    intersection_id: str,
-    local_reports: Sequence[ApproachReport],
-    folds: Mapping[str, _ApproachFold],
-    approaches: Mapping[str, ApproachConfig],
-    config: AnalysisConfig,
-    emission_policy: DelayPolicy,
-) -> IntersectionReport:
-    delays = {r.approach_id: r.delay_s for r in local_reports}
-    major_ids = tuple(
-        r.approach_id for r in local_reports if approaches[r.approach_id].is_major)
-    mean_all = intersection_delay(delays, DelayPolicy.ALL_APPROACHES, approaches)
-    mean_major = None
-    if major_ids:
-        mean_major = intersection_delay(delays, DelayPolicy.MAJOR_ONLY, approaches)
+def _present_means(column: Sequence[float], per_approach, sizes: Sequence[int]) -> list[float]:
+    """Each approach's mean of its entries that are not NaN; NaN if it has none.
 
-    delay_tables = {
-        name: table for name, table in config.los_tables.items()
-        if name != VC_STANDARD
-    }
-    los_all = {name: table.classify(mean_all) for name, table in delay_tables.items()}
-    los_major = None
-    if mean_major is not None:
-        los_major = {name: table.classify(mean_major) for name, table in delay_tables.items()}
-
-    notes = list(_intersection_notes(local_reports, mean_all, mean_major))
-
-    if emission_policy is DelayPolicy.MAJOR_ONLY and mean_major is None:
-        raise InputError(
-            f"intersection {intersection_id!r} has no major approaches for "
-            f"the requested emission delay policy")
-    emission_delay = mean_major if emission_policy is DelayPolicy.MAJOR_ONLY else mean_all
-
-    hourly_counts = {cls: 0.0 for cls in VEHICLE_CLASSES}
-    for approach_id in sorted(folds):
-        for cls, count in folds[approach_id].hourly_class_counts().items():
-            hourly_counts[cls] += count
-
-    fuel = idle_fuel(hourly_counts, emission_delay, config.idle_rates)
-    emissions = co2_from_fuel(fuel, config.emission_factors)
-
-    return IntersectionReport(
-        intersection_id=intersection_id,
-        approach_ids=tuple(r.approach_id for r in local_reports),
-        major_approach_ids=major_ids,
-        mean_delay_all=mean_all,
-        mean_delay_major=mean_major,
-        los_all=los_all,
-        los_major=los_major,
-        emissions=emissions,
-        emission_delay_s=emission_delay,
-        notes=tuple(notes),
-    )
+    Entries are never negative, so ``max(0.0, v)`` reads NaN as 0, which
+    leaves the exact sum alone.
+    """
+    absent = per_approach(tuple(map(math.isnan, column)), sum)
+    sums = per_approach(tuple(map(max, repeat(0.0), column)))
+    return list(map(truediv, sums, _zero_as_nan(list(map(sub, sizes, absent)))))
 
 
-def _intersection_notes(
-    local_reports: Sequence[ApproachReport],
-    mean_all: float,
-    mean_major: float | None,
-) -> list[str]:
+def _notes(approach_ids: Sequence[str], vc_grades: Sequence[str] | None,
+           mean_all: float, mean_major: float) -> tuple[str, ...]:
     notes: list[str] = []
-    vc_grades = {
-        r.approach_id: r.los[VC_STANDARD].grade
-        for r in local_reports if VC_STANDARD in r.los
-    }
-    if vc_grades:
-        listing = ", ".join(f"{a}={g}" for a, g in sorted(vc_grades.items()))
+    if vc_grades is not None:
+        listing = ", ".join(map("{}={}".format, approach_ids, vc_grades))
         notes.append(
             f"per-approach V/C grades: {listing}; no intersection-level V/C "
             f"grade is computed (no aggregation rule is defined)")
-        if len(set(vc_grades.values())) > 1:
-            grades = sorted(set(vc_grades.values()))
+        grades = sorted(set(vc_grades))
+        if len(grades) > 1:
             notes.append(
                 f"V/C grades differ across approaches ({grades[0]} to {grades[-1]}); "
                 f"any single intersection-level V/C grade would be a judgement call")
-    if mean_major is not None and abs(mean_major - mean_all) > 0.005:
+    if mean_major == mean_major and abs(mean_major - mean_all) > 0.005:
         notes.append(
             f"mean delay depends on the aggregation policy: "
             f"all-approach {mean_all:.2f} s vs major-only {mean_major:.2f} s")
-    return notes
+    return tuple(notes)
+
+
+def _raise_error(
+    span: slice,
+    a: _Columns,
+    class_totals: Sequence[Sequence[int]],
+    approaches: Mapping[str, ApproachConfig],
+    config: AnalysisConfig,
+    emission_policy: DelayPolicy,
+    hourly_counts: Mapping,
+    emission_delay: Sequence[float],
+) -> None:
+    """Re-run one intersection that failed a column check one approach at a
+    time through the scalar formulas, which raise its first error.
+
+    ``emission_delay`` holds the intersection's emission delay, or nothing
+    when the delay model was not run for it: one of its earlier checks then
+    raises first.
+    """
+    approach_ids = a.approach_id[span]
+    if config.counts_unit == COUNTS_VEHICLES:
+        composition_shares(
+            ClassifiedCount(approach_id, dict(zip(VEHICLE_CLASSES, totals)))
+            for approach_id, totals in zip(approach_ids, zip(*(t[span] for t in class_totals))))
+    green_shares(dict(zip(approach_ids, a.mean_green[span])))
+    for k in range(span.start, span.stop):
+        volume = hourly_volume(a.pcu_per_cycle[k], a.mean_cycle_length[k])
+        x = vc_ratio(volume, approaches[a.approach_id[k]], config.capacity_table)
+        saturation_flow_width(a.width[k])
+        effective_green, exited = a.mean_effective_green[k], a.mean_exited_pcu[k]
+        if effective_green > 0 and exited == exited:
+            saturation_flow_discharge(exited, effective_green)
+        control_delay(DelayInputs(
+            a.mean_cycle_length[k], a.mean_green[k], x, platoon_ratio=a.platoon_ratio[k]))
+    if emission_policy is DelayPolicy.MAJOR_ONLY and not any(a.is_major[span]):
+        raise InputError(
+            f"intersection {a.intersection_id[span.start]!r} has no major approaches for "
+            f"the requested emission delay policy")
+    co2_from_fuel(idle_fuel(hourly_counts, emission_delay[0], config.idle_rates),
+                  config.emission_factors)
+    raise AssertionError(f"no error found in intersection {a.intersection_id[span.start]!r}")

@@ -14,20 +14,21 @@ from __future__ import annotations
 import csv
 import functools
 import io
+import math
 import os
 import tempfile
 from decimal import ROUND_HALF_UP, Context, Decimal
+from itertools import chain, compress, count, cycle, repeat
+from operator import add, lt, mul, not_, or_, sub
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
-
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 from .errors import IoFailure
 from .model import VEHICLE_CLASSES
 from .stats import FiveNumberSummary, WindowedAverage
 
 if TYPE_CHECKING:
-    from .pipeline import AnalysisResult, ApproachReport
+    from .pipeline import AnalysisResult
 
 SCHEMA_VERSION = 1
 
@@ -87,16 +88,64 @@ def fmt_int(value: float) -> str:
     return str(int(round_half_up(value, 0)))
 
 
-def fmt_opt(value: float | None, places: int) -> str:
-    return "" if value is None else fmt(value, places)
-
-
-def fmt_opt_int(value: float | None) -> str:
-    return "" if value is None else fmt_int(value)
-
-
 def fmt_g(value: float | None) -> str:
     return "" if value is None else f"{value:.6g}"
+
+
+def fmt_column(values: Sequence[float], places: int) -> list[str]:
+    """``fmt`` of each value; NaN, an absent value, prints empty.
+
+    Each distinct value is formatted once.  Zeros of both signs are one key
+    of a dict but print differently, so a column holding a zero and a value
+    of negative sign is formatted value by value.
+    """
+    distinct = dict.fromkeys(values)
+    if 0.0 in distinct and min(map(math.copysign, repeat(1.0), values)) < 0:
+        return _fmt_each(values, places)
+    texts = dict(zip(distinct, _fmt_each(list(distinct), places)))
+    return list(map(texts.__getitem__, values))
+
+
+def _fmt_each(values: Sequence[float], places: int) -> list[str]:
+    """``fmt_column`` without the sharing of repeated values.
+
+    Each value is formatted in C at ``places`` and at one place more.  Only
+    the values ``fmt`` would not round in C (a tie, a large value or a
+    non-finite one) go through ``fmt`` itself.
+    """
+    limit, spec, finer = _fast_specs(places)
+    texts = list(map(format, values, repeat(spec)))
+    finer_texts = list(map(format, values, repeat(finer)))
+    redo = map(str.endswith, finer_texts, repeat("5"))
+    if texts and not (-limit < min(values) and max(values) < limit and "nan" not in texts):
+        redo = map(or_, redo, map(not_, map(lt, map(abs, values), repeat(limit))))
+    for i in compress(count(), redo):
+        value = values[i]
+        if float(finer_texts[i]) == value or not -limit < value < limit:
+            texts[i] = "" if math.isnan(value) else fmt(value, places)
+    return texts
+
+
+def fmt_int_column(values: Sequence[float]) -> list[str]:
+    """``fmt_int`` of each value; NaN prints empty."""
+    texts = fmt_column(values, 0)
+    # Below fmt's C limit the digits are already an integer's; -0 and the
+    # larger values are read back as ``fmt_int`` reads them.
+    limit = _fast_specs(0)[0]
+    redo = map(str.__eq__, texts, repeat("-0"))
+    if texts and not (-limit < min(values) and max(values) < limit):
+        redo = map(or_, redo, map(not_, map(lt, map(abs, values), repeat(limit))))
+    for i in compress(count(), redo):
+        texts[i] = texts[i] and str(int(float(texts[i])))
+    return texts
+
+
+def fmt_g_column(values: Sequence[float]) -> list[str]:
+    """``fmt_g`` of each value; NaN prints empty."""
+    texts = list(map(format, values, repeat(".6g")))
+    for i in compress(count(), map(math.isnan, values)):
+        texts[i] = ""
+    return texts
 
 
 def hhmm(seconds_since_midnight: float) -> str:
@@ -109,8 +158,7 @@ def _csv_doc(name: str, header: Sequence[str], rows: Iterable[Sequence[str]]) ->
     buffer.write(f"# schema: intersection-analyzer/{name} v{SCHEMA_VERSION}\n")
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(header)
-    for row in rows:
-        writer.writerow(row)
+    writer.writerows(rows)
     return buffer.getvalue()
 
 
@@ -147,27 +195,27 @@ class ArtifactWriter:
 
 
 # --- CSV families ------------------------------------------------------------
+#
+# The builders read the result's columns (NaN marks an absent value, which
+# prints empty), format each field once for the whole column and zip the
+# formatted columns into rows.
 
 def flow_csv(result: AnalysisResult) -> str:
-    rows = [
-        (r.approach_id, r.intersection_id, str(r.lane_count), r.directionality,
-         fmt_int(r.flow.capacity), fmt_int(r.flow.hourly_volume),
-         fmt(r.flow.vc_ratio, 2))
-        for r in result.approaches
-    ]
+    a = result.by_approach
+    rows = zip(a.approach_id, a.intersection_id, map(str, a.lane_count), a.directionality,
+               fmt_int_column(a.capacity), fmt_int_column(a.hourly_volume), a.vc_text)
     return _csv_doc("flow", (
         "approach_id", "intersection_id", "lanes", "directionality",
         "capacity_pcu_hr", "volume_pcu_hr", "vc_ratio"), rows)
 
 
 def saturation_csv(result: AnalysisResult) -> str:
-    rows = [
-        (r.approach_id, r.intersection_id, fmt_g(r.width),
-         fmt_g(r.mean_effective_green), fmt_g(r.mean_exited_pcu),
-         fmt_opt_int(r.flow.sf_discharge), fmt_int(r.flow.sf_width),
-         fmt_opt_int(r.flow.sf_difference))
-        for r in result.approaches
-    ]
+    a = result.by_approach
+    difference = list(map(sub, a.sf_discharge, a.sf_width))
+    rows = zip(a.approach_id, a.intersection_id, fmt_g_column(a.width),
+               fmt_g_column(a.mean_effective_green), fmt_g_column(a.mean_exited_pcu),
+               fmt_int_column(a.sf_discharge), fmt_int_column(a.sf_width),
+               fmt_int_column(difference))
     return _csv_doc("saturation", (
         "approach_id", "intersection_id", "width_m", "effective_green_s",
         "exited_pcu", "sf_discharge_pcu_hr", "sf_width_pcu_hr",
@@ -175,22 +223,18 @@ def saturation_csv(result: AnalysisResult) -> str:
 
 
 def composition_csv(result: AnalysisResult) -> str:
-    classes = [(cls, cls.value) for cls in VEHICLE_CLASSES]
-    rows = [
-        (r.approach_id, name, fmt(r.composition.get(cls, 0.0), 4))
-        for r in result.approaches
-        for cls, name in classes
-    ]
+    a = result.by_approach
+    shares = zip(*(fmt_column(a.composition[cls], 4) for cls in VEHICLE_CLASSES))
+    rows = zip(chain.from_iterable(map(repeat, a.approach_id, repeat(len(VEHICLE_CLASSES)))),
+               cycle([cls.value for cls in VEHICLE_CLASSES]), chain.from_iterable(shares))
     return _csv_doc("composition", ("approach_id", "vehicle_class", "share"), rows)
 
 
 def green_csv(result: AnalysisResult) -> str:
-    rows = [
-        (r.approach_id, r.intersection_id, fmt_g(r.mean_green),
-         fmt(r.green.green_share, 4), fmt_g(r.green.pcu_per_cycle),
-         fmt_opt(r.green.green_to_pcu_ratio, 2), fmt_opt(r.green.wastage, 3))
-        for r in result.approaches
-    ]
+    a = result.by_approach
+    rows = zip(a.approach_id, a.intersection_id, fmt_g_column(a.mean_green),
+               fmt_column(a.green_share, 4), fmt_g_column(a.pcu_per_cycle),
+               fmt_column(a.green_to_pcu_ratio, 2), fmt_column(a.wastage, 3))
     return _csv_doc("green", (
         "approach_id", "intersection_id", "mean_green_s", "green_share",
         "pcu_per_cycle", "green_s_per_pcu", "wastage"), rows)
@@ -198,47 +242,41 @@ def green_csv(result: AnalysisResult) -> str:
 
 def green_series_csv(result: AnalysisResult) -> str:
     """Plot-ready (approach, green, pcu) series for allocated-green charts."""
-    rows = [
-        (r.approach_id, fmt_g(r.mean_green), fmt_g(r.green.pcu_per_cycle))
-        for r in result.approaches
-    ]
+    a = result.by_approach
+    rows = zip(a.approach_id, fmt_g_column(a.mean_green), fmt_g_column(a.pcu_per_cycle))
     return _csv_doc("green-series", ("approach_id", "mean_green_s", "pcu_per_cycle"), rows)
 
 
 def delay_csv(result: AnalysisResult) -> str:
-    standards = sorted({name for r in result.approaches for name in r.los})
+    a = result.by_approach
+    standards = sorted(a.los)
     header = [
         "approach_id", "intersection_id", "cycle_s", "green_s", "vc_ratio",
         "platoon_ratio", "delay_s", "clamped",
     ] + [f"los_{name}" for name in standards]
-    rows = []
-    for r in result.approaches:
-        row = [
-            r.approach_id, r.intersection_id, fmt_g(r.mean_cycle_length),
-            fmt_g(r.mean_green), fmt(r.flow.vc_ratio, 2), fmt(r.platoon_ratio, 4),
-            fmt(r.delay_s, 2), "1" if r.delay_clamped else "0",
-        ]
-        row += [r.los[name].grade if name in r.los else "" for name in standards]
-        rows.append(row)
+    rows = zip(a.approach_id, a.intersection_id, fmt_g_column(a.mean_cycle_length),
+               fmt_g_column(a.mean_green), a.vc_text, fmt_column(a.platoon_ratio, 4),
+               fmt_column(a.delay_s, 2), map("01".__getitem__, a.delay_clamped),
+               *(a.los[name] for name in standards))
     return _csv_doc("delay-los", header, rows)
 
 
 def intersections_csv(result: AnalysisResult) -> str:
-    standards = sorted({
-        name for i in result.intersections for name in i.los_all})
+    i, is_major = result.by_intersection, result.by_approach.is_major
+    standards = sorted(i.los_all)
     header = ["intersection_id", "policy", "approaches_used", "mean_delay_s"]
     header += [f"los_{name}" for name in standards]
+    all_rows = zip(i.intersection_id, repeat("all"),
+                   [str(span.stop - span.start) for span in i.span],
+                   fmt_column(i.mean_delay_all, 2), *(i.los_all[name] for name in standards))
+    major_rows = zip(i.intersection_id, repeat("major"),
+                     [str(sum(is_major[span])) for span in i.span],
+                     fmt_column(i.mean_delay_major, 2),
+                     *(i.los_major[name] for name in standards))
     rows = []
-    for report in result.intersections:
-        all_row = [report.intersection_id, "all",
-                   str(len(report.approach_ids)), fmt(report.mean_delay_all, 2)]
-        all_row += [report.los_all[name].grade for name in standards]
+    for all_row, major_row in zip(all_rows, major_rows):
         rows.append(all_row)
-        if report.mean_delay_major is not None:
-            major_row = [report.intersection_id, "major",
-                         str(len(report.major_approach_ids)),
-                         fmt(report.mean_delay_major, 2)]
-            major_row += [report.los_major[name].grade for name in standards]
+        if major_row[3]:
             rows.append(major_row)
     return _csv_doc("intersection-delay", header, rows)
 
@@ -246,20 +284,12 @@ def intersections_csv(result: AnalysisResult) -> str:
 def emissions_csv(result: AnalysisResult) -> str:
     from .emissions import FuelType
 
-    rows = []
-    for report in result.intersections:
-        e = report.emissions
-        rows.append((
-            report.intersection_id,
-            fmt(report.emission_delay_s, 2),
-            fmt(e.fuel_per_hour[FuelType.CNG], 2),
-            fmt(e.fuel_per_hour[FuelType.DIESEL], 2),
-            fmt(e.fuel_per_hour[FuelType.PETROL], 2),
-            fmt(e.co2_per_hour[FuelType.CNG], 2),
-            fmt(e.co2_per_hour[FuelType.DIESEL], 2),
-            fmt(e.co2_per_hour[FuelType.PETROL], 2),
-            fmt(e.total_co2_per_hour, 2),
-        ))
+    i = result.by_intersection
+    fuels = (FuelType.CNG, FuelType.DIESEL, FuelType.PETROL)
+    rows = zip(i.intersection_id, fmt_column(i.emission_delay_s, 2),
+               *(fmt_column(i.fuel_per_hour[fuel], 2) for fuel in fuels),
+               *(fmt_column(i.co2_per_hour[fuel], 2) for fuel in fuels),
+               fmt_column(i.total_co2_per_hour, 2))
     return _csv_doc("emissions", (
         "intersection_id", "mean_delay_s", "cng_kg_hr", "diesel_l_hr",
         "petrol_l_hr", "co2_cng_kg_hr", "co2_diesel_kg_hr", "co2_petrol_kg_hr",
@@ -314,38 +344,39 @@ def boxplot_csv(summaries: Mapping[str, FiveNumberSummary]) -> str:
     return _csv_doc("five-number", ("group", "min", "q1", "median", "q3", "max"), rows)
 
 
+def _grade_lists(grades: Mapping[str, Sequence[str]], size: int) -> list[str]:
+    """Each entry's ``name=grade`` pairs in name order, joined by spaces."""
+    pairs = [list(map(add, repeat(f"{name}="), grades[name])) for name in sorted(grades)]
+    return list(map(" ".join, zip(*pairs))) if pairs else [""] * size
+
+
 def summary_text(result: AnalysisResult, active_hours: float) -> str:
+    a, i = result.by_approach, result.by_intersection
+    wastage = fmt_column(list(map(mul, a.wastage, repeat(100))), 1)
+    approach_lines = list(map(
+        "  {}: volume {} PCU/h, V/C {}, delay {} s, green share {}%{} [{}]".format,
+        a.approach_id, fmt_int_column(a.hourly_volume), a.vc_text, fmt_column(a.delay_s, 2),
+        fmt_column(list(map(mul, a.green_share, repeat(100))), 2),
+        [text and f", wastage {text}%" for text in wastage],
+        _grade_lists(a.los, len(a.approach_id))))
+    del wastage
+    mean_all = fmt_column(i.mean_delay_all, 2)
+    mean_major = fmt_column(i.mean_delay_major, 2)
+    grades_all = _grade_lists(i.los_all, len(mean_all))
+    grades_major = _grade_lists(i.los_major, len(mean_all))
+    total = fmt_column(i.total_co2_per_hour, 2)
+    emission_delay = fmt_column(i.emission_delay_s, 2)
+
     lines: list[str] = ["Signalized intersection analysis", ""]
-    by_intersection: dict[str, list[ApproachReport]] = {}
-    for r in result.approaches:
-        by_intersection.setdefault(r.intersection_id, []).append(r)
-    for report in result.intersections:
-        lines.append(f"Intersection {report.intersection_id} "
-                     f"({len(report.approach_ids)} approaches)")
-        for r in by_intersection.get(report.intersection_id, ()):
-            grades = " ".join(
-                f"{name}={r.los[name].grade}" for name in sorted(r.los))
-            lines.append(
-                f"  {r.approach_id}: volume {fmt_int(r.flow.hourly_volume)} PCU/h, "
-                f"V/C {fmt(r.flow.vc_ratio, 2)}, delay {fmt(r.delay_s, 2)} s, "
-                f"green share {fmt(r.green.green_share * 100, 2)}%"
-                + (f", wastage {fmt(r.green.wastage * 100, 1)}%"
-                   if r.green.wastage is not None else "")
-                + f" [{grades}]")
+    for k, (intersection_id, span) in enumerate(zip(i.intersection_id, i.span)):
+        lines.append(f"Intersection {intersection_id} ({span.stop - span.start} approaches)")
+        lines.extend(approach_lines[span])
+        lines.append(f"  mean delay (all approaches): {mean_all[k]} s {grades_all[k]}")
+        if mean_major[k]:
+            lines.append(f"  mean delay (major only):    {mean_major[k]} s {grades_major[k]}")
         lines.append(
-            f"  mean delay (all approaches): {fmt(report.mean_delay_all, 2)} s "
-            + " ".join(f"{name}={report.los_all[name].grade}"
-                       for name in sorted(report.los_all)))
-        if report.mean_delay_major is not None:
-            lines.append(
-                f"  mean delay (major only):    {fmt(report.mean_delay_major, 2)} s "
-                + " ".join(f"{name}={report.los_major[name].grade}"
-                           for name in sorted(report.los_major)))
-        lines.append(
-            f"  idle emissions: {fmt(report.emissions.total_co2_per_hour, 2)} kg CO2/h "
-            f"(at mean delay {fmt(report.emission_delay_s, 2)} s)")
-        for note in report.notes:
-            lines.append(f"  note: {note}")
+            f"  idle emissions: {total[k]} kg CO2/h (at mean delay {emission_delay[k]} s)")
+        lines.extend(map(add, repeat("  note: "), i.notes[k]))
         lines.append("")
     lines.append(
         f"Study total: {fmt(result.study_total_co2_kg_per_hour, 2)} kg CO2/h")

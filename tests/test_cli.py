@@ -428,3 +428,23 @@ def test_help_still_exits_0(capsys):
         main(["flow", "--help"])
     assert exit_info.value.code == 0
     assert "--cycles" in capsys.readouterr().out
+
+
+def test_an_empty_intersection_id_is_rejected(tmp_path, capsys):
+    # Blank ids once pooled their approaches into one nameless intersection.
+    approaches = tmp_path / "approaches.csv"
+    approaches.write_text(
+        "approach_id,intersection_id,lanes,directionality,width_m,free_left,is_major\n"
+        "N1,X,1,oneway,3.5,0,1\n"
+        "A1,,1,oneway,3.5,0,1\n"
+        "A2, ,1,oneway,3.5,0,1\n")
+    cycles = tmp_path / "cycles.csv"
+    cycles.write_text("approach_id,cycle_length_s,red_s,green_s,car\n"
+                      "N1,100,40,50,5\nA1,100,40,50,5\nA2,100,40,50,5\n")
+    out = tmp_path / "out"
+    code = main(["report", "--cycles", str(cycles), "--approaches", str(approaches),
+                 "--out", str(out)])
+    record = json.loads(capsys.readouterr().err)
+    assert code == 2 and not out.exists()
+    assert record == {"subcommand": "report", "error": "SchemaViolation",
+                      "message": "row 3: empty intersection_id", "row": 3, "exit_code": 2}

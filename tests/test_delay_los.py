@@ -3,6 +3,8 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
+import oracles
+
 from intersection_analyzer import (
     ApproachConfig,
     DelayInputs,
@@ -166,6 +168,44 @@ def test_classify_rejects_nan_and_negative_values():
                 table.classify(value)
         assert table.classify(math.inf).grade == "F"
         assert table.classify(0.0).grade == "A"
+
+
+# Both kinds of band, with bounds that are not integers.
+BAND_TABLES = (
+    DELAY_HETEROGENEOUS, DELAY_HCM, VC_RATIO_BANDS,
+    LosBandTable("lower", ((0.1, "A"), (0.25, "B"), (1.0, "C"), (7.5, "D"),
+                           (1e6, "E"), (None, "F")), upper_inclusive=False),
+    LosBandTable("upper", ((0.1, "A"), (0.25, "B"), (1.0, "C"), (7.5, "D"),
+                           (1e6, "E"), (None, "F"))),
+)
+
+
+def test_column_grades_match_classify_at_every_bound():
+    for table in BAND_TABLES:
+        values = [0.0, math.inf]
+        for bound, _ in table.bands[:-1]:
+            values += [math.nextafter(bound, -math.inf), bound, math.nextafter(bound, math.inf)]
+        expected = [oracles.classify(table, value).grade for value in values]
+        assert table.grades(values) == expected
+        assert [table.classify(value).grade for value in values] == expected
+        assert len(set(expected)) == 6
+
+
+@given(st.lists(st.floats(min_value=0.0, allow_nan=False), max_size=20))
+def test_column_grades_match_classify(values):
+    for table in BAND_TABLES:
+        assert table.grades(values) == [oracles.classify(table, v).grade for v in values]
+
+
+def test_column_grading_rejects_nan_and_negative_values_as_classify_does():
+    for table in BAND_TABLES:
+        for bad in (math.nan, -math.nan, -0.01, -5e-324, -math.inf):
+            with pytest.raises(InputError) as single:
+                table.classify(bad)
+            with pytest.raises(InputError) as column:
+                table.grades([0.5, math.inf, bad, -1.0])
+            assert str(column.value) == str(single.value)
+            assert str(single.value) == f"classified value must be >= 0, got {bad}"
 
 
 # --- intersection aggregation ------------------------------------------------

@@ -7,7 +7,9 @@ import math
 from hypothesis import example, given, settings, strategies as st
 
 import oracles
-from intersection_analyzer.report import fmt, fmt_int, round_half_up
+from intersection_analyzer.report import (
+    fmt, fmt_column, fmt_g, fmt_g_column, fmt_int, fmt_int_column, round_half_up,
+)
 
 PLACES = st.integers(0, 4)
 
@@ -87,3 +89,32 @@ def test_fast_rounding_matches_the_decimal_reference(case):
                     outcome(oracles.round_half_up, value, places),
                     outcome(oracles.fmt_int, value))
     assert got == expected
+
+
+@st.composite
+def columns(draw):
+    """A column mixing every kind of value above, with repeats and NaN."""
+    places = draw(PLACES)
+    pool = draw(st.lists(st.one_of(
+        st.floats(allow_infinity=False),
+        ties().map(lambda case: case[0]),
+        near_zero().map(lambda case: case[0]),
+        near_limit().map(lambda case: case[0]),
+        st.sampled_from([0.0, -0.0, math.nan, 2.675, 0.125])), min_size=1, max_size=8))
+    return draw(st.lists(st.sampled_from(pool), max_size=30)), places
+
+
+def absent_or(format_one):
+    return lambda value: "" if math.isnan(value) else format_one(value)
+
+
+@settings(max_examples=500, deadline=None)
+@given(case=columns())
+@example(case=([0.0, -0.0, 1.5, 0.0], 1))
+@example(case=([-0.0, 0.0], 2))
+@example(case=([math.nan, 1e300, 2.5], 0))
+def test_column_formatting_matches_fmt_value_by_value(case):
+    values, places = case
+    assert fmt_column(values, places) == list(map(absent_or(lambda v: fmt(v, places)), values))
+    assert fmt_g_column(values) == list(map(absent_or(fmt_g), values))
+    assert fmt_int_column(values) == list(map(absent_or(fmt_int), values))

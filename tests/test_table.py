@@ -174,8 +174,8 @@ def test_cli_builds_no_record_per_row(monkeypatch, tmp_path):
     assert run("validate", *WEEK) == (0, 0)
     assert run("peak-hours", *WEEK, *out) == (0, 0)
     assert run("variability", *WEEK, *out) == (0, 0)
-    # one class-total count per approach, in pcu and in vehicles mode
-    assert run("report", *WEEK, *out) == (0, 2)
-    assert run("report", *STUDY, *out) == (0, 9)
+    # the report sums class counts as columns, in pcu and in vehicles mode
+    assert run("report", *WEEK, *out) == (0, 0)
+    assert run("report", *STUDY, *out) == (0, 0)
     vehicles = ["--config", str(FIXTURES / "vehicles_config.json")]
-    assert run("report", *STUDY, *vehicles, *out) == (0, 9)
+    assert run("report", *STUDY, *vehicles, *out) == (0, 0)
