@@ -8,8 +8,8 @@ with cycle length C, allocated green g, volume-to-capacity ratio X and
 platoon ratio R_p (share of traffic arriving on green divided by the green
 share of the cycle).  The correction term can push the value negative, in
 which case the estimate clamps to zero and says so.  The model is written
-once, as passes over columns (one entry per approach); ``control_delay``
-evaluates them over one-entry columns.
+once, as a pass over columns (one entry per approach); ``control_delay``
+evaluates it over one-entry columns.
 """
 
 from __future__ import annotations
@@ -19,8 +19,8 @@ import statistics
 from dataclasses import dataclass
 from enum import Enum
 from itertools import repeat
-from operator import add, ge, lt, mul, sub, truediv
-from typing import Iterable, Iterator, Mapping, Sequence
+from operator import add, mul, sub, truediv
+from typing import Iterable, Iterator, Mapping
 
 from .errors import InputError, InvariantViolation, SaturatedRegime
 from .model import ApproachConfig
@@ -68,19 +68,6 @@ class DelayPolicy(Enum):
     MAJOR_ONLY = "major"
 
 
-def delay_loads(
-    cycle_length: Iterable[float], green_time: Iterable[float], vc_ratio: Iterable[float],
-) -> tuple[list[float], list[float]]:
-    """Each approach's green ratio g/C and its load X * g/C."""
-    green_ratio = list(map(truediv, green_time, cycle_length))
-    return green_ratio, list(map(mul, vc_ratio, green_ratio))
-
-
-def saturated(load: Iterable[float]) -> Iterator[bool]:
-    """Whether each load lies in the saturated regime the model does not cover."""
-    return map(ge, load, repeat(1.0 - SATURATION_GUARD))
-
-
 def unclamped_delays(
     cycle_length: Iterable[float],
     green_ratio: Iterable[float],
@@ -97,22 +84,18 @@ def unclamped_delays(
                map(mul, repeat(PLATOON_COEFFICIENT), platoon_ratio))
 
 
-def clamp_delays(seconds: Sequence[float]) -> tuple[list[float], list[bool]]:
-    """Negative delays as 0, and which of them were clamped."""
-    return list(map(max, seconds, repeat(0.0))), list(map(lt, seconds, repeat(0.0)))
-
-
 def control_delay(inputs: DelayInputs) -> DelayEstimate:
     """Evaluate the delay model at full precision, clamping negatives to 0."""
-    (green_ratio,), (load,) = delay_loads(
-        (inputs.cycle_length,), (inputs.green_time,), (inputs.vc_ratio,))
-    if next(saturated((load,))):
+    green_ratio = inputs.green_time / inputs.cycle_length
+    load = inputs.vc_ratio * green_ratio
+    if load >= 1.0 - SATURATION_GUARD:
         raise SaturatedRegime(
             f"X*g/C = {load:.9f}: the model covers undersaturated operation only")
-    seconds = list(unclamped_delays(
-        (inputs.cycle_length,), (green_ratio,), (load,), (inputs.platoon_ratio,)))
-    (clamped_seconds,), (clamped,) = clamp_delays(seconds)
-    return DelayEstimate(clamped_seconds, clamped=clamped)
+    (seconds,) = unclamped_delays(
+        (inputs.cycle_length,), (green_ratio,), (load,), (inputs.platoon_ratio,))
+    if seconds < 0.0:
+        return DelayEstimate(0.0, clamped=True)
+    return DelayEstimate(seconds, clamped=False)
 
 
 def platoon_ratio_from_delay(

@@ -1,10 +1,11 @@
 """Flow-side computations: hourly volume, V/C ratio, saturation flow, green use.
 
 Everything returns full-precision floats; report emitters round (volumes
-and saturation flows to integers, ratios to two decimals).  Each formula is
-written once, as a pass over columns (iterables of floats, one entry per
-approach) that returns an iterator; the scalar functions check their
-arguments and evaluate the same pass over one-entry columns.
+and saturation flows to integers, ratios to two decimals).  The two-step
+formulas (hourly volume, discharge saturation flow) are written once, as a
+pass over columns (iterables of floats, one entry per approach) that
+returns an iterator; their scalar functions check their arguments and
+evaluate the same pass over one-entry columns.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import repeat
-from operator import mul, sub, truediv
+from operator import mul, truediv
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping
 
@@ -89,39 +90,11 @@ def hourly_volumes(
     return map(truediv, map(mul, pcu_per_cycle, repeat(3600.0)), cycle_length)
 
 
-def vc_ratios(volume: Iterable[float], capacity: Iterable[float]) -> Iterator[float]:
-    """volume / capacity for each approach."""
-    return map(truediv, volume, capacity)
-
-
 def discharge_flows(
     exited_pcu: Iterable[float], effective_green: Iterable[float],
 ) -> Iterator[float]:
     """N / g_e * 3600 for each approach."""
     return map(mul, map(truediv, exited_pcu, effective_green), repeat(3600.0))
-
-
-def width_flows(width: Iterable[float]) -> Iterator[float]:
-    """525 * width for each approach."""
-    return map(mul, repeat(WIDTH_FLOW_RATE), width)
-
-
-def shares_of_green(mean_green: Iterable[float], total: Iterable[float]) -> Iterator[float]:
-    """Each approach's mean green over its intersection's summed mean greens."""
-    return map(truediv, mean_green, total)
-
-
-def green_per_pcu(mean_green: Iterable[float], pcu_per_cycle: Iterable[float]) -> Iterator[float]:
-    """Seconds of green per PCU served in a cycle."""
-    return map(truediv, mean_green, pcu_per_cycle)
-
-
-def green_wastage(
-    mean_green: Iterable[float], mean_effective_green: Iterable[float],
-) -> Iterator[float]:
-    """The share of allocated green in which nothing discharged: (g - g_e) / g."""
-    mean_green = list(mean_green)
-    return map(truediv, map(sub, mean_green, mean_effective_green), mean_green)
 
 
 def hourly_volume(pcu_per_cycle: float, cycle_length: float) -> float:
@@ -136,7 +109,7 @@ def hourly_volume(pcu_per_cycle: float, cycle_length: float) -> float:
 def vc_ratio(volume: float, config: ApproachConfig, table: CapacityTable) -> float:
     if volume < 0:
         raise InputError(f"volume must be >= 0, got {volume}")
-    return next(vc_ratios((volume,), (table.capacity_for(config),)))
+    return volume / table.capacity_for(config)
 
 
 def saturation_flow_discharge(exited_pcu: float, effective_green: float) -> float:
@@ -158,7 +131,7 @@ def saturation_flow_width(width: float) -> float:
     """Saturation flow from geometry alone: 525 * width (PCU/hour)."""
     if width <= 0:
         raise InputError(f"width must be > 0, got {width}")
-    return next(width_flows((width,)))
+    return WIDTH_FLOW_RATE * width
 
 
 def green_shares(mean_greens: Mapping[str, float]) -> dict[str, float]:
@@ -169,4 +142,4 @@ def green_shares(mean_greens: Mapping[str, float]) -> dict[str, float]:
     total = sum(ordered.values())
     if total <= 0:
         raise InputError("total green time across the intersection is zero")
-    return dict(zip(ordered, shares_of_green(ordered.values(), repeat(total))))
+    return {approach_id: mean / total for approach_id, mean in ordered.items()}

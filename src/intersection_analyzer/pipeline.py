@@ -17,25 +17,17 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
+from functools import reduce
 from itertools import chain, compress, count, repeat
-from operator import add, and_, attrgetter, itemgetter, le, lt, mul, ne, not_, sub, truediv
+from operator import add, and_, attrgetter, ge, itemgetter, le, lt, mul, ne, not_, sub, truediv
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .config import COUNTS_VEHICLES, AnalysisConfig
-from .delay import (
-    DelayInputs,
-    DelayPolicy,
-    clamp_delays,
-    control_delay,
-    delay_loads,
-    saturated,
-    unclamped_delays,
-)
+from .delay import SATURATION_GUARD, DelayInputs, DelayPolicy, control_delay, unclamped_delays
 from .emissions import (
     CityEstimate,
     EmissionReport,
-    FuelType,
     co2_from_fuel,
     idle_fuel,
     idle_fuel_columns,
@@ -43,20 +35,16 @@ from .emissions import (
 )
 from .errors import InputError, UnknownApproach
 from .flow import (
+    WIDTH_FLOW_RATE,
     FlowReport,
     GreenReport,
     discharge_flows,
-    green_per_pcu,
     green_shares,
-    green_wastage,
     hourly_volume,
     hourly_volumes,
     saturation_flow_discharge,
     saturation_flow_width,
-    shares_of_green,
     vc_ratio,
-    vc_ratios,
-    width_flows,
 )
 from .los import LosResult
 from .model import VEHICLE_CLASSES, ApproachConfig, ClassifiedCount, CycleTable, SignalCycleRecord
@@ -75,6 +63,13 @@ _ZERO_AS_NAN = {0: math.nan}
 
 def _zero_as_nan(divisors: Sequence[float]) -> Iterator[float]:
     return map(_ZERO_AS_NAN.get, divisors, divisors)
+
+
+def _left_sum(values: Iterable[float]) -> float:
+    """0.0 plus each value in turn, rounding after each addition.  From
+    Python 3.12 on the builtin ``sum`` compensates that rounding, which can
+    change the last bit."""
+    return reduce(add, values, 0.0)
 
 
 def _first(flags: Iterable[bool], none: int) -> int:
@@ -346,19 +341,20 @@ def analyze_records(
         list(map(truediv, totals, vehicles)) for totals in class_totals)))
     intersection_vehicles = None
     if config.counts_unit == COUNTS_VEHICLES:
-        # A row's PCU is the sum of count * factor in class order, the
-        # factors chosen by its intersection's composition.
+        # A row's PCU is the ``sum`` of its count * factor products in class
+        # order, the factors chosen by its intersection's composition.
         intersection_totals = [per_intersection(totals) for totals in class_totals]
         intersection_vehicles = list(map(sum, zip(*intersection_totals)))
         divisors = list(map(max, intersection_vehicles, repeat(1)))
         intersection_rows = [row_start[s.stop] - row_start[s.start] for s in spans]
-        pcu_rows = None
+        products = []
         for cls, column, totals in zip(VEHICLE_CLASSES, classes, intersection_totals):
             shares = map(truediv, totals, divisors)
             factors = map(config.pcu_factors.factor_for, repeat(cls), shares)
-            pcu = map(mul, column, chain.from_iterable(map(repeat, factors, intersection_rows)))
-            pcu_rows = pcu if pcu_rows is None else map(add, pcu_rows, pcu)
-        pcu_rows = tuple(pcu_rows)
+            products.append(map(
+                mul, column, chain.from_iterable(map(repeat, factors, intersection_rows))))
+        pcu_rows = tuple(map(sum, zip(*products)))
+        del products
     else:
         pcu_rows = tuple(map(sum, zip(*classes)))
     del classes
@@ -370,14 +366,15 @@ def analyze_records(
     a.capacity = list(map(capacities.get, map(attrgetter("lane_count", "directionality"),
                                               geometry), repeat(math.nan)))
     del geometry
-    a.vc_ratio = list(vc_ratios(a.hourly_volume, a.capacity))
-    a.sf_width = list(width_flows(a.width))
+    a.vc_ratio = list(map(truediv, a.hourly_volume, a.capacity))
+    a.sf_width = list(map(mul, repeat(WIDTH_FLOW_RATE), a.width))
     # A mean effective green of 0 gives no discharge figure, as an absent one does.
     a.sf_discharge = list(discharge_flows(
         a.mean_exited_pcu, _zero_as_nan(a.mean_effective_green)))
     a.platoon_ratio = list(map(config.platoon_ratios.get, output,
                                repeat(config.default_platoon_ratio)))
-    green_ratio, load = delay_loads(a.mean_cycle_length, a.mean_green, a.vc_ratio)
+    green_ratio = list(map(truediv, a.mean_green, a.mean_cycle_length))
+    load = list(map(mul, a.vc_ratio, green_ratio))
     green_total = per_intersection(a.mean_green)
     major_count = per_intersection(a.is_major)
 
@@ -389,7 +386,7 @@ def analyze_records(
         map(not_, map(and_, map(lt, repeat(0.0), a.mean_green),
                       map(le, a.mean_green, a.mean_cycle_length))),
         map(not_, map(math.isfinite, a.vc_ratio)),
-        saturated(load),
+        map(ge, load, repeat(1.0 - SATURATION_GUARD)),  # the saturated regime
     ))
     failing = min(
         bisect_right(start, failing_approach) - 1,
@@ -403,7 +400,8 @@ def analyze_records(
     # saturated or out-of-range approach.
     seconds = list(unclamped_delays(
         a.mean_cycle_length[:start[failing]], green_ratio, load, a.platoon_ratio))
-    a.delay_s, a.delay_clamped = clamp_delays(seconds)
+    a.delay_s = list(map(max, seconds, repeat(0.0)))
+    a.delay_clamped = list(map(lt, seconds, repeat(0.0)))
     del seconds, green_ratio, load
     clean = spans[:failing]
     n = counts[:failing]
@@ -421,7 +419,8 @@ def analyze_records(
     i.emission_delay_s = (
         i.mean_delay_major if emission_policy is DelayPolicy.MAJOR_ONLY else i.mean_delay_all)
     hourly = {
-        cls: per_intersection(list(map(truediv, map(mul, totals, repeat(3600.0)), cycle_time)))
+        cls: per_intersection(list(map(truediv, map(mul, totals, repeat(3600.0)), cycle_time)),
+                              _left_sum)
         for cls, totals in zip(VEHICLE_CLASSES, class_totals)
     }
     i.fuel_per_hour = idle_fuel_columns(hourly, i.emission_delay_s, config.idle_rates)
@@ -437,9 +436,10 @@ def analyze_records(
 
     # Every intersection passed: every approach's mean green lies in (0, C].
     totals = chain.from_iterable(map(repeat, green_total, counts))
-    a.green_share = list(shares_of_green(a.mean_green, totals))
-    a.green_to_pcu_ratio = list(green_per_pcu(a.mean_green, _zero_as_nan(a.pcu_per_cycle)))
-    a.wastage = list(green_wastage(a.mean_green, a.mean_effective_green))
+    a.green_share = list(map(truediv, a.mean_green, totals))
+    a.green_to_pcu_ratio = list(map(truediv, a.mean_green, _zero_as_nan(a.pcu_per_cycle)))
+    # (g - g_e) / g: the share of allocated green in which nothing discharged
+    a.wastage = list(map(truediv, map(sub, a.mean_green, a.mean_effective_green), a.mean_green))
 
     # Grade V/C at report precision so the emitted 2-decimal V/C and its
     # grade can never disagree.

@@ -95,20 +95,6 @@ def fmt_g(value: float | None) -> str:
 def fmt_column(values: Sequence[float], places: int) -> list[str]:
     """``fmt`` of each value; NaN, an absent value, prints empty.
 
-    Each distinct value is formatted once.  Zeros of both signs are one key
-    of a dict but print differently, so a column holding a zero and a value
-    of negative sign is formatted value by value.
-    """
-    distinct = dict.fromkeys(values)
-    if 0.0 in distinct and min(map(math.copysign, repeat(1.0), values)) < 0:
-        return _fmt_each(values, places)
-    texts = dict(zip(distinct, _fmt_each(list(distinct), places)))
-    return list(map(texts.__getitem__, values))
-
-
-def _fmt_each(values: Sequence[float], places: int) -> list[str]:
-    """``fmt_column`` without the sharing of repeated values.
-
     Each value is formatted in C at ``places`` and at one place more.  Only
     the values ``fmt`` would not round in C (a tie, a large value or a
     non-finite one) go through ``fmt`` itself.
