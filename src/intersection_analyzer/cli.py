@@ -9,12 +9,13 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterator, Sequence, TextIO
+from typing import Callable, Iterable, Iterator, Sequence, TextIO
 
 from . import report as rpt
 from .config import load_config
@@ -82,9 +83,17 @@ def _load_records(args, approaches) -> CycleTable:
         return ingest_cycles(handle, approaches)
 
 
-def _commit(writer: rpt.ArtifactWriter) -> int:
-    for path in writer.commit():
-        print(f"wrote {path}")
+def _emit(out: Path | None, artifacts: Iterable[tuple[str, Callable[[], str]]]) -> int:
+    """Build and stage each artifact in turn, then commit them all.
+
+    Each text is written to a temp file and dropped before the next is
+    built; if a build or a write fails, no output changes.
+    """
+    with rpt.ArtifactWriter(out or DEFAULT_OUT) as writer:
+        for name, build in artifacts:
+            writer.stage(name, build())
+        for path in writer.commit():
+            print(f"wrote {path}")
     return 0
 
 
@@ -110,9 +119,7 @@ def cmd_peak_hours(args) -> int:
     start, end = peak_window(windows, args.span)
     print(f"peak window: {rpt.hhmm(start)}-{rpt.hhmm(end)}")
     if args.out:
-        writer = rpt.ArtifactWriter(args.out)
-        writer.stage("windowed.csv", rpt.windowed_csv(windows))
-        return _commit(writer)
+        return _emit(args.out, [("windowed.csv", lambda: rpt.windowed_csv(windows))])
     return 0
 
 
@@ -148,9 +155,8 @@ def cmd_variability(args) -> int:
     for intersection_id, values in pooled.items():
         summaries[intersection_id] = five_number(values)
 
-    writer = rpt.ArtifactWriter(args.out or DEFAULT_OUT)
-    writer.stage("pvalues.csv", rpt.pvalues_csv(matrices))
-    writer.stage("boxplot.csv", rpt.boxplot_csv(summaries))
+    artifacts = [("pvalues.csv", lambda: rpt.pvalues_csv(matrices)),
+                 ("boxplot.csv", lambda: rpt.boxplot_csv(summaries))]
 
     intersection_ids = sorted(by_intersection)
     if len(intersection_ids) >= 2:
@@ -162,8 +168,8 @@ def cmd_variability(args) -> int:
                 outcome = z_test(inflow[first], inflow[second])
                 rows.append((first, second,
                              f"{outcome.z_statistic:.6g}", f"{outcome.p_value:.6g}"))
-        writer.stage("inflow_comparison.csv", rpt.inflow_comparison_csv(rows))
-    return _commit(writer)
+        artifacts.append(("inflow_comparison.csv", lambda: rpt.inflow_comparison_csv(rows)))
+    return _emit(args.out, artifacts)
 
 
 def cmd_los(args) -> int:
@@ -220,18 +226,18 @@ def cmd_analysis(args) -> int:
     # thousands of approaches it is most of a megabyte of peak RSS.
     del approaches
     hours = config.city.active_hours_per_day
-    artifacts = SUBCOMMANDS[args.command].artifacts
-    texts = {name: ARTIFACTS[name](result, hours) for name in artifacts if name != WINDOWED}
-    if WINDOWED in artifacts and table and not table.untimed():
-        windows = window_cycle_lengths(table, args.window, DayFilter(args.day))
-        texts[WINDOWED] = rpt.windowed_csv(windows)
-
-    writer = rpt.ArtifactWriter(args.out or DEFAULT_OUT)
-    for name, text in texts.items():
-        writer.stage(name, text)
-    status = _commit(writer)
+    names = SUBCOMMANDS[args.command].artifacts
+    artifacts = [(name, functools.partial(ARTIFACTS[name], result, hours))
+                 for name in names if name != WINDOWED]
+    if WINDOWED in names and table and not table.untimed():
+        artifacts.append((WINDOWED, lambda: rpt.windowed_csv(
+            window_cycle_lengths(table, args.window, DayFilter(args.day)))))
+    status = _emit(args.out, artifacts)
     if getattr(args, "format", FLAGS["format"]["default"]) == "text":
-        print(texts["summary.txt"], end="")
+        # Read back, so that no artifact's text outlives its staging.
+        with open(Path(args.out or DEFAULT_OUT, "summary.txt"), encoding="utf-8",
+                  newline="") as summary:
+            print(summary.read(), end="")
     return status
 
 

@@ -131,7 +131,10 @@ def saturation_flow_width(width: float) -> float:
     """Saturation flow from geometry alone: 525 * width (PCU/hour)."""
     if width <= 0:
         raise InputError(f"width must be > 0, got {width}")
-    return WIDTH_FLOW_RATE * width
+    flow = WIDTH_FLOW_RATE * width
+    if not math.isfinite(flow):
+        raise InputError(f"saturation flow is not finite: width {width:g} m")
+    return flow
 
 
 def green_shares(mean_greens: Mapping[str, float]) -> dict[str, float]:

@@ -344,6 +344,13 @@ def ingest_cycles(
 
 
 def ingest_approaches(source: TextIO | Iterable[str]) -> dict[str, ApproachConfig]:
+    """Parse and validate an approach CSV stream, failing on the first bad row.
+
+    Rows are read ``_BATCH_ROWS`` at a time and checked a column at a time,
+    as ``scan_cycles`` does; from the first row a check flags, the rest of
+    the batch goes through ``_approach_row`` one row at a time, which skips
+    a blank row and raises the first error of any other.
+    """
     reader = csv.reader(source)
     try:
         first = next(reader)
@@ -352,53 +359,138 @@ def ingest_approaches(source: TextIO | Iterable[str]) -> dict[str, ApproachConfi
     except csv.Error as err:
         raise _unsplittable(err, 1) from None
     names = _header(first, APPROACH_COLUMNS, APPROACH_COLUMNS)
+    at = [names.index(name) for name in APPROACH_COLUMNS]
 
     configs: dict[str, ApproachConfig] = {}
-    line = 1
+    line = 1  # the number of the last row read
+    while True:
+        batch: list[list[str]] = []
+        try:
+            batch.extend(itertools.islice(reader, _BATCH_ROWS))
+        except csv.Error as err:
+            # An error in the rows read before it comes first.
+            _add_approaches(batch, line + 1, names, at, configs)
+            raise _unsplittable(err, line + len(batch) + 1) from None
+        if not batch:
+            return configs
+        _add_approaches(batch, line + 1, names, at, configs)
+        line += len(batch)
+
+
+_DIRECTIONALITY = {d.value: d for d in Directionality}
+_FLAG = {"0": False, "1": True}
+
+
+def _first_true(flags: Iterable[bool], none: int) -> int:
+    return next(itertools.compress(itertools.count(), flags), none)
+
+
+def _converted(convert: Callable[[str], object], cells: Sequence[str], into: list) -> int:
+    """Append ``convert`` of each cell to ``into`` up to the first it
+    rejects; the number of cells converted."""
     try:
-        for line, row in enumerate(reader, start=2):
-            if not row or all(not cell.strip() for cell in row):
-                continue
-            if len(row) != len(names):
-                raise SchemaViolation(f"expected {len(names)} fields, got {len(row)}", row=line)
-            cells = {name: cell.strip() for name, cell in zip(names, row)}
-            approach_id = cells["approach_id"]
-            if not approach_id:
-                raise SchemaViolation("empty approach_id", row=line)
-            if not cells["intersection_id"]:
-                raise SchemaViolation("empty intersection_id", row=line)
-            if approach_id in configs:
-                raise SchemaViolation(f"duplicate approach {approach_id!r}", row=line)
-            try:
-                directionality = Directionality(cells["directionality"])
-            except ValueError:
-                raise SchemaViolation(
-                    f"directionality must be 'oneway' or 'twoway', got {cells['directionality']!r}",
-                    row=line) from None
-            try:
-                lanes = int(cells["lanes"])
-            except ValueError:
-                raise SchemaViolation(
-                    f"lanes: not an integer: {cells['lanes']!r}", row=line) from None
-            width = _float_cell(cells["width_m"], "width_m", line)
-            flags = {}
-            for column in ("free_left", "is_major"):
-                if cells[column] not in ("0", "1"):
-                    raise SchemaViolation(f"column {column!r} must be 0 or 1", row=line)
-                flags[column] = cells[column] == "1"
-            try:
-                configs[approach_id] = ApproachConfig(
-                    approach_id=approach_id,
-                    intersection_id=cells["intersection_id"],
-                    lane_count=lanes,
-                    directionality=directionality,
-                    width=width,
-                    free_left=flags["free_left"],
-                    is_major=flags["is_major"],
-                )
-            except AnalyzerError as err:
-                err.row = line
-                raise
-    except csv.Error as err:
-        raise _unsplittable(err, line + 1) from None
-    return configs
+        into.extend(map(convert, cells))  # keeps the values before a ValueError
+    except ValueError:
+        pass
+    return len(into)
+
+
+def _add_approaches(
+    rows: list[list[str]],
+    first: int,
+    names: Sequence[str],
+    at: Sequence[int],
+    configs: dict[str, ApproachConfig],
+) -> None:
+    """Add the approaches of consecutive rows, the first on line ``first``.
+
+    The rows before the first that any check flags are checked and built a
+    column at a time; every check there is one C-level pass over a column of
+    stripped cells.  The rows from the flagged one on go through
+    ``_approach_row``.
+    """
+    clean = _first_true(map(len(names).__ne__, map(len, rows)), len(rows))
+    if clean:
+        ids, intersections, lane_cells, directions, width_cells, free_cells, major_cells = (
+            list(map(str.strip, column)) for column in operator.itemgetter(*at)(
+                list(zip(*rows[:clean]))))
+        lanes: list[int] = []
+        widths: list[float] = []
+        lanes_read = _converted(int, lane_cells, lanes)
+        widths_read = _converted(float, width_cells, widths)
+        directionality = list(map(_DIRECTIONALITY.get, directions))
+        free_left = list(map(_FLAG.get, free_cells))
+        is_major = list(map(_FLAG.get, major_cells))
+        none = itertools.repeat(None)
+        clean = min(
+            _first_true(map(operator.not_, ids), clean),
+            _first_true(map(operator.not_, intersections), clean),
+            _first_true(map(operator.is_, directionality, none), clean),
+            _first_true(map(operator.gt, itertools.repeat(1), lanes), lanes_read),
+            _first_true(map(operator.not_, map(math.isfinite, widths)), widths_read),
+            _first_true(map(operator.ge, itertools.repeat(0.0), widths), clean),
+            _first_true(map(operator.is_, free_left, none), clean),
+            _first_true(map(operator.is_, is_major, none), clean),
+        )
+        ids = ids[:clean]
+        if len(set(ids)) < clean or not configs.keys().isdisjoint(ids):
+            seen = set(configs)
+            for j, approach_id in enumerate(ids):
+                if approach_id in seen:
+                    ids = ids[:j]
+                    break
+                seen.add(approach_id)
+            clean = len(ids)
+        configs.update(zip(ids, map(ApproachConfig, ids, intersections, lanes, directionality,
+                                    widths, free_left, is_major)))
+    for line, row in zip(itertools.count(first + clean), rows[clean:]):
+        _approach_row(row, line, names, configs)
+
+
+def _approach_row(
+    row: Sequence[str], line: int, names: Sequence[str], configs: dict[str, ApproachConfig],
+) -> None:
+    """Add one row's approach to ``configs``, skip it if blank, or raise its
+    first error."""
+    if not row or all(not cell.strip() for cell in row):
+        return
+    if len(row) != len(names):
+        raise SchemaViolation(f"expected {len(names)} fields, got {len(row)}", row=line)
+    cells = {name: cell.strip() for name, cell in zip(names, row)}
+    approach_id = cells["approach_id"]
+    if not approach_id:
+        raise SchemaViolation("empty approach_id", row=line)
+    if not cells["intersection_id"]:
+        raise SchemaViolation("empty intersection_id", row=line)
+    if approach_id in configs:
+        raise SchemaViolation(f"duplicate approach {approach_id!r}", row=line)
+    try:
+        directionality = Directionality(cells["directionality"])
+    except ValueError:
+        raise SchemaViolation(
+            f"directionality must be 'oneway' or 'twoway', got {cells['directionality']!r}",
+            row=line) from None
+    try:
+        lanes = int(cells["lanes"])
+    except ValueError:
+        raise SchemaViolation(
+            f"lanes: not an integer: {cells['lanes']!r}", row=line) from None
+    width = _float_cell(cells["width_m"], "width_m", line)
+    flags = {}
+    for column in ("free_left", "is_major"):
+        if cells[column] not in ("0", "1"):
+            raise SchemaViolation(f"column {column!r} must be 0 or 1", row=line)
+        flags[column] = cells[column] == "1"
+    try:
+        configs[approach_id] = ApproachConfig(
+            approach_id=approach_id,
+            intersection_id=cells["intersection_id"],
+            lane_count=lanes,
+            directionality=directionality,
+            width=width,
+            free_left=flags["free_left"],
+            is_major=flags["is_major"],
+        )
+    except AnalyzerError as err:
+        err.row = line
+        raise

@@ -77,6 +77,27 @@ def _first(flags: Iterable[bool], none: int) -> int:
     return next(compress(count(), flags), none)
 
 
+def _group_totals(total, column: Sequence, groups: Sequence[slice], what: str,
+                  owner: str, owner_ids: Sequence[str]) -> list:
+    """``total`` of each group of entries of ``column``; group ``k`` belongs
+    to the ``owner`` (approach or intersection) ``owner_ids[k]``.
+
+    ``math.fsum`` raises ``OverflowError`` where finite values add up past
+    the largest double; that is an input error naming ``what`` was added and
+    the owner of the first group it happens for.
+    """
+    try:
+        return list(map(total, map(column.__getitem__, groups)))
+    except OverflowError:
+        for owner_id, group in zip(owner_ids, groups):
+            try:
+                total(column[group])
+            except OverflowError:
+                raise InputError(f"the {what} of {owner} {owner_id!r} add up past the "
+                                 f"largest float") from None
+        raise
+
+
 class _Columns:
     """Named columns of equal length: ``columns.name[i]`` is entry ``i``."""
 
@@ -235,11 +256,13 @@ class AnalysisResult:
     approach id) order, and ``by_intersection`` one per intersection, in id
     order; NaN marks an absent value.  ``los_standards`` names the standard
     of each band table.  ``approaches`` and ``intersections`` build a view
-    of every entry on each access.
+    of every entry on each access.  ``formatted`` keeps the artifact
+    builders' formatted columns, so a column several artifacts print is
+    formatted once.
     """
 
     __slots__ = ("by_approach", "by_intersection", "los_standards",
-                 "study_total_co2_kg_per_hour", "city")
+                 "study_total_co2_kg_per_hour", "city", "formatted")
 
     def __init__(self, by_approach: _Columns, by_intersection: _Columns,
                  los_standards: Mapping[str, str], study_total_co2_kg_per_hour: float,
@@ -249,6 +272,7 @@ class AnalysisResult:
         self.los_standards = los_standards
         self.study_total_co2_kg_per_hour = study_total_co2_kg_per_hour
         self.city = city
+        self.formatted: dict = {}
 
     @property
     def approaches(self) -> tuple[ApproachReport, ...]:
@@ -318,20 +342,22 @@ def analyze_records(
 
     take = itemgetter(*order) if len(order) > 1 else (lambda column: (column[order[0]],))
 
-    def per_approach(column: Sequence, total=math.fsum) -> list:
+    def per_approach(column: Sequence, total=math.fsum, name: str = "") -> list:
         """``total`` of each approach's run of an output-ordered row column."""
-        return list(map(total, map(column.__getitem__, rows)))
+        return _group_totals(total, column, rows, f"{name} values", "approach", output)
 
     def per_intersection(column: Sequence, total=sum) -> list:
         return list(map(total, map(column.__getitem__, spans)))
 
     cycles = take(table.cycle_length)
-    a.mean_cycle_length = list(map(truediv, per_approach(cycles), sizes))
+    a.mean_cycle_length = list(map(truediv, per_approach(cycles, name="cycle_length_s"), sizes))
     cycle_time = per_approach(cycles, sum)
     del cycles
-    a.mean_green = list(map(truediv, per_approach(take(table.green_time)), sizes))
-    a.mean_effective_green = _present_means(take(table.effective_green), per_approach, sizes)
-    a.mean_exited_pcu = _present_means(take(table.exited_pcu), per_approach, sizes)
+    a.mean_green = list(map(truediv, per_approach(take(table.green_time), name="green_s"),
+                            sizes))
+    a.mean_effective_green = _present_means(
+        take(table.effective_green), per_approach, sizes, "effective_green_s")
+    a.mean_exited_pcu = _present_means(take(table.exited_pcu), per_approach, sizes, "exited_pcu")
 
     classes = [take(column) for column in table.class_columns()]
     class_totals = [per_approach(column, sum) for column in classes]
@@ -382,6 +408,7 @@ def analyze_records(
     # its approaches' failures in the formulas above, then its own.
     failing_approach = min(_first(flags, len(output)) for flags in (
         map(math.isnan, a.capacity),  # no capacity entry
+        map(math.isinf, a.sf_width),
         map(math.isinf, a.sf_discharge),
         map(not_, map(and_, map(lt, repeat(0.0), a.mean_green),
                       map(le, a.mean_green, a.mean_cycle_length))),
@@ -405,15 +432,18 @@ def analyze_records(
     del seconds, green_ratio, load
     clean = spans[:failing]
     n = counts[:failing]
+    intersection_ids = [a.intersection_id[s.start] for s in spans]
     i = _Columns(
-        intersection_id=[a.intersection_id[s.start] for s in spans],
+        intersection_id=intersection_ids,
         span=spans,
-        mean_delay_all=list(map(truediv, map(math.fsum, map(a.delay_s.__getitem__, clean)), n)),
+        mean_delay_all=list(map(truediv, _group_totals(
+            math.fsum, a.delay_s, clean, "control delays", "intersection", intersection_ids),
+        n)),
         # A delay times is_major is the delay or 0, which leaves the exact
         # sum of the major approaches' delays alone.
-        mean_delay_major=list(map(
-            truediv, map(math.fsum, map(list(map(mul, a.delay_s, a.is_major)).__getitem__,
-                                        clean)),
+        mean_delay_major=list(map(truediv, _group_totals(
+            math.fsum, list(map(mul, a.delay_s, a.is_major)), clean,
+            "major approaches' control delays", "intersection", intersection_ids),
             _zero_as_nan(major_count))),
     )
     i.emission_delay_s = (
@@ -474,14 +504,15 @@ def analyze_records(
     return AnalysisResult(a, i, standards, sum(i.total_co2_per_hour), city)
 
 
-def _present_means(column: Sequence[float], per_approach, sizes: Sequence[int]) -> list[float]:
+def _present_means(column: Sequence[float], per_approach, sizes: Sequence[int],
+                   name: str) -> list[float]:
     """Each approach's mean of its entries that are not NaN; NaN if it has none.
 
     Entries are never negative, so ``max(0.0, v)`` reads NaN as 0, which
     leaves the exact sum alone.
     """
     absent = per_approach(tuple(map(math.isnan, column)), sum)
-    sums = per_approach(tuple(map(max, repeat(0.0), column)))
+    sums = per_approach(tuple(map(max, repeat(0.0), column)), name=name)
     return list(map(truediv, sums, _zero_as_nan(list(map(sub, sizes, absent)))))
 
 

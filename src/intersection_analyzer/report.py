@@ -5,8 +5,9 @@ version, then a header row.  Volumes and saturation flows are rounded
 half-up to integers, ratios to two decimals, matching the reporting
 conventions of the source tables; computation upstream is full precision.
 
-Writing is two-phase (stage everything, write temp files, rename) so a
-failing run never leaves partially updated outputs behind.
+Writing is two-phase (write each artifact to a temp file as it is staged,
+then rename them all) so a failing run never leaves partially updated
+outputs behind.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import math
 import os
 import tempfile
 from decimal import ROUND_HALF_UP, Context, Decimal
-from itertools import chain, compress, count, cycle, repeat
+from itertools import chain, compress, count, cycle, islice, repeat
 from operator import add, lt, mul, not_, or_, sub
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
@@ -66,6 +67,17 @@ def _fast_specs(places: int) -> tuple[float, str, str]:
     return 2.0**52 / 10**(places + 1), f".{places}f", f".{places + 1}f"
 
 
+def _away_from_zero(value: float) -> float:
+    """The double next to ``value``, further from zero.
+
+    Below ``_fast_specs``' limit a double lies within half a step of the
+    decimal tie it reads as, and a step is less than ``10**-(places + 1)``.
+    The next double out then lies strictly between the tie and the next
+    rounding midpoint, so C rounds it as half-up rounds the tie.
+    """
+    return math.nextafter(value, math.copysign(math.inf, value))
+
+
 def fmt(value: float, places: int) -> str:
     """``value`` rounded half-up at ``places`` >= 0, on its shortest ``repr``."""
     value = float(value)
@@ -74,7 +86,8 @@ def fmt(value: float, places: int) -> str:
         digits = format(value, finer)
         if digits[-1] != "5" or float(digits) != value:
             return format(value, spec)
-    # A tie, a large value or a non-finite one.  Formatting the Decimal itself
+        return format(_away_from_zero(value), spec)
+    # A large value or a non-finite one.  Formatting the Decimal itself
     # prints no binary digits past the rounding point, which a float of 1e13
     # or more would.
     return f"{_rounded(value, places):.{places}f}"
@@ -95,9 +108,9 @@ def fmt_g(value: float | None) -> str:
 def fmt_column(values: Sequence[float], places: int) -> list[str]:
     """``fmt`` of each value; NaN, an absent value, prints empty.
 
-    Each value is formatted in C at ``places`` and at one place more.  Only
-    the values ``fmt`` would not round in C (a tie, a large value or a
-    non-finite one) go through ``fmt`` itself.
+    Each value is formatted in C at ``places`` and at one place more.  A
+    tie is formatted as the double next to it, further from zero, as ``fmt``
+    does; only a large value or a non-finite one goes through ``fmt`` itself.
     """
     limit, spec, finer = _fast_specs(places)
     texts = list(map(format, values, repeat(spec)))
@@ -107,8 +120,10 @@ def fmt_column(values: Sequence[float], places: int) -> list[str]:
         redo = map(or_, redo, map(not_, map(lt, map(abs, values), repeat(limit))))
     for i in compress(count(), redo):
         value = values[i]
-        if float(finer_texts[i]) == value or not -limit < value < limit:
+        if not -limit < value < limit:
             texts[i] = "" if math.isnan(value) else fmt(value, places)
+        elif float(finer_texts[i]) == value:
+            texts[i] = format(_away_from_zero(value), spec)
     return texts
 
 
@@ -139,57 +154,156 @@ def hhmm(seconds_since_midnight: float) -> str:
     return f"{total // 3600:02d}:{total % 3600 // 60:02d}"
 
 
-def _csv_doc(name: str, header: Sequence[str], rows: Iterable[Sequence[str]]) -> str:
+def _written_quoted(char: str) -> bool:
     buffer = io.StringIO()
-    buffer.write(f"# schema: intersection-analyzer/{name} v{SCHEMA_VERSION}\n")
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buffer.getvalue()
+    csv.writer(buffer, lineterminator="\n").writerow((char, ""))
+    return buffer.getvalue()[0] == '"'
+
+
+# The characters for which ``csv.writer`` quotes a field on this Python:
+# from 3.13 on a carriage return is one of them.
+_QUOTED_CHARS = tuple(filter(_written_quoted, ',"\n\r'))
+# Those that never stand between cells or rows.
+_CELL_ONLY_CHARS = tuple(char for char in _QUOTED_CHARS if char not in ",\n")
+
+# Rows joined into one piece of text at a time: a document's row strings
+# never all exist at once.
+_CHUNK_ROWS = 1024
+# Characters of an artifact encoded and written at a time.
+_WRITE_CHARS = 1 << 16
+# Intersections of the text summary built at a time.
+_CHUNK_INTERSECTIONS = 256
+
+
+def _csv_field(cell: str) -> str:
+    if any(map(cell.__contains__, _QUOTED_CHARS)):
+        return '"' + cell.replace('"', '""') + '"'
+    return cell
+
+
+def _csv_lines(rows: Sequence[Sequence[str]], fields: int) -> str:
+    """``rows`` of ``fields`` cells each, as ``csv.writer`` writes them
+    without the last line break.
+
+    The rows are joined as they are; only if the text then holds a quote
+    character, a quoted carriage return, or more commas or line breaks than
+    the rows' own separators, is each cell quoted as it needs.
+    """
+    text = "\n".join(map(",".join, rows))
+    if (text.count(",") != len(rows) * (fields - 1) or text.count("\n") != len(rows) - 1
+            or any(map(text.__contains__, _CELL_ONLY_CHARS))):
+        text = "\n".join([",".join(map(_csv_field, row)) for row in rows])
+    return text
+
+
+def _csv_doc(name: str, header: Sequence[str], rows: Iterable[Sequence[str]]) -> str:
+    """The schema line, then the header and each row of two or more cells,
+    in the bytes ``csv.writer(..., lineterminator="\n")`` writes on this
+    Python."""
+    fields, rows = len(header), iter(rows)
+    parts = [f"# schema: intersection-analyzer/{name} v{SCHEMA_VERSION}\n",
+             _csv_lines([header], fields), "\n"]
+    while chunk := list(islice(rows, _CHUNK_ROWS)):
+        parts += (_csv_lines(chunk, fields), "\n")
+    return "".join(parts)
 
 
 class ArtifactWriter:
-    """Stages named artifacts, then commits them atomically."""
+    """Writes each staged artifact to a temp file in ``out_dir`` at once,
+    then renames every one into place on ``commit``.
+
+    Used as a context manager it removes, on exit, the temp files of a run
+    that did not commit, and ``out_dir`` if staging made it, so a run that
+    fails part way leaves the outputs of the last good run as they were.
+    """
 
     def __init__(self, out_dir: str | Path):
         self.out_dir = Path(out_dir)
-        self._staged: dict[str, str] = {}
+        self._temps: dict[str, str] = {}  # artifact name -> its temp file
+        self._made_dir = False
+
+    def __enter__(self) -> ArtifactWriter:
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.discard()
+
+    def _failure(self, err: OSError) -> IoFailure:
+        self.discard()
+        return IoFailure(f"failed writing artifacts to {self.out_dir}: {err}")
 
     def stage(self, name: str, content: str) -> None:
-        self._staged[name] = content
+        try:
+            if not self.out_dir.is_dir():
+                self.out_dir.mkdir(parents=True)
+                self._made_dir = True
+            fd, self._temps[name] = tempfile.mkstemp(
+                dir=self.out_dir, prefix=f".{name}.", suffix=".tmp")
+            with os.fdopen(fd, "w", encoding="utf-8", newline="") as handle:
+                # A slice at a time: writing the whole text would encode a
+                # second, byte copy of it.
+                for start in range(0, len(content), _WRITE_CHARS):
+                    handle.write(content[start:start + _WRITE_CHARS])
+        except OSError as err:
+            raise self._failure(err) from err
 
     def commit(self) -> list[Path]:
-        temps: list[tuple[str, Path]] = []
+        written = []
         try:
-            self.out_dir.mkdir(parents=True, exist_ok=True)
-            for name in sorted(self._staged):
-                fd, tmp = tempfile.mkstemp(
-                    dir=self.out_dir, prefix=f".{name}.", suffix=".tmp")
-                with os.fdopen(fd, "w", encoding="utf-8", newline="") as handle:
-                    handle.write(self._staged[name])
-                temps.append((tmp, self.out_dir / name))
-            for tmp, final in temps:
-                os.replace(tmp, final)
-            return [final for _, final in temps]
+            for name in sorted(self._temps):
+                final = self.out_dir / name
+                os.replace(self._temps[name], final)
+                del self._temps[name]
+                written.append(final)
         except OSError as err:
-            for tmp, _ in temps:
-                try:
-                    os.unlink(tmp)
-                except OSError:
-                    pass
-            raise IoFailure(f"failed writing artifacts to {self.out_dir}: {err}") from err
+            raise self._failure(err) from err
+        self._made_dir = False
+        return written
+
+    def discard(self) -> None:
+        """Remove every temp file not yet renamed into place, and
+        ``out_dir`` if staging made it and it is empty."""
+        for tmp in self._temps.values():
+            try:
+                os.unlink(tmp)
+            except OSError:
+                pass
+        self._temps.clear()
+        if self._made_dir:
+            try:
+                self.out_dir.rmdir()
+            except OSError:
+                pass
+            self._made_dir = False
 
 
 # --- CSV families ------------------------------------------------------------
 #
 # The builders read the result's columns (NaN marks an absent value, which
 # prints empty), format each field once for the whole column and zip the
-# formatted columns into rows.
+# formatted columns into rows.  A column that more than one artifact prints
+# is formatted once per result, by ``_shared``.
+
+
+def _shared(result: AnalysisResult, format_column, values: Sequence[float],
+            *args) -> list[str]:
+    """``format_column(values, *args)``, kept in ``result.formatted``.
+
+    ``values`` is one of the result's columns, so its ``id`` stays its own
+    for as long as the result lives.
+    """
+    key = (format_column, id(values), args)
+    texts = result.formatted.get(key)
+    if texts is None:
+        texts = result.formatted[key] = format_column(values, *args)
+    return texts
+
 
 def flow_csv(result: AnalysisResult) -> str:
     a = result.by_approach
     rows = zip(a.approach_id, a.intersection_id, map(str, a.lane_count), a.directionality,
-               fmt_int_column(a.capacity), fmt_int_column(a.hourly_volume), a.vc_text)
+               fmt_int_column(a.capacity), _shared(result, fmt_int_column, a.hourly_volume),
+               a.vc_text)
     return _csv_doc("flow", (
         "approach_id", "intersection_id", "lanes", "directionality",
         "capacity_pcu_hr", "volume_pcu_hr", "vc_ratio"), rows)
@@ -218,8 +332,8 @@ def composition_csv(result: AnalysisResult) -> str:
 
 def green_csv(result: AnalysisResult) -> str:
     a = result.by_approach
-    rows = zip(a.approach_id, a.intersection_id, fmt_g_column(a.mean_green),
-               fmt_column(a.green_share, 4), fmt_g_column(a.pcu_per_cycle),
+    rows = zip(a.approach_id, a.intersection_id, _shared(result, fmt_g_column, a.mean_green),
+               fmt_column(a.green_share, 4), _shared(result, fmt_g_column, a.pcu_per_cycle),
                fmt_column(a.green_to_pcu_ratio, 2), fmt_column(a.wastage, 3))
     return _csv_doc("green", (
         "approach_id", "intersection_id", "mean_green_s", "green_share",
@@ -229,7 +343,8 @@ def green_csv(result: AnalysisResult) -> str:
 def green_series_csv(result: AnalysisResult) -> str:
     """Plot-ready (approach, green, pcu) series for allocated-green charts."""
     a = result.by_approach
-    rows = zip(a.approach_id, fmt_g_column(a.mean_green), fmt_g_column(a.pcu_per_cycle))
+    rows = zip(a.approach_id, _shared(result, fmt_g_column, a.mean_green),
+               _shared(result, fmt_g_column, a.pcu_per_cycle))
     return _csv_doc("green-series", ("approach_id", "mean_green_s", "pcu_per_cycle"), rows)
 
 
@@ -241,8 +356,9 @@ def delay_csv(result: AnalysisResult) -> str:
         "platoon_ratio", "delay_s", "clamped",
     ] + [f"los_{name}" for name in standards]
     rows = zip(a.approach_id, a.intersection_id, fmt_g_column(a.mean_cycle_length),
-               fmt_g_column(a.mean_green), a.vc_text, fmt_column(a.platoon_ratio, 4),
-               fmt_column(a.delay_s, 2), map("01".__getitem__, a.delay_clamped),
+               _shared(result, fmt_g_column, a.mean_green), a.vc_text,
+               fmt_column(a.platoon_ratio, 4), _shared(result, fmt_column, a.delay_s, 2),
+               map("01".__getitem__, a.delay_clamped),
                *(a.los[name] for name in standards))
     return _csv_doc("delay-los", header, rows)
 
@@ -254,10 +370,11 @@ def intersections_csv(result: AnalysisResult) -> str:
     header += [f"los_{name}" for name in standards]
     all_rows = zip(i.intersection_id, repeat("all"),
                    [str(span.stop - span.start) for span in i.span],
-                   fmt_column(i.mean_delay_all, 2), *(i.los_all[name] for name in standards))
+                   _shared(result, fmt_column, i.mean_delay_all, 2),
+                   *(i.los_all[name] for name in standards))
     major_rows = zip(i.intersection_id, repeat("major"),
                      [str(sum(is_major[span])) for span in i.span],
-                     fmt_column(i.mean_delay_major, 2),
+                     _shared(result, fmt_column, i.mean_delay_major, 2),
                      *(i.los_major[name] for name in standards))
     rows = []
     for all_row, major_row in zip(all_rows, major_rows):
@@ -272,10 +389,10 @@ def emissions_csv(result: AnalysisResult) -> str:
 
     i = result.by_intersection
     fuels = (FuelType.CNG, FuelType.DIESEL, FuelType.PETROL)
-    rows = zip(i.intersection_id, fmt_column(i.emission_delay_s, 2),
+    rows = zip(i.intersection_id, _shared(result, fmt_column, i.emission_delay_s, 2),
                *(fmt_column(i.fuel_per_hour[fuel], 2) for fuel in fuels),
                *(fmt_column(i.co2_per_hour[fuel], 2) for fuel in fuels),
-               fmt_column(i.total_co2_per_hour, 2))
+               _shared(result, fmt_column, i.total_co2_per_hour, 2))
     return _csv_doc("emissions", (
         "intersection_id", "mean_delay_s", "cng_kg_hr", "diesel_l_hr",
         "petrol_l_hr", "co2_cng_kg_hr", "co2_diesel_kg_hr", "co2_petrol_kg_hr",
@@ -336,38 +453,58 @@ def _grade_lists(grades: Mapping[str, Sequence[str]], size: int) -> list[str]:
     return list(map(" ".join, zip(*pairs))) if pairs else [""] * size
 
 
-def summary_text(result: AnalysisResult, active_hours: float) -> str:
-    a, i = result.by_approach, result.by_intersection
-    wastage = fmt_column(list(map(mul, a.wastage, repeat(100))), 1)
-    approach_lines = list(map(
+def _approach_lines(result: AnalysisResult, rows: slice) -> list[str]:
+    """The summary's line for each approach in ``rows``."""
+    a = result.by_approach
+    approach_ids = a.approach_id[rows]
+    wastage = fmt_column(list(map(mul, a.wastage[rows], repeat(100))), 1)
+    return list(map(
         "  {}: volume {} PCU/h, V/C {}, delay {} s, green share {}%{} [{}]".format,
-        a.approach_id, fmt_int_column(a.hourly_volume), a.vc_text, fmt_column(a.delay_s, 2),
-        fmt_column(list(map(mul, a.green_share, repeat(100))), 2),
+        approach_ids, _shared(result, fmt_int_column, a.hourly_volume)[rows], a.vc_text[rows],
+        _shared(result, fmt_column, a.delay_s, 2)[rows],
+        fmt_column(list(map(mul, a.green_share[rows], repeat(100))), 2),
         [text and f", wastage {text}%" for text in wastage],
-        _grade_lists(a.los, len(a.approach_id))))
-    del wastage
-    mean_all = fmt_column(i.mean_delay_all, 2)
-    mean_major = fmt_column(i.mean_delay_major, 2)
+        _grade_lists({name: grades[rows] for name, grades in a.los.items()},
+                     len(approach_ids))))
+
+
+def summary_text(result: AnalysisResult, active_hours: float) -> str:
+    i = result.by_intersection
+    mean_all = _shared(result, fmt_column, i.mean_delay_all, 2)
+    mean_major = _shared(result, fmt_column, i.mean_delay_major, 2)
     grades_all = _grade_lists(i.los_all, len(mean_all))
     grades_major = _grade_lists(i.los_major, len(mean_all))
-    total = fmt_column(i.total_co2_per_hour, 2)
-    emission_delay = fmt_column(i.emission_delay_s, 2)
+    total = _shared(result, fmt_column, i.total_co2_per_hour, 2)
+    emission_delay = _shared(result, fmt_column, i.emission_delay_s, 2)
 
+    # The text of _CHUNK_INTERSECTIONS intersections at a time, so that the
+    # approach columns are formatted and joined a slice at a time.
+    parts = []
     lines: list[str] = ["Signalized intersection analysis", ""]
-    for k, (intersection_id, span) in enumerate(zip(i.intersection_id, i.span)):
-        lines.append(f"Intersection {intersection_id} ({span.stop - span.start} approaches)")
-        lines.extend(approach_lines[span])
-        lines.append(f"  mean delay (all approaches): {mean_all[k]} s {grades_all[k]}")
-        if mean_major[k]:
-            lines.append(f"  mean delay (major only):    {mean_major[k]} s {grades_major[k]}")
-        lines.append(
-            f"  idle emissions: {total[k]} kg CO2/h (at mean delay {emission_delay[k]} s)")
-        lines.extend(map(add, repeat("  note: "), i.notes[k]))
-        lines.append("")
+    for first in range(0, len(i.span), _CHUNK_INTERSECTIONS):
+        spans = i.span[first:first + _CHUNK_INTERSECTIONS]
+        offset = spans[0].start
+        approach_lines = _approach_lines(result, slice(offset, spans[-1].stop))
+        for k, span in enumerate(spans, first):
+            lines.append(f"Intersection {i.intersection_id[k]} "
+                         f"({span.stop - span.start} approaches)")
+            lines.extend(approach_lines[span.start - offset:span.stop - offset])
+            lines.append(f"  mean delay (all approaches): {mean_all[k]} s {grades_all[k]}")
+            if mean_major[k]:
+                lines.append(
+                    f"  mean delay (major only):    {mean_major[k]} s {grades_major[k]}")
+            lines.append(
+                f"  idle emissions: {total[k]} kg CO2/h (at mean delay {emission_delay[k]} s)")
+            lines.extend(map(add, repeat("  note: "), i.notes[k]))
+            lines.append("")
+        parts.append("\n".join(lines))
+        lines = []
     lines.append(
         f"Study total: {fmt(result.study_total_co2_kg_per_hour, 2)} kg CO2/h")
     basis = "extrapolated estimate" if result.city.extrapolated else "configured rate"
     lines.append(
         f"Citywide ({basis}): {fmt(result.city.city_kg_per_hour, 2)} kg CO2/h, "
         f"{fmt(result.city.tons_per_day, 2)} t/day over {fmt_g(active_hours)} h")
-    return "\n".join(lines) + "\n"
+    lines.append("")  # the last line's break
+    parts.append("\n".join(lines))
+    return "\n".join(parts)

@@ -1,8 +1,9 @@
 """Reference implementations kept as test oracles.
 
-These are the straightforward per-row cycle parser, the datetime-based
-time-of-day windowing and the all-``Decimal`` half-up rounding that the
-optimized code in ``ingest``, ``stats`` and ``report`` replaced.  The
+These are the straightforward per-row cycle and approach parsers, the
+datetime-based time-of-day windowing, the all-``Decimal`` half-up rounding
+and the ``csv.writer`` document writer that the optimized code in
+``ingest``, ``stats`` and ``report`` replaced.  The
 differential tests require the optimized code to agree with them exactly:
 equal records, the same errors in the same order, bit-identical window
 averages and identical formatted strings.  The rounding functions quantize
@@ -23,7 +24,7 @@ from datetime import datetime, timezone
 from decimal import ROUND_HALF_UP, Decimal
 from itertools import filterfalse
 from operator import itemgetter, mul
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence, TextIO
 
 from intersection_analyzer.config import COUNTS_VEHICLES, AnalysisConfig
 from intersection_analyzer.delay import (
@@ -40,7 +41,12 @@ from intersection_analyzer.emissions import (
     idle_fuel,
     scale_emissions,
 )
-from intersection_analyzer.errors import InputError, SchemaViolation, UnknownApproach
+from intersection_analyzer.errors import (
+    AnalyzerError,
+    InputError,
+    SchemaViolation,
+    UnknownApproach,
+)
 from intersection_analyzer.flow import (
     FlowReport,
     GreenReport,
@@ -51,6 +57,7 @@ from intersection_analyzer.flow import (
     vc_ratio,
 )
 from intersection_analyzer.ingest import (
+    APPROACH_COLUMNS,
     CYCLE_COLUMNS,
     CYCLE_COUNT_COLUMNS,
     CYCLE_OPTIONAL,
@@ -63,11 +70,12 @@ from intersection_analyzer.model import (
     ClassifiedCount,
     CycleTable,
     DayFilter,
+    Directionality,
     SignalCycleRecord,
     VehicleClass,
 )
 from intersection_analyzer.pcu import composition_shares
-from intersection_analyzer.report import _csv_doc, fmt_g
+from intersection_analyzer.report import SCHEMA_VERSION, fmt_g
 from intersection_analyzer.stats import DAY_END_S, DAY_START_S, WindowedAverage
 
 VC_STANDARD = "vc_ratio"
@@ -109,6 +117,73 @@ def _int_cell(value: str, column: str, row: int) -> int:
     if n < 0:
         raise SchemaViolation(f"column {column!r}: negative count {n}", row=row)
     return n
+
+
+def _unsplittable(err: csv.Error, line: int) -> SchemaViolation:
+    """A row the csv module cannot split, such as one with a field over its
+    size limit or a bare carriage return inside an unquoted field."""
+    return SchemaViolation(f"unreadable CSV row: {err}", row=line)
+
+
+def ingest_approaches(source: TextIO | Iterable[str]) -> dict[str, ApproachConfig]:
+    reader = csv.reader(source)
+    try:
+        first = next(reader)
+    except StopIteration:
+        raise SchemaViolation("approach file is empty", row=1) from None
+    except csv.Error as err:
+        raise _unsplittable(err, 1) from None
+    names = _header(first, APPROACH_COLUMNS, APPROACH_COLUMNS)
+
+    configs: dict[str, ApproachConfig] = {}
+    line = 1
+    try:
+        for line, row in enumerate(reader, start=2):
+            if not row or all(not cell.strip() for cell in row):
+                continue
+            if len(row) != len(names):
+                raise SchemaViolation(f"expected {len(names)} fields, got {len(row)}", row=line)
+            cells = {name: cell.strip() for name, cell in zip(names, row)}
+            approach_id = cells["approach_id"]
+            if not approach_id:
+                raise SchemaViolation("empty approach_id", row=line)
+            if not cells["intersection_id"]:
+                raise SchemaViolation("empty intersection_id", row=line)
+            if approach_id in configs:
+                raise SchemaViolation(f"duplicate approach {approach_id!r}", row=line)
+            try:
+                directionality = Directionality(cells["directionality"])
+            except ValueError:
+                raise SchemaViolation(
+                    f"directionality must be 'oneway' or 'twoway', got {cells['directionality']!r}",
+                    row=line) from None
+            try:
+                lanes = int(cells["lanes"])
+            except ValueError:
+                raise SchemaViolation(
+                    f"lanes: not an integer: {cells['lanes']!r}", row=line) from None
+            width = _float_cell(cells["width_m"], "width_m", line)
+            flags = {}
+            for column in ("free_left", "is_major"):
+                if cells[column] not in ("0", "1"):
+                    raise SchemaViolation(f"column {column!r} must be 0 or 1", row=line)
+                flags[column] = cells[column] == "1"
+            try:
+                configs[approach_id] = ApproachConfig(
+                    approach_id=approach_id,
+                    intersection_id=cells["intersection_id"],
+                    lane_count=lanes,
+                    directionality=directionality,
+                    width=width,
+                    free_left=flags["free_left"],
+                    is_major=flags["is_major"],
+                )
+            except AnalyzerError as err:
+                err.row = line
+                raise
+    except csv.Error as err:
+        raise _unsplittable(err, line + 1) from None
+    return configs
 
 
 def scan_cycles(
@@ -667,6 +742,15 @@ def fmt_opt_int(value: float | None) -> str:
 
 def fmt_g(value: float | None) -> str:
     return "" if value is None else f"{value:.6g}"
+
+
+def _csv_doc(name: str, header: Sequence[str], rows: Iterable[Sequence[str]]) -> str:
+    buffer = io.StringIO()
+    buffer.write(f"# schema: intersection-analyzer/{name} v{SCHEMA_VERSION}\n")
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buffer.getvalue()
 
 
 def flow_csv(result: AnalysisResult) -> str:

@@ -6,6 +6,7 @@ import pytest
 
 from intersection_analyzer import cli
 from intersection_analyzer.cli import main
+from intersection_analyzer.errors import InvariantViolation
 from intersection_analyzer.stats import z_test
 
 from conftest import (
@@ -234,6 +235,67 @@ def test_failed_run_leaves_existing_outputs_untouched(tmp_path, capsys):
     assert code == 2
     assert read(out / "flow.csv") == before
     assert not list(out.glob("*.tmp"))
+
+
+def snapshot(directory: Path) -> dict[str, bytes]:
+    return {path.name: path.read_bytes() for path in directory.iterdir()}
+
+
+def test_a_failed_later_artifact_leaves_nothing_behind(tmp_path, capsys, monkeypatch):
+    out = tmp_path / "out"
+    assert main(["report", *STUDY, "--out", str(out)]) == 0
+    before = snapshot(out)
+    other = tmp_path / "other.csv"  # a run whose every artifact differs
+    other.write_text(read(STUDY_CYCLES).replace(",152,", ",160,"))
+
+    def fail(result, hours):
+        raise InvariantViolation("summary failed")
+
+    # summary.txt is built last: every other artifact is staged before it fails.
+    monkeypatch.setattr(cli.rpt, "summary_text", fail)
+    for out_dir in (out, tmp_path / "fresh" / "out"):
+        code = main(["report", "--cycles", str(other), "--approaches", str(STUDY_APPROACHES),
+                     "--out", str(out_dir)])
+        assert code == 2
+        assert json.loads(capsys.readouterr().err.splitlines()[-1])["message"] == "summary failed"
+    assert snapshot(out) == before
+    assert not (tmp_path / "fresh" / "out").exists()
+
+
+def test_an_unwritable_artifact_leaves_no_temp_files(tmp_path, capsys):
+    out = tmp_path / "out"
+    (out / "summary.txt").mkdir(parents=True)
+    (out / "summary.txt" / "keep").write_text("a directory where a file goes")
+    assert main(["report", *STUDY, "--out", str(out)]) == 4
+    assert json.loads(capsys.readouterr().err)["error"] == "IoFailure"
+    assert not [path for path in out.iterdir() if path.name.endswith(".tmp")]
+
+
+def test_an_infinite_width_saturation_flow_is_an_input_error(tmp_path, capsys):
+    approaches = tmp_path / "approaches.csv"
+    approaches.write_text(read(STUDY_APPROACHES).replace("SR3,SSC,1,twoway,3.5",
+                                                         "SR3,SSC,1,twoway,1e306"))
+    code = main(["flow", "--cycles", str(STUDY_CYCLES), "--approaches", str(approaches),
+                 "--out", str(tmp_path / "out")])
+    record = json.loads(capsys.readouterr().err)
+    assert code == 2
+    assert (record["error"], record["subcommand"]) == ("InputError", "flow")
+    assert record["message"] == "saturation flow is not finite: width 1e+306 m"
+
+
+def test_cycle_lengths_summing_past_the_largest_float_are_an_input_error(tmp_path, capsys):
+    cycles = tmp_path / "cycles.csv"
+    cycles.write_text("approach_id,cycle_length_s,red_s,green_s,car\n"
+                      "SR1,152,120,32,3\n"
+                      "SR2,1e308,120,32,3\n"
+                      "SR2,1e308,120,32,3\n")
+    code = main(["flow", "--cycles", str(cycles), "--approaches", str(STUDY_APPROACHES),
+                 "--out", str(tmp_path / "out")])
+    record = json.loads(capsys.readouterr().err)
+    assert code == 2
+    assert record["error"] == "InputError"
+    assert record["message"] == (
+        "the cycle_length_s values of approach 'SR2' add up past the largest float")
 
 
 def test_byte_order_mark_in_inputs_is_accepted(tmp_path, capsys):

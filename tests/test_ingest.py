@@ -4,10 +4,13 @@ import io
 import random
 import tracemalloc
 
+from unittest import mock
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import oracles
+from intersection_analyzer import ingest as ingest_module
 from intersection_analyzer import (
     ApproachConfig,
     ClassifiedCount,
@@ -20,11 +23,12 @@ from intersection_analyzer import (
     scan_cycles,
 )
 from intersection_analyzer.errors import (
+    AnalyzerError,
     InvariantViolation,
     SchemaViolation,
     UnknownApproach,
 )
-from intersection_analyzer.ingest import _ENDS_QUOTED
+from intersection_analyzer.ingest import APPROACH_COLUMNS, _ENDS_QUOTED
 
 HEADER = "approach_id,cycle_length_s,red_s,green_s,two_wheeler,auto_rickshaw,car,lcv,bus"
 
@@ -284,6 +288,110 @@ def test_duplicate_approach_rejected():
     with pytest.raises(SchemaViolation) as exc:
         ingest_approaches(io.StringIO(text))
     assert exc.value.row == 3
+
+
+# Approach files with every kind of bad row, parsed in batches of a few rows,
+# against the row-by-row parser kept in the oracles: the same mapping, or
+# the same first error.
+
+# column -> cells that pass its check, and cells that fail it
+GOOD_CELLS = {
+    "lanes": ["1", "2", "3", " 2 "],
+    "directionality": ["oneway", "twoway", " twoway "],
+    "width_m": ["3.5", "10", "7.25", " 1e2 "],
+    "free_left": ["0", "1"],
+    "is_major": ["0", "1", " 1"],
+}
+BAD_CELLS = {
+    "approach_id": ["", "  "],
+    "intersection_id": ["", " "],
+    "lanes": ["0", "-1", "x", "1.5", ""],
+    "directionality": ["diagonal", "", "ONEWAY"],
+    "width_m": ["0", "-2", "inf", "nan", "wide", "", "1e400"],
+    "free_left": ["2", "", "yes"],
+    "is_major": ["-1", "", "true"],
+}
+# Ids the writer quotes (a comma, a quote, a line break) or that strip.
+ID_STEMS = ["A", "B,", "C\n", 'D"', " E ", "F G", "Ü"]
+INTERSECTIONS = ["I", "J,K", "L\nM", " N "]
+BLANK_LINES = ["", "   ", ",,,,,,", " , ,,,,, "]
+UNSPLITTABLE_LINE = "X9,I\rJ,1,oneway,3.5,0,0"  # a bare carriage return, unquoted
+
+
+@st.composite
+def approach_files(draw):
+    names = draw(st.permutations(APPROACH_COLUMNS))
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(names)
+    ids: list[str] = []
+    for n in range(draw(st.integers(0, 24))):
+        kind = draw(st.sampled_from(["clean"] * 10 + ["bad", "duplicate", "blank", "fields",
+                                                      "unsplittable"]))
+        if kind == "blank":
+            buffer.write(draw(st.sampled_from(BLANK_LINES)) + "\n")
+            continue
+        if kind == "unsplittable":
+            buffer.write(UNSPLITTABLE_LINE + "\n")
+            continue
+        cells = {"approach_id": f"{draw(st.sampled_from(ID_STEMS))}{n}",
+                 "intersection_id": draw(st.sampled_from(INTERSECTIONS))}
+        cells.update((name, draw(st.sampled_from(choices))) for name, choices in GOOD_CELLS.items())
+        if kind == "duplicate" and ids:
+            cells["approach_id"] = draw(st.sampled_from(ids))
+        if kind == "bad":
+            # One or two failing cells: the first in check order must be reported.
+            for name in draw(st.lists(st.sampled_from(sorted(BAD_CELLS)), min_size=1,
+                                      max_size=2)):
+                cells[name] = draw(st.sampled_from(BAD_CELLS[name]))
+        row = [cells[name] for name in names]
+        if kind == "fields":
+            row = row[:-1] if draw(st.booleans()) else row + ["0"]
+        ids.append(cells["approach_id"])
+        writer.writerow(row)
+    return buffer.getvalue()
+
+
+def approach_outcome(parse, text):
+    try:
+        return list(parse(io.StringIO(text)).items())
+    except AnalyzerError as err:
+        return type(err), str(err), err.row
+
+
+@settings(max_examples=500, deadline=None)
+@given(text=approach_files(), batch=st.integers(1, 5))
+@example(text="approach_id,intersection_id,lanes,directionality,width_m,free_left,is_major\n"
+              "A,I,1,oneway,3.5,0,0\n"
+              "B,I,1,oneway,3.5,0,0\n"
+              "\n"
+              "A,I,0,diagonal,-1,2,2\n", batch=2)
+def test_batched_approach_parsing_matches_the_row_by_row_parser(text, batch):
+    with mock.patch.object(ingest_module, "_BATCH_ROWS", batch):
+        got = approach_outcome(ingest_approaches, text)
+    assert got == approach_outcome(oracles.ingest_approaches, text)
+
+
+def clean_approach_rows(count):
+    return [[f"A{n}", "I", "2", "oneway", "3.5", "0", "1"] for n in range(count)]
+
+
+@pytest.mark.parametrize("bad", [
+    *({column: cell} for column, cells in BAD_CELLS.items() for cell in cells),
+    # Two failing cells: the one checked first is reported.
+    *({first: BAD_CELLS[first][0], second: BAD_CELLS[second][-1]}
+      for i, first in enumerate(BAD_CELLS) for second in list(BAD_CELLS)[i + 1:]),
+])
+@pytest.mark.parametrize("batch", [1, 4, 256])
+def test_a_bad_row_after_clean_rows_raises_the_row_parsers_error(bad, batch):
+    rows = clean_approach_rows(6)
+    rows[5] = [bad.get(name, cell) for name, cell in zip(APPROACH_COLUMNS, rows[5])]
+    buffer = io.StringIO()
+    csv.writer(buffer, lineterminator="\n").writerows([APPROACH_COLUMNS, *rows])
+    with mock.patch.object(ingest_module, "_BATCH_ROWS", batch):
+        got = approach_outcome(ingest_approaches, buffer.getvalue())
+    assert got == approach_outcome(oracles.ingest_approaches, buffer.getvalue())
+    assert got[2] == 7
 
 
 def test_bad_directionality_rejected():

@@ -1,12 +1,17 @@
 """Half-up rounding on the shortest ``repr``, against the all-``Decimal``
-reference in ``oracles.py``."""
+reference in ``oracles.py``, and CSV documents against the ``csv.writer``
+one kept there."""
 
 import decimal
 import math
+from itertools import chain
+from unittest import mock
 
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import oracles
+from intersection_analyzer import report
 from intersection_analyzer.report import (
     fmt, fmt_column, fmt_g, fmt_g_column, fmt_int, fmt_int_column, round_half_up,
 )
@@ -118,3 +123,53 @@ def test_column_formatting_matches_fmt_value_by_value(case):
     assert fmt_column(values, places) == list(map(absent_or(lambda v: fmt(v, places)), values))
     assert fmt_g_column(values) == list(map(absent_or(fmt_g), values))
     assert fmt_int_column(values) == list(map(absent_or(fmt_int), values))
+
+
+def tie_cases():
+    """Each half-up tie ``k5e-(places+1)`` for k below 10**4 and next to
+    ``fmt``'s fast-path limit, at places 0-4, and 525 x each one-decimal
+    width below 400 m (the width saturation flow, printed at 0 places)."""
+    for places in range(5):
+        limit_k = int(2.0**52 / 10**(places + 1) * 10**places)
+        ks = chain(range(10**4), range(limit_k - 300, limit_k + 100))
+        yield places, [float(f"{k}5e-{places + 1}") for k in ks]
+    yield 0, [525 * (n / 10) for n in range(1, 4000)]
+
+
+def signed_neighbours(values):
+    """Each value, and the doubles on either side of it, with both signs."""
+    near = [v for value in values
+            for v in (value, math.nextafter(value, math.inf), math.nextafter(value, -math.inf))]
+    return near + [-v for v in near]
+
+
+@pytest.mark.parametrize("places, ties", tie_cases())
+def test_ties_and_their_neighbours_round_half_up(places, ties):
+    values = signed_neighbours(ties)
+    with decimal.localcontext(decimal.Context(prec=400)):
+        expected = [oracles.fmt(v, places) for v in values]
+    assert [fmt(v, places) for v in values] == expected
+    assert fmt_column(values, places) == expected
+    if places == 0:
+        assert fmt_int_column(values) == list(map(fmt_int, values))
+
+
+CELLS = st.text(alphabet=st.sampled_from(list('ab ,"\n\r\tÉΩ5')), max_size=5)
+
+
+@st.composite
+def documents(draw):
+    """A header and rows of 2-4 cells each, holding every character the csv
+    module quotes on some Python version."""
+    width = draw(st.integers(2, 4))
+    row = st.lists(CELLS, min_size=width, max_size=width)
+    return draw(row), draw(st.lists(row, max_size=12))
+
+
+@settings(max_examples=300, deadline=None)
+@given(document=documents(), chunk=st.integers(1, 4))
+@example(document=(["a,b", "c"], [["x\r", 'y"'], ["", ""], ["\n", " "]]), chunk=1)
+def test_csv_documents_match_the_csv_writer(document, chunk):
+    header, rows = document
+    with mock.patch.object(report, "_CHUNK_ROWS", chunk):
+        assert report._csv_doc("t", header, iter(rows)) == oracles._csv_doc("t", header, rows)
