@@ -1,8 +1,13 @@
 """CSV ingestion and validation of cycle and approach records.
 
-Row numbers in errors are file line numbers (header = line 1).  Missing
-count columns read as zero; a negative count is a schema violation, not an
-invariant violation, so it is caught before a row is stored.
+Both files are read by one front end, ``_batches``.  An error's row is the
+physical line of the file that its record starts on (header = line 1), also
+after a quoted field that spans lines.  A row the csv module cannot split is
+a ``SchemaViolation`` in either file; when it leaves a quoted field open,
+the lines up to the end of that field are skipped, so none of them becomes a
+row.  Missing count columns read as zero; a negative count is a schema
+violation, not an invariant violation, so it is caught before a row is
+stored.
 """
 
 from __future__ import annotations
@@ -16,7 +21,6 @@ from array import array
 from typing import Callable, Iterable, Iterator, Mapping, Sequence, TextIO
 
 from .errors import (
-    AnalyzerError,
     InputError,
     InvariantViolation,
     SchemaViolation,
@@ -106,6 +110,158 @@ def _detached(err: InputError) -> InputError:
     return err
 
 
+def _batches(source: TextIO | Iterable[str]) -> Iterator:
+    """The header row of a CSV stream, then its rows ``_BATCH_ROWS`` at a
+    time, each batch as ``(rows, lines)`` with the line each row starts on.
+
+    A row the csv module cannot split comes as its ``SchemaViolation``,
+    after the rows read before it; an unsplittable header raises its error.
+    Lines are counted by the reader, plus the lines skipped after an
+    unsplittable row: the rest of any quoted field it leaves open, so that
+    no line inside that field becomes a row.  ``feed`` notes the lines that
+    continue a quoted field, so a batch's lines stay a ``range`` unless one
+    of its rows spans lines.
+    """
+    quoted = False  # whether the lines fed to the reader end inside a quoted field
+    continued: list[int] = []  # lines read for this batch that continue a quoted field
+    skipped = 0
+
+    def feed() -> Iterator[str]:
+        nonlocal quoted
+        for text in source:
+            if quoted:
+                continued.append(reader.line_num + skipped + 1)
+                quoted = bool(_ENDS_QUOTED.fullmatch('"' + text))
+            elif '"' in text:
+                quoted = bool(_ENDS_QUOTED.fullmatch(text))
+            yield text
+
+    lines = feed()
+    reader = csv.reader(lines)
+    try:
+        header = next(reader)
+    except StopIteration:
+        return
+    except csv.Error as err:
+        raise _unsplittable(err, 1) from None
+    yield header
+    while True:
+        first = reader.line_num + skipped + 1
+        continued.clear()
+        batch: list[list[str]] = []
+        try:
+            # A csv.Error leaves the rows read before it in the batch.
+            batch.extend(itertools.islice(reader, _BATCH_ROWS))
+        except csv.Error as err:
+            starts = _starts(first, len(batch) + 1, continued)
+            if batch:
+                yield batch, starts[:-1]
+            yield _unsplittable(err, starts[-1])
+            while quoted and next(lines, None) is not None:
+                skipped += 1
+            continue
+        if not batch:
+            return
+        yield batch, _starts(first, len(batch), continued)
+
+
+def _starts(first: int, count: int, continued: list[int]) -> Sequence[int]:
+    """The lines that ``count`` records start on, from line ``first`` on,
+    given the lines that continue a record."""
+    if not continued:
+        return range(first, first + count)
+    return list(itertools.islice(
+        itertools.filterfalse(set(continued).__contains__, itertools.count(first)), count))
+
+
+def _columns(
+    rows: list[list[str]],
+    lines: Sequence[int],
+    width: int,
+    id_at: int,
+    bad: dict[int, InputError | None],
+) -> tuple[Sequence[int], list[tuple[str, ...]], list[str]]:
+    """The lines and columns of the rows that have ``width`` fields, and
+    their stripped approach ids.
+
+    Each other row's field-count error and each empty id's error go into
+    ``bad``; a blank row maps to None there, so that it is skipped.
+    """
+    fits = list(map(width.__eq__, map(len, rows)))
+    if not all(fits):
+        for line, row in itertools.compress(zip(lines, rows), map(operator.not_, fits)):
+            if any(map(str.strip, row)):
+                bad[line] = SchemaViolation(f"expected {width} fields, got {len(row)}", row=line)
+        rows = list(itertools.compress(rows, fits))
+        lines = list(itertools.compress(lines, fits))
+    columns = list(zip(*rows)) or [()] * width
+    ids = list(map(str.strip, columns[id_at]))
+    for j in itertools.compress(itertools.count(), map(operator.not_, ids)):
+        bad[lines[j]] = (SchemaViolation("empty approach_id", row=lines[j])
+                         if any(map(str.strip, rows[j])) else None)
+    return lines, columns, ids
+
+
+def _flag(
+    failing: Iterable[bool],
+    lines: Sequence[int],
+    bad: dict[int, InputError | None],
+    message: Callable[[int], str],
+    error: type[InputError] = SchemaViolation,
+) -> None:
+    """Put an ``error`` with ``message(j)`` into ``bad`` for each row ``j``
+    that ``failing`` flags, unless its line already has one."""
+    for j in itertools.compress(itertools.count(), failing):
+        bad.setdefault(lines[j], error(message(j), row=lines[j]))
+
+
+def _not_finite(values: Sequence[float]) -> Iterable[int]:
+    if all(map(math.isfinite, values)):
+        return ()
+    return itertools.compress(itertools.count(), map(operator.not_, map(math.isfinite, values)))
+
+
+def _negative(values: Sequence[int]) -> Iterable[int]:
+    if min(values, default=0) >= 0:
+        return ()
+    return itertools.compress(itertools.count(), map(operator.gt, itertools.repeat(0), values))
+
+
+def _column(
+    cells: Sequence[str],
+    convert: Callable[[str], object],
+    values: array | list,
+    fill: object,
+    suspects: Callable[[Sequence], Iterable[int]],
+    redo: Callable[[str, int], object],
+    lines: Sequence[int],
+    bad: dict[int, InputError | None],
+) -> array | list:
+    """``values`` extended by ``convert`` of each cell, at C level.
+
+    A cell that ``convert`` rejects reads as ``fill``.  Each value at an
+    index ``suspects`` yields, ``fill`` among them, is replaced by ``redo``
+    of its stripped cell and line; where ``redo`` raises, the value stays
+    and the error for the line goes into ``bad`` (unless the line already
+    has one).
+    """
+    converted = map(convert, cells)
+    while True:
+        try:
+            # extend keeps the values before a cell convert rejects, and map
+            # goes on with the cell after it.
+            values.extend(converted)
+            break
+        except (ValueError, OverflowError):
+            values.append(fill)
+    for i in suspects(values):
+        try:
+            values[i] = redo(cells[i].strip(), lines[i])
+        except SchemaViolation as err:
+            bad.setdefault(lines[i], _detached(err))
+    return values
+
+
 def _float_column(
     cells: Sequence[str],
     column: str,
@@ -113,33 +269,11 @@ def _float_column(
     lines: Sequence[int],
     bad: dict[int, InputError | None],
 ) -> array:
-    """One batch's cells of a float column, converted at C level.
-
-    A cell that does not convert to a finite number is stripped: empty in
-    an optional column, it reads as NaN, which marks an absent value;
-    otherwise ``_float_cell`` converts it, or its error for the line goes
-    into ``bad`` (unless the line already has one) and the cell reads as NaN.
-    """
-    values = array("d")
-    converted = map(float, cells)
-    while True:
-        try:
-            # extend keeps the values before a cell float rejects, and map
-            # goes on with the cell after it.
-            values.extend(converted)
-            break
-        except ValueError:
-            values.append(math.nan)
-    if not all(map(math.isfinite, values)):
-        for i in itertools.compress(
-                itertools.count(), map(operator.not_, map(math.isfinite, values))):
-            raw = cells[i].strip()
-            if not optional or raw:
-                try:
-                    values[i] = _float_cell(raw, column, lines[i])
-                except SchemaViolation as err:
-                    bad.setdefault(lines[i], _detached(err))
-    return values
+    """One batch's cells of a float column: an empty cell of an optional
+    column reads as NaN, which marks an absent value, and any other cell
+    that is not a finite number gets ``_float_cell``'s error."""
+    return _column(cells, float, array("d"), math.nan, _not_finite, lambda raw, line: (
+        _float_cell(raw, column, line) if raw or not optional else math.nan), lines, bad)
 
 
 def _count_column(
@@ -148,33 +282,11 @@ def _count_column(
     lines: Sequence[int],
     bad: dict[int, InputError | None],
 ) -> array:
-    """One batch's cells of a count column, converted at C level.
-
-    A cell that does not convert to an integer in [0, ``COUNT_MAX``] is
-    stripped: empty, it reads as 0; otherwise ``_int_cell`` converts it, or
-    its error for the line goes into ``bad`` (unless the line already has
-    one) and the cell reads as -1.
-    """
-    counts = array("q")
-    converted = map(int, cells)
-    while True:
-        try:
-            counts.extend(converted)  # as in _float_column
-            break
-        except (ValueError, OverflowError):
-            counts.append(-1)
-    if min(counts) < 0:
-        for i in itertools.compress(
-                itertools.count(), map(operator.gt, itertools.repeat(0), counts)):
-            raw = cells[i].strip()
-            if not raw:
-                counts[i] = 0
-                continue
-            try:
-                counts[i] = _int_cell(raw, column, lines[i])
-            except SchemaViolation as err:
-                bad.setdefault(lines[i], _detached(err))
-    return counts
+    """One batch's cells of a count column: an empty cell reads as 0, and
+    any other cell that is not an integer in [0, ``COUNT_MAX``] gets
+    ``_int_cell``'s error."""
+    return _column(cells, int, array("q"), -1, _negative,
+                   lambda raw, line: _int_cell(raw, column, line) if raw else 0, lines, bad)
 
 
 def scan_cycles(
@@ -187,53 +299,24 @@ def scan_cycles(
     full list of errors.  With ``configs`` given, approach ids must
     resolve; without, that check is skipped.
     """
-    quoted = False  # whether the lines fed to the reader end inside a quoted field
-
-    def feed() -> Iterator[str]:
-        nonlocal quoted
-        for text in source:
-            if '"' in text or quoted:
-                quoted = bool(_ENDS_QUOTED.fullmatch('"' + text if quoted else text))
-            yield text
-
-    lines = feed()
-    reader = csv.reader(lines)
     table = CycleTable()
     errors: list[InputError] = []
-
+    batches = _batches(source)
     try:
-        first = next(reader)
-    except StopIteration:
-        return table, []
-    except csv.Error as err:
-        return table, [_unsplittable(err, 1)]
-    try:
-        names = _header(first, CYCLE_COLUMNS, CYCLE_REQUIRED)
+        header = next(batches, None)
+        if header is None:
+            return table, errors
+        names = _header(header, CYCLE_COLUMNS, CYCLE_REQUIRED)
     except SchemaViolation as err:
         return table, [err]
-
     parse = _cycle_batch_parser(names, configs, table, errors)
-    line = 1  # the number of the last row read
-    skipped = 0
-    while True:
-        batch: list[list[str]] = []
-        try:
-            # A csv.Error leaves the rows read before it in the batch.
-            batch.extend(itertools.islice(reader, _BATCH_ROWS))
-        except csv.Error as err:
-            parse(batch, line + 1)
-            line += len(batch) + 1
-            errors.append(_unsplittable(err, line))
-            # Skip the rest of a quoted field the error left open: no line
-            # inside it becomes a row, and later rows keep their line numbers.
-            while quoted and next(lines, None) is not None:
-                skipped += 1
-            line = reader.line_num + skipped
-            continue
-        if not batch:
-            return table, errors
-        parse(batch, line + 1)
-        line += len(batch)
+    for batch in batches:
+        if isinstance(batch, InputError):
+            errors.append(batch)
+        else:
+            parse(*batch)
+        del batch  # so that no two batches of rows are held at once
+    return table, errors
 
 
 def _cycle_batch_parser(
@@ -241,16 +324,16 @@ def _cycle_batch_parser(
     configs: Mapping[str, ApproachConfig] | None,
     table: CycleTable,
     errors: list[InputError],
-) -> Callable[[list[list[str]], int], None]:
+) -> Callable[[list[list[str]], Sequence[int]], None]:
     """Resolve a validated cycle header into one batch parser.
 
-    ``parse(rows, first)`` takes consecutive rows, the first of them on
-    line ``first``.  It appends the rows passing every check to ``table``
-    and each other row's error to ``errors``, in file order; blank rows are
-    skipped.  A row with several problems always reports the first in this
-    order: field count, approach id (empty, then unknown), cycle, red and
-    green, the counts in ``VEHICLE_CLASSES`` order, the optional columns in
-    ``CYCLE_OPTIONAL`` order, then the record invariants (``check_cycle``).
+    ``parse(rows, lines)`` takes rows and the lines they start on.  It
+    appends the rows passing every check to ``table`` and each other row's
+    error to ``errors``, in file order; blank rows are skipped.  A row with
+    several problems always reports the first in this order: field count,
+    approach id (empty, then unknown), cycle, red and green, the counts in
+    ``VEHICLE_CLASSES`` order, the optional columns in ``CYCLE_OPTIONAL``
+    order, then the record invariants (``check_cycle``).
 
     Each check runs over a whole column of the batch at C level, with
     cells converted unstripped.  Only where it fails does the parser go
@@ -267,43 +350,21 @@ def _cycle_batch_parser(
     known = None if configs is None else configs.__contains__
     classes = len(VEHICLE_CLASSES)
 
-    def parse(rows: list[list[str]], first: int) -> None:
-        lines: Sequence[int] = range(first, first + len(rows))
+    def parse(rows: list[list[str]], lines: Sequence[int]) -> None:
         bad: dict[int, InputError | None] = {}  # line -> its first error; None if blank
-        fits = list(map(width.__eq__, map(len, rows)))
-        if not all(fits):
-            for line, row in itertools.compress(zip(lines, rows), map(operator.not_, fits)):
-                if any(map(str.strip, row)):
-                    bad[line] = SchemaViolation(
-                        f"expected {width} fields, got {len(row)}", row=line)
-            rows = list(itertools.compress(rows, fits))
-            lines = list(itertools.compress(lines, fits))
-        if rows:
-            check_and_store(rows, lines, bad)
-        errors.extend(err for _, err in sorted(bad.items()) if err is not None)
-
-    def check_and_store(
-        rows: list[list[str]], lines: Sequence[int], bad: dict[int, InputError | None],
-    ) -> None:
-        columns = list(zip(*rows))
-        ids = list(map(str.strip, columns[id_at]))
-        if not all(ids):
-            for j in itertools.compress(itertools.count(), map(operator.not_, ids)):
-                bad[lines[j]] = (SchemaViolation("empty approach_id", row=lines[j])
-                                 if any(map(str.strip, rows[j])) else None)
-        if known is not None and not all(map(known, ids)):
-            for j in itertools.compress(itertools.count(), map(operator.not_, map(known, ids))):
-                bad.setdefault(lines[j], UnknownApproach(
-                    f"approach {ids[j]!r} has no configuration", row=lines[j]))
+        lines, columns, ids = _columns(rows, lines, width, id_at, bad)
+        if known is not None:
+            _flag(map(operator.not_, map(known, ids)), lines, bad,
+                  lambda j: f"approach {ids[j]!r} has no configuration", UnknownApproach)
 
         cycle, red, green = (
             _float_column(columns[at], name, False, lines, bad) for name, at in timing_at)
         counts = [
-            array("q", [0]) * len(rows) if at is None
+            array("q", [0]) * len(ids) if at is None
             else _count_column(columns[at], name, lines, bad)
             for name, at in count_at]
         effective_green, exited_pcu, timestamp = (
-            array("d", [math.nan]) * len(rows) if at is None
+            array("d", [math.nan]) * len(ids) if at is None
             else _float_column(columns[at], name, True, lines, bad)
             for name, at in optional_at)
 
@@ -321,6 +382,7 @@ def _cycle_batch_parser(
                            *counts):
                 for j in reversed(dropped):
                     del values[j]
+            errors.extend(err for _, err in sorted(bad.items()) if err is not None)
         flat = array("q", [0]) * (len(ids) * classes)
         for slot, values in enumerate(counts):
             flat[slot::classes] = values
@@ -346,151 +408,87 @@ def ingest_cycles(
 def ingest_approaches(source: TextIO | Iterable[str]) -> dict[str, ApproachConfig]:
     """Parse and validate an approach CSV stream, failing on the first bad row.
 
-    Rows are read ``_BATCH_ROWS`` at a time and checked a column at a time,
-    as ``scan_cycles`` does; from the first row a check flags, the rest of
-    the batch goes through ``_approach_row`` one row at a time, which skips
-    a blank row and raises the first error of any other.
+    Rows come from the same front end as cycle rows and are checked a
+    column at a time (``_add_approaches``).
     """
-    reader = csv.reader(source)
-    try:
-        first = next(reader)
-    except StopIteration:
-        raise SchemaViolation("approach file is empty", row=1) from None
-    except csv.Error as err:
-        raise _unsplittable(err, 1) from None
-    names = _header(first, APPROACH_COLUMNS, APPROACH_COLUMNS)
+    batches = _batches(source)
+    header = next(batches, None)
+    if header is None:
+        raise SchemaViolation("approach file is empty", row=1)
+    names = _header(header, APPROACH_COLUMNS, APPROACH_COLUMNS)
     at = [names.index(name) for name in APPROACH_COLUMNS]
-
     configs: dict[str, ApproachConfig] = {}
-    line = 1  # the number of the last row read
-    while True:
-        batch: list[list[str]] = []
-        try:
-            batch.extend(itertools.islice(reader, _BATCH_ROWS))
-        except csv.Error as err:
-            # An error in the rows read before it comes first.
-            _add_approaches(batch, line + 1, names, at, configs)
-            raise _unsplittable(err, line + len(batch) + 1) from None
-        if not batch:
-            return configs
-        _add_approaches(batch, line + 1, names, at, configs)
-        line += len(batch)
+    for batch in batches:
+        if isinstance(batch, InputError):
+            raise batch
+        _add_approaches(*batch, at, configs)
+    return configs
 
 
 _DIRECTIONALITY = {d.value: d for d in Directionality}
 _FLAG = {"0": False, "1": True}
 
 
-def _first_true(flags: Iterable[bool], none: int) -> int:
-    return next(itertools.compress(itertools.count(), flags), none)
-
-
-def _converted(convert: Callable[[str], object], cells: Sequence[str], into: list) -> int:
-    """Append ``convert`` of each cell to ``into`` up to the first it
-    rejects; the number of cells converted."""
+def _lanes_cell(value: str, row: int) -> int:
     try:
-        into.extend(map(convert, cells))  # keeps the values before a ValueError
+        return int(value)
     except ValueError:
-        pass
-    return len(into)
+        raise SchemaViolation(f"lanes: not an integer: {value!r}", row=row) from None
 
 
 def _add_approaches(
     rows: list[list[str]],
-    first: int,
-    names: Sequence[str],
+    lines: Sequence[int],
     at: Sequence[int],
     configs: dict[str, ApproachConfig],
 ) -> None:
-    """Add the approaches of consecutive rows, the first on line ``first``.
+    """Add the approaches of rows starting on ``lines`` to ``configs``, or
+    raise the first error of the first bad row; blank rows are skipped.
 
-    The rows before the first that any check flags are checked and built a
-    column at a time; every check there is one C-level pass over a column of
-    stripped cells.  The rows from the flagged one on go through
-    ``_approach_row``.
+    ``at`` gives the position of each of ``APPROACH_COLUMNS``.  A row with
+    several problems reports the first in this order: field count, approach
+    id, intersection id, duplicate, directionality, lanes, width,
+    ``free_left``, ``is_major``, then the ``ApproachConfig`` invariants.
+    As in ``scan_cycles``, each check is one C-level pass over a column (of
+    stripped cells here) that puts each line's first error into one map.
     """
-    clean = _first_true(map(len(names).__ne__, map(len, rows)), len(rows))
-    if clean:
-        ids, intersections, lane_cells, directions, width_cells, free_cells, major_cells = (
-            list(map(str.strip, column)) for column in operator.itemgetter(*at)(
-                list(zip(*rows[:clean]))))
-        lanes: list[int] = []
-        widths: list[float] = []
-        lanes_read = _converted(int, lane_cells, lanes)
-        widths_read = _converted(float, width_cells, widths)
-        directionality = list(map(_DIRECTIONALITY.get, directions))
-        free_left = list(map(_FLAG.get, free_cells))
-        is_major = list(map(_FLAG.get, major_cells))
-        none = itertools.repeat(None)
-        clean = min(
-            _first_true(map(operator.not_, ids), clean),
-            _first_true(map(operator.not_, intersections), clean),
-            _first_true(map(operator.is_, directionality, none), clean),
-            _first_true(map(operator.gt, itertools.repeat(1), lanes), lanes_read),
-            _first_true(map(operator.not_, map(math.isfinite, widths)), widths_read),
-            _first_true(map(operator.ge, itertools.repeat(0.0), widths), clean),
-            _first_true(map(operator.is_, free_left, none), clean),
-            _first_true(map(operator.is_, is_major, none), clean),
-        )
-        ids = ids[:clean]
-        if len(set(ids)) < clean or not configs.keys().isdisjoint(ids):
-            seen = set(configs)
-            for j, approach_id in enumerate(ids):
-                if approach_id in seen:
-                    ids = ids[:j]
-                    break
-                seen.add(approach_id)
-            clean = len(ids)
-        configs.update(zip(ids, map(ApproachConfig, ids, intersections, lanes, directionality,
-                                    widths, free_left, is_major)))
-    for line, row in zip(itertools.count(first + clean), rows[clean:]):
-        _approach_row(row, line, names, configs)
+    bad: dict[int, InputError | None] = {}  # line -> its first error; None if blank
+    lines, columns, ids = _columns(rows, lines, len(at), at[0], bad)
+    intersections, lane_cells, directions, width_cells, free_cells, major_cells = (
+        list(map(str.strip, columns[i])) for i in at[1:])
+    _flag(map(operator.not_, intersections), lines, bad, lambda j: "empty intersection_id")
+    if len(set(ids)) < len(ids) or not configs.keys().isdisjoint(ids):
+        seen = set(configs)
+        for line, approach_id in zip(lines, ids):
+            if approach_id in seen:
+                bad.setdefault(line, SchemaViolation(
+                    f"duplicate approach {approach_id!r}", row=line))
+            seen.add(approach_id)
+    directionality = list(map(_DIRECTIONALITY.get, directions))
+    _flag(map(operator.is_, directionality, itertools.repeat(None)), lines, bad,
+          lambda j: f"directionality must be 'oneway' or 'twoway', got {directions[j]!r}")
+    lanes = _column(lane_cells, int, [], -1, _negative, _lanes_cell, lines, bad)
+    widths = _float_column(width_cells, "width_m", False, lines, bad)
+    flags = []
+    for name, cells in (("free_left", free_cells), ("is_major", major_cells)):
+        flags.append(list(map(_FLAG.get, cells)))
+        _flag(map(operator.is_, flags[-1], itertools.repeat(None)), lines, bad,
+              lambda j: f"column {name!r} must be 0 or 1")
+    columns = [ids, intersections, lanes, directionality, widths, *flags]
+    for j in itertools.compress(itertools.count(), map(
+            operator.or_, map(operator.gt, itertools.repeat(1), lanes),
+            map(operator.ge, itertools.repeat(0.0), widths))):
+        if lines[j] not in bad:
+            try:
+                ApproachConfig(*(column[j] for column in columns))
+            except InvariantViolation as err:
+                err.row = lines[j]
+                bad[lines[j]] = err
 
-
-def _approach_row(
-    row: Sequence[str], line: int, names: Sequence[str], configs: dict[str, ApproachConfig],
-) -> None:
-    """Add one row's approach to ``configs``, skip it if blank, or raise its
-    first error."""
-    if not row or all(not cell.strip() for cell in row):
-        return
-    if len(row) != len(names):
-        raise SchemaViolation(f"expected {len(names)} fields, got {len(row)}", row=line)
-    cells = {name: cell.strip() for name, cell in zip(names, row)}
-    approach_id = cells["approach_id"]
-    if not approach_id:
-        raise SchemaViolation("empty approach_id", row=line)
-    if not cells["intersection_id"]:
-        raise SchemaViolation("empty intersection_id", row=line)
-    if approach_id in configs:
-        raise SchemaViolation(f"duplicate approach {approach_id!r}", row=line)
-    try:
-        directionality = Directionality(cells["directionality"])
-    except ValueError:
-        raise SchemaViolation(
-            f"directionality must be 'oneway' or 'twoway', got {cells['directionality']!r}",
-            row=line) from None
-    try:
-        lanes = int(cells["lanes"])
-    except ValueError:
-        raise SchemaViolation(
-            f"lanes: not an integer: {cells['lanes']!r}", row=line) from None
-    width = _float_cell(cells["width_m"], "width_m", line)
-    flags = {}
-    for column in ("free_left", "is_major"):
-        if cells[column] not in ("0", "1"):
-            raise SchemaViolation(f"column {column!r} must be 0 or 1", row=line)
-        flags[column] = cells[column] == "1"
-    try:
-        configs[approach_id] = ApproachConfig(
-            approach_id=approach_id,
-            intersection_id=cells["intersection_id"],
-            lane_count=lanes,
-            directionality=directionality,
-            width=width,
-            free_left=flags["free_left"],
-            is_major=flags["is_major"],
-        )
-    except AnalyzerError as err:
-        err.row = line
-        raise
+    first = min(filter(bad.get, bad), default=None)
+    if first is not None:
+        raise bad[first]
+    if bad:  # blank rows
+        kept = list(map(operator.not_, map(bad.__contains__, lines)))
+        columns = [list(itertools.compress(column, kept)) for column in columns]
+    configs.update(zip(columns[0], map(ApproachConfig, *columns)))

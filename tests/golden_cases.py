@@ -9,13 +9,21 @@ stderr, with the temporary output directory shown as ``<out>``.
 Regenerate the snapshots (only when an output change is intended) with
 
     PYTHONPATH=src python tests/golden_cases.py
+
+and compare fresh runs with them, without pytest, with
+
+    PYTHONPATH=src python tests/golden_cases.py --check
+
+which names each file that differs and exits 1 if any does.
 """
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import io
 import shutil
+import sys
 import tempfile
 from pathlib import Path
 
@@ -51,6 +59,10 @@ CASES = {
                         "--approaches", str(FIXTURES / "study_approaches.csv")], False, True),
     "validate_dirty_no_approaches": (
         ["validate", "--cycles", str(FIXTURES / "dirty_cycles.csv")], False, True),
+    # An approach id quoted across two lines, then one row of each bad kind:
+    # every error names the line its row starts on.
+    "validate_multiline": (
+        ["validate", "--cycles", str(FIXTURES / "multiline_cycles.csv")], False, True),
     "flow_study": (["flow", *STUDY], True, True),
     "green_study": (["green", *STUDY], True, True),
     "delay_study": (["delay", *STUDY], True, True),
@@ -108,5 +120,22 @@ def write_golden() -> None:
             (target / filename).write_bytes(content)
 
 
+def check() -> int:
+    """Run every case, print each file that differs from its snapshot, and
+    return 1 if any does, else 0."""
+    differing = 0
+    for name in CASES:
+        expected, actual = read_golden(name), run_case(name)
+        for filename in sorted(expected.keys() | actual.keys()):
+            if expected.get(filename) != actual.get(filename):
+                print(f"{name}/{filename} differs")
+                differing += 1
+    print(f"{len(CASES)} cases, {differing} differing file(s)")
+    return 1 if differing else 0
+
+
 if __name__ == "__main__":
-    write_golden()
+    parser = argparse.ArgumentParser(description="Regenerate the golden snapshots.")
+    parser.add_argument("--check", action="store_true",
+                        help="compare fresh runs with the snapshots instead")
+    sys.exit(check() if parser.parse_args().check else write_golden())

@@ -9,7 +9,9 @@ equal records, the same errors in the same order, bit-identical window
 averages and identical formatted strings.  The rounding functions quantize
 under the current ``decimal`` context, whose default 28 digits overflow from
 about 1e28 up; the tests widen it.  ``cycles_to_csv`` writes records back in the
-cycle CSV schema for the round-trip tests.
+cycle CSV schema for the round-trip tests.  The parsers number a row by the
+line its record starts on: one past the reader's ``line_num`` after the
+record before it.
 """
 
 from __future__ import annotations
@@ -136,9 +138,10 @@ def ingest_approaches(source: TextIO | Iterable[str]) -> dict[str, ApproachConfi
     names = _header(first, APPROACH_COLUMNS, APPROACH_COLUMNS)
 
     configs: dict[str, ApproachConfig] = {}
-    line = 1
+    start = reader.line_num + 1  # the line the next record starts on
     try:
-        for line, row in enumerate(reader, start=2):
+        for row in reader:
+            line, start = start, reader.line_num + 1
             if not row or all(not cell.strip() for cell in row):
                 continue
             if len(row) != len(names):
@@ -182,7 +185,7 @@ def ingest_approaches(source: TextIO | Iterable[str]) -> dict[str, ApproachConfi
                 err.row = line
                 raise
     except csv.Error as err:
-        raise _unsplittable(err, line + 1) from None
+        raise _unsplittable(err, start) from None
     return configs
 
 
@@ -203,7 +206,9 @@ def scan_cycles(
     except SchemaViolation as err:
         return [], [err]
 
-    for line, row in enumerate(reader, start=2):
+    start = reader.line_num + 1  # the line the next record starts on
+    for row in reader:
+        line, start = start, reader.line_num + 1
         if not row or all(not cell.strip() for cell in row):
             continue
         try:

@@ -1,6 +1,7 @@
 """Fuzz the command line: mutated CSVs, config JSON and flag values must end
-in exit 0 or in a typed error with its JSON record, never a traceback, and a
-failed run must leave an earlier run's artifacts as they were."""
+in exit 0 or in a typed error with its JSON record, never a traceback, whose
+row, if any, is a line of the input it names, and a failed run must leave an
+earlier run's artifacts as they were."""
 
 import contextlib
 import io
@@ -10,8 +11,9 @@ from pathlib import Path
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from intersection_analyzer import cli
+from intersection_analyzer import cli, ingest_approaches
 from intersection_analyzer.cli import main
+from intersection_analyzer.errors import AnalyzerError
 
 from conftest import (
     FIXTURES,
@@ -144,3 +146,22 @@ def test_every_run_ends_in_success_or_a_typed_error_record(run):
             assert record["error"] in EXIT_CODES
             assert record["exit_code"] == code == EXIT_CODES[record["error"]]
             assert snapshot(paths["out"]) == before
+            if record["row"] is not None:
+                assert 1 <= record["row"] <= line_count(paths[source_of_rows(paths)])
+
+
+def source_of_rows(paths: dict[str, Path]) -> str:
+    """The input a run's row number refers to: the approach file, which is
+    read before the cycle file, if it has a bad row, else the cycle file."""
+    if "approaches" in paths:
+        try:
+            with open(paths["approaches"], encoding="utf-8-sig", newline="") as handle:
+                ingest_approaches(handle)
+        except AnalyzerError:
+            return "approaches"
+    return "cycles"
+
+
+def line_count(path: Path) -> int:
+    with open(path, encoding="utf-8", errors="replace", newline="") as handle:
+        return sum(1 for _ in handle)

@@ -147,29 +147,21 @@ def csv_error(line):
 def reference_outcome(header, chunks, unsplittable, configs):
     """What scan_cycles must return for ``header``, then each chunk of
     records followed by its line of ``unsplittable``, from the oracle run
-    on each chunk alone.
-
-    Rows are numbered by record, as the oracle does, until the first
-    unsplittable line; from there on, by physical line, the number after
-    that line's, then again by record.
-    """
+    on each chunk alone; every row is numbered by physical line."""
     records, errors = [], []
-    last = 1  # the number of the last row read
-    physical = header.count("\n")
+    offset = 0  # the lines between the header and the chunk
     for chunk, bad_line in itertools.zip_longest(chunks, unsplittable):
         chunk_records, chunk_errors = oracles.scan_cycles(io.StringIO(header + chunk), configs)
         records += chunk_records
         for err in chunk_errors:
-            err.row += last - 1
+            err.row += offset
             errors.append((type(err), str(err), err.row))
-        last += sum(1 for _ in csv.reader(io.StringIO(chunk)))
-        physical += chunk.count("\n")
+        offset += chunk.count("\n")
         if bad_line is not None:
-            last += 1
+            offset += 1
+            row = header.count("\n") + offset
             errors.append((SchemaViolation,
-                           f"row {last}: unreadable CSV row: {csv_error(bad_line)}", last))
-            physical += 1
-            last = physical
+                           f"row {row}: unreadable CSV row: {csv_error(bad_line)}", row))
     return records, errors
 
 

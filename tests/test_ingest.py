@@ -188,6 +188,35 @@ def test_a_quoted_field_closed_on_its_own_line_skips_nothing():
     assert len(records) == 1 and [e.row for e in errors] == [2]
 
 
+CYCLE_HEADER = "approach_id,cycle_length_s,red_s,green_s,car\n"
+APPROACH_HEADER = ",".join(APPROACH_COLUMNS) + "\n"
+
+
+def test_a_row_after_a_field_spanning_lines_names_the_line_it_is_on():
+    text = CYCLE_HEADER + '"SR\n1",152,120,32,1\nSR1,152,120,32,x\n'
+    _, errors = scan_cycles(io.StringIO(text))
+    assert [(type(e), e.row) for e in errors] == [(SchemaViolation, 4)]
+    _, errors = scan_cycles(io.StringIO(text.replace("approach_id", '"approach_id\n"', 1)))
+    assert [e.row for e in errors] == [5]
+
+    text = APPROACH_HEADER + '"A\n1",I,1,oneway,3.5,0,0\nB,I,x,oneway,3.5,0,0\n'
+    with pytest.raises(SchemaViolation, match="lanes: not an integer") as exc:
+        ingest_approaches(io.StringIO(text))
+    assert exc.value.row == 4
+
+
+def test_an_unreadable_row_after_a_field_spanning_lines_names_the_line_it_is_on():
+    text = CYCLE_HEADER + '"SR\n1",152,120,32,1\nSR1,15\r2,120,32,1\nSR1,152,120,32,x\n'
+    _, errors = scan_cycles(io.StringIO(text))
+    assert [e.row for e in errors] == [4, 5]
+    assert "unreadable CSV row" in str(errors[0])
+
+    text = APPROACH_HEADER + '"A\n1",I,1,oneway,3.5,0,0\nB,I\rJ,1,oneway,3.5,0,0\n'
+    with pytest.raises(SchemaViolation, match="unreadable CSV row") as exc:
+        ingest_approaches(io.StringIO(text))
+    assert exc.value.row == 4
+
+
 csv_lines = st.lists(
     st.text(alphabet='ab,"', max_size=8).map(lambda line: line + "\n"), min_size=1, max_size=4)
 
