@@ -9,6 +9,7 @@ is identified by calibrating against observed fuel totals.
 
 from __future__ import annotations
 
+import math
 import statistics
 from dataclasses import dataclass
 from enum import Enum
@@ -141,7 +142,7 @@ def co2_from_fuel(
         if factor is None:
             raise InputError(f"no emission factor for {fuel_type.value}")
         co2_out[fuel_type] = quantity * factor
-    total = sum(co2_out[fuel_type] for fuel_type in FuelType)
+    total = math.fsum(co2_out.values())
     return EmissionReport(
         fuel_per_hour=MappingProxyType(fuel_out),
         co2_per_hour=MappingProxyType(co2_out),

@@ -142,7 +142,7 @@ def green_shares(mean_greens: Mapping[str, float]) -> dict[str, float]:
     if not mean_greens:
         raise InputError("no approaches with records")
     ordered = {approach_id: mean_greens[approach_id] for approach_id in sorted(mean_greens)}
-    total = sum(ordered.values())
+    total = math.fsum(ordered.values())
     if total <= 0:
         raise InputError("total green time across the intersection is zero")
     return {approach_id: mean / total for approach_id, mean in ordered.items()}

@@ -9,6 +9,7 @@ and does not depend on the PCU values it produces.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Iterable, Mapping
@@ -65,7 +66,7 @@ def to_pcu(counts: ClassifiedCount,
 
     Linear in the counts; zero exactly when every count is zero.
     """
-    return sum(
+    return math.fsum(
         n * table.factor_for(cls, shares.get(cls, 0.0))
         for cls, n in counts.counts.items()
     )

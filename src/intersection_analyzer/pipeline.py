@@ -11,15 +11,22 @@ are taken over contiguous slices, and every formula is one C-level ``map``
 pass over the per-approach columns.  ``AnalysisResult`` holds the columns;
 ``ApproachReport`` and ``IntersectionReport`` are views of one entry, built
 on demand.
+
+Every float total is one ``math.fsum``: the exact sum, rounded once, so no
+figure depends on the order of the rows or on which ``sum`` the running
+Python has.  Integer and bool totals use ``sum``.  An exact total that
+passes the largest double is an ``InputError`` naming what was added and
+whose it was (``stats.group_totals``).  Vehicles-mode PCU is linear in the
+counts: an approach's PCU per cycle is the exact sum of its class totals
+times the factors its intersection's composition picks, over its cycles.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from functools import reduce
 from itertools import chain, compress, count, repeat
-from operator import add, and_, attrgetter, ge, itemgetter, le, lt, mul, ne, not_, sub, truediv
+from operator import and_, attrgetter, ge, itemgetter, le, lt, mul, ne, not_, sub, truediv
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -53,6 +60,7 @@ from .pcu import composition_shares
 # name, and a missing name reads as an absent layer.
 from .pcu import to_pcu  # noqa: F401
 from .report import fmt_column
+from .stats import group_totals
 
 VC_STANDARD = "vc_ratio"
 
@@ -65,37 +73,9 @@ def _zero_as_nan(divisors: Sequence[float]) -> Iterator[float]:
     return map(_ZERO_AS_NAN.get, divisors, divisors)
 
 
-def _left_sum(values: Iterable[float]) -> float:
-    """0.0 plus each value in turn, rounding after each addition.  From
-    Python 3.12 on the builtin ``sum`` compensates that rounding, which can
-    change the last bit."""
-    return reduce(add, values, 0.0)
-
-
 def _first(flags: Iterable[bool], none: int) -> int:
     """The index of the first true flag, or ``none``."""
     return next(compress(count(), flags), none)
-
-
-def _group_totals(total, column: Sequence, groups: Sequence[slice], what: str,
-                  owner: str, owner_ids: Sequence[str]) -> list:
-    """``total`` of each group of entries of ``column``; group ``k`` belongs
-    to the ``owner`` (approach or intersection) ``owner_ids[k]``.
-
-    ``math.fsum`` raises ``OverflowError`` where finite values add up past
-    the largest double; that is an input error naming ``what`` was added and
-    the owner of the first group it happens for.
-    """
-    try:
-        return list(map(total, map(column.__getitem__, groups)))
-    except OverflowError:
-        for owner_id, group in zip(owner_ids, groups):
-            try:
-                total(column[group])
-            except OverflowError:
-                raise InputError(f"the {what} of {owner} {owner_id!r} add up past the "
-                                 f"largest float") from None
-        raise
 
 
 class _Columns:
@@ -339,53 +319,49 @@ def analyze_records(
              len(output)]
     spans = list(map(slice, start, start[1:]))
     counts = list(map(sub, start[1:], start))
+    intersection_ids = [a.intersection_id[s.start] for s in spans]
 
     take = itemgetter(*order) if len(order) > 1 else (lambda column: (column[order[0]],))
 
     def per_approach(column: Sequence, total=math.fsum, name: str = "") -> list:
         """``total`` of each approach's run of an output-ordered row column."""
-        return _group_totals(total, column, rows, f"{name} values", "approach", output)
+        return group_totals(total, column, rows, f"{name} values", "approach {!r}", output)
 
-    def per_intersection(column: Sequence, total=sum) -> list:
-        return list(map(total, map(column.__getitem__, spans)))
+    def per_intersection(column: Sequence, total=math.fsum, what: str = "",
+                         groups: Sequence = spans) -> list:
+        """``total`` of each intersection's entries of an approach column: its
+        span, or its index in a column of per-intersection tuples."""
+        return group_totals(total, column, groups, what, "intersection {!r}", intersection_ids)
 
-    cycles = take(table.cycle_length)
-    a.mean_cycle_length = list(map(truediv, per_approach(cycles, name="cycle_length_s"), sizes))
-    cycle_time = per_approach(cycles, sum)
-    del cycles
+    cycle_time = per_approach(take(table.cycle_length), name="cycle_length_s")
+    a.mean_cycle_length = list(map(truediv, cycle_time, sizes))
     a.mean_green = list(map(truediv, per_approach(take(table.green_time), name="green_s"),
                             sizes))
     a.mean_effective_green = _present_means(
         take(table.effective_green), per_approach, sizes, "effective_green_s")
     a.mean_exited_pcu = _present_means(take(table.exited_pcu), per_approach, sizes, "exited_pcu")
 
-    classes = [take(column) for column in table.class_columns()]
-    class_totals = [per_approach(column, sum) for column in classes]
+    class_totals = [per_approach(take(column), sum) for column in table.class_columns()]
     # Shares of at least one vehicle: an approach with none has shares of 0.
     vehicles = list(map(max, map(sum, zip(*class_totals)), repeat(1)))
     a.composition = dict(zip(VEHICLE_CLASSES, (
         list(map(truediv, totals, vehicles)) for totals in class_totals)))
     intersection_vehicles = None
     if config.counts_unit == COUNTS_VEHICLES:
-        # A row's PCU is the ``sum`` of its count * factor products in class
-        # order, the factors chosen by its intersection's composition.
-        intersection_totals = [per_intersection(totals) for totals in class_totals]
+        # Each class total times the factor its intersection's share picks.
+        intersection_totals = [per_intersection(totals, sum) for totals in class_totals]
         intersection_vehicles = list(map(sum, zip(*intersection_totals)))
         divisors = list(map(max, intersection_vehicles, repeat(1)))
-        intersection_rows = [row_start[s.stop] - row_start[s.start] for s in spans]
         products = []
-        for cls, column, totals in zip(VEHICLE_CLASSES, classes, intersection_totals):
-            shares = map(truediv, totals, divisors)
-            factors = map(config.pcu_factors.factor_for, repeat(cls), shares)
-            products.append(map(
-                mul, column, chain.from_iterable(map(repeat, factors, intersection_rows))))
-        pcu_rows = tuple(map(sum, zip(*products)))
-        del products
+        for cls, totals, shared in zip(VEHICLE_CLASSES, class_totals, intersection_totals):
+            factors = map(config.pcu_factors.factor_for, repeat(cls),
+                          map(truediv, shared, divisors))
+            products.append(map(mul, totals, chain.from_iterable(map(repeat, factors, counts))))
+        pcu = group_totals(math.fsum, list(zip(*products)), range(len(output)),
+                           "class PCUs", "approach {!r}", output)
     else:
-        pcu_rows = tuple(map(sum, zip(*classes)))
-    del classes
-    a.pcu_per_cycle = list(map(truediv, per_approach(pcu_rows), sizes))
-    del pcu_rows
+        pcu = list(map(sum, zip(*class_totals)))
+    a.pcu_per_cycle = list(map(truediv, pcu, sizes))
 
     a.hourly_volume = list(hourly_volumes(a.pcu_per_cycle, a.mean_cycle_length))
     capacities = config.capacity_table.capacities
@@ -401,8 +377,8 @@ def analyze_records(
                                repeat(config.default_platoon_ratio)))
     green_ratio = list(map(truediv, a.mean_green, a.mean_cycle_length))
     load = list(map(mul, a.vc_ratio, green_ratio))
-    green_total = per_intersection(a.mean_green)
-    major_count = per_intersection(a.is_major)
+    green_total = per_intersection(a.mean_green, what="mean greens")
+    major_count = per_intersection(a.is_major, sum)
 
     # Find the first intersection the scalar path would raise an error for:
     # its approaches' failures in the formulas above, then its own.
@@ -432,25 +408,22 @@ def analyze_records(
     del seconds, green_ratio, load
     clean = spans[:failing]
     n = counts[:failing]
-    intersection_ids = [a.intersection_id[s.start] for s in spans]
     i = _Columns(
         intersection_id=intersection_ids,
         span=spans,
-        mean_delay_all=list(map(truediv, _group_totals(
-            math.fsum, a.delay_s, clean, "control delays", "intersection", intersection_ids),
-        n)),
+        mean_delay_all=list(map(truediv, per_intersection(
+            a.delay_s, what="control delays", groups=clean), n)),
         # A delay times is_major is the delay or 0, which leaves the exact
         # sum of the major approaches' delays alone.
-        mean_delay_major=list(map(truediv, _group_totals(
-            math.fsum, list(map(mul, a.delay_s, a.is_major)), clean,
-            "major approaches' control delays", "intersection", intersection_ids),
-            _zero_as_nan(major_count))),
+        mean_delay_major=list(map(truediv, per_intersection(
+            list(map(mul, a.delay_s, a.is_major)), what="major approaches' control delays",
+            groups=clean), _zero_as_nan(major_count))),
     )
     i.emission_delay_s = (
         i.mean_delay_major if emission_policy is DelayPolicy.MAJOR_ONLY else i.mean_delay_all)
     hourly = {
         cls: per_intersection(list(map(truediv, map(mul, totals, repeat(3600.0)), cycle_time)),
-                              _left_sum)
+                              what=f"hourly {cls.value} counts", groups=clean)
         for cls, totals in zip(VEHICLE_CLASSES, class_totals)
     }
     i.fuel_per_hour = idle_fuel_columns(hourly, i.emission_delay_s, config.idle_rates)
@@ -461,7 +434,7 @@ def analyze_records(
     ])
     if failing < len(spans):
         _raise_error(spans[failing], a, class_totals, approaches, config, emission_policy,
-                     {cls: column[failing] for cls, column in hourly.items()},
+                     {cls: column[failing:failing + 1] for cls, column in hourly.items()},
                      i.emission_delay_s[failing:failing + 1])
 
     # Every intersection passed: every approach's mean green lies in (0, C].
@@ -493,7 +466,10 @@ def analyze_records(
         fuel_type: list(map(mul, fuel, repeat(factors.get(fuel_type, 0.0))))
         for fuel_type, fuel in i.fuel_per_hour.items()
     }
-    i.total_co2_per_hour = list(map(sum, zip(*i.co2_per_hour.values())))
+    i.total_co2_per_hour = per_intersection(
+        list(zip(*i.co2_per_hour.values())), what="CO2 rates", groups=range(len(spans)))
+    study_total = group_totals(math.fsum, i.total_co2_per_hour, [slice(None)],
+                               "intersections' CO2 rates", "the study", [None])[0]
     city = scale_emissions(
         i.total_co2_per_hour,
         config.city.intersection_count,
@@ -501,7 +477,7 @@ def analyze_records(
         config.city.co2_kg_per_hour,
     )
     standards = {name: bands.standard for name, bands in config.los_tables.items()}
-    return AnalysisResult(a, i, standards, sum(i.total_co2_per_hour), city)
+    return AnalysisResult(a, i, standards, study_total, city)
 
 
 def _present_means(column: Sequence[float], per_approach, sizes: Sequence[int],
@@ -549,9 +525,9 @@ def _raise_error(
     """Re-run one intersection that failed a column check one approach at a
     time through the scalar formulas, which raise its first error.
 
-    ``emission_delay`` holds the intersection's emission delay, or nothing
-    when the delay model was not run for it: one of its earlier checks then
-    raises first.
+    ``hourly_counts`` and ``emission_delay`` hold the intersection's hourly
+    class counts and emission delay, or nothing when the delay model was not
+    run for it: one of its earlier checks then raises first.
     """
     approach_ids = a.approach_id[span]
     if config.counts_unit == COUNTS_VEHICLES:
@@ -572,6 +548,7 @@ def _raise_error(
         raise InputError(
             f"intersection {a.intersection_id[span.start]!r} has no major approaches for "
             f"the requested emission delay policy")
-    co2_from_fuel(idle_fuel(hourly_counts, emission_delay[0], config.idle_rates),
+    hourly = {cls: counts[0] for cls, counts in hourly_counts.items()}
+    co2_from_fuel(idle_fuel(hourly, emission_delay[0], config.idle_rates),
                   config.emission_factors)
     raise AssertionError(f"no error found in intersection {a.intersection_id[span.start]!r}")

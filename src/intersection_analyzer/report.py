@@ -12,9 +12,7 @@ outputs behind.
 
 from __future__ import annotations
 
-import csv
 import functools
-import io
 import math
 import os
 import tempfile
@@ -154,17 +152,12 @@ def hhmm(seconds_since_midnight: float) -> str:
     return f"{total // 3600:02d}:{total % 3600 // 60:02d}"
 
 
-def _written_quoted(char: str) -> bool:
-    buffer = io.StringIO()
-    csv.writer(buffer, lineterminator="\n").writerow((char, ""))
-    return buffer.getvalue()[0] == '"'
-
-
-# The characters for which ``csv.writer`` quotes a field on this Python:
-# from 3.13 on a carriage return is one of them.
-_QUOTED_CHARS = tuple(filter(_written_quoted, ',"\n\r'))
+# The characters for which a field is quoted.  Python 3.13's ``csv.writer``
+# quotes a carriage return and earlier ones do not; it is always quoted, so
+# every artifact reads back the same cells and has the same bytes everywhere.
+_QUOTED_CHARS = (",", '"', "\n", "\r")
 # Those that never stand between cells or rows.
-_CELL_ONLY_CHARS = tuple(char for char in _QUOTED_CHARS if char not in ",\n")
+_CELL_ONLY_CHARS = ('"', "\r")
 
 # Rows joined into one piece of text at a time: a document's row strings
 # never all exist at once.
@@ -183,10 +176,10 @@ def _csv_field(cell: str) -> str:
 
 def _csv_lines(rows: Sequence[Sequence[str]], fields: int) -> str:
     """``rows`` of ``fields`` cells each, as ``csv.writer`` writes them
-    without the last line break.
+    (a carriage return quoted) without the last line break.
 
     The rows are joined as they are; only if the text then holds a quote
-    character, a quoted carriage return, or more commas or line breaks than
+    character, a carriage return, or more commas or line breaks than
     the rows' own separators, is each cell quoted as it needs.
     """
     text = "\n".join(map(",".join, rows))
@@ -198,8 +191,8 @@ def _csv_lines(rows: Sequence[Sequence[str]], fields: int) -> str:
 
 def _csv_doc(name: str, header: Sequence[str], rows: Iterable[Sequence[str]]) -> str:
     """The schema line, then the header and each row of two or more cells,
-    in the bytes ``csv.writer(..., lineterminator="\n")`` writes on this
-    Python."""
+    in the bytes ``csv.writer(..., lineterminator="\n")`` writes on Python
+    3.13."""
     fields, rows = len(header), iter(rows)
     parts = [f"# schema: intersection-analyzer/{name} v{SCHEMA_VERSION}\n",
              _csv_lines([header], fields), "\n"]

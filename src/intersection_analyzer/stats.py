@@ -77,6 +77,27 @@ class FiveNumberSummary:
             raise InvariantViolation(f"five-number summary out of order: {ordered}")
 
 
+def group_totals(total, column: Sequence, groups: Sequence, what: str, owner: str,
+                 owner_ids: Sequence) -> list:
+    """``total`` of each group of ``column``, given as a slice or an index of
+    it; group ``k`` belongs to ``owner.format(owner_ids[k])``.
+
+    ``math.fsum`` raises ``OverflowError`` where finite values add up past
+    the largest double; that is an input error naming ``what`` was added and
+    the owner of the first group it happens for.
+    """
+    try:
+        return list(map(total, map(column.__getitem__, groups)))
+    except OverflowError:
+        for owner_id, group in zip(owner_ids, groups):
+            try:
+                total(column[group])
+            except OverflowError:
+                raise InputError(f"the {what} of {owner.format(owner_id)} add up past the "
+                                 f"largest float") from None
+        raise
+
+
 def _day_and_time(timestamp: float) -> tuple[int, float]:
     """Days since the epoch and seconds since that day's midnight, in UTC.
 
@@ -159,8 +180,7 @@ def window_cycle_lengths(
         day_times = map(_day_and_time, timestamps)
     kept_weekdays = _KEPT_WEEKDAYS[day_filter]
     kept_any = False
-    sums = [0.0] * len(starts)
-    counts = [0] * len(starts)
+    lengths = [[] for _ in starts]  # each window's cycle lengths
     for (day, tod), cycle_length in zip(day_times, table.cycle_length):
         if kept_weekdays is not None and _weekday(day) not in kept_weekdays:
             continue
@@ -170,10 +190,12 @@ def window_cycle_lengths(
         index = int((tod - DAY_START_S) // window)
         if index >= len(starts):
             continue
-        sums[index] += cycle_length
-        counts[index] += 1
+        lengths[index].append(cycle_length)
     if not kept_any:
         return []
+    sums = group_totals(math.fsum, lengths, range(len(starts)), "cycle lengths",
+                        "the window from second {:g}", starts)
+    counts = list(map(len, lengths))
 
     return [
         WindowedAverage(
@@ -197,19 +219,15 @@ def peak_window(averages: Sequence[WindowedAverage], span: int) -> tuple[float, 
         raise InputError(
             f"need at least {span} windows, have {len(averages)}")
 
-    best_index: int | None = None
-    best_sum = -math.inf
-    for i in range(len(averages) - span + 1):
-        run = averages[i:i + span]
-        if any(w.mean_cycle_length is None for w in run):
-            continue
-        total = sum(w.mean_cycle_length for w in run)
-        if total > best_sum:
-            best_sum = total
-            best_index = i
-    if best_index is None:
+    means = [w.mean_cycle_length for w in averages]
+    firsts = [i for i in range(len(means) - span + 1) if None not in means[i:i + span]]
+    if not firsts:
         raise InputError(
             f"no run of {span} consecutive windows has data")
+    totals = group_totals(math.fsum, means, [slice(i, i + span) for i in firsts],
+                          "mean cycle lengths", "the run of windows from second {:g}",
+                          [averages[i].window_start for i in firsts])
+    best_index = firsts[totals.index(max(totals))]
 
     first = averages[best_index]
     last = averages[best_index + span - 1]

@@ -295,7 +295,8 @@ def window_cycle_lengths(
     window: float = 1800.0,
     day_filter: DayFilter = DayFilter.ALL,
 ) -> list[WindowedAverage]:
-    """The windowing loop as it was, minus the argument checks."""
+    """The windowing loop as it was, minus the argument checks, with each
+    window's cycle lengths added by ``math.fsum``."""
     if not records:
         return []
     kept = [r for r in records if _matches_day(r.timestamp, day_filter)]
@@ -308,8 +309,7 @@ def window_cycle_lengths(
         starts.append(start)
         start += window
 
-    sums = [0.0] * len(starts)
-    counts = [0] * len(starts)
+    lengths: list[list[float]] = [[] for _ in starts]
     for record in kept:
         tod = seconds_since_midnight(record.timestamp)
         if tod < DAY_START_S:
@@ -317,8 +317,9 @@ def window_cycle_lengths(
         index = int((tod - DAY_START_S) // window)
         if index >= len(starts):
             continue
-        sums[index] += record.cycle_length
-        counts[index] += 1
+        lengths[index].append(record.cycle_length)
+    sums = [math.fsum(values) for values in lengths]
+    counts = [len(values) for values in lengths]
 
     return [
         WindowedAverage(
@@ -399,10 +400,12 @@ def fmt(value: float, places: int) -> str:
 #
 # ``analyze_records`` (with its result types and helpers) and the artifact
 # builders as they were before the analysis worked a column at a time,
-# verbatim but for three things: band tables grade through ``classify``
+# verbatim but for five things: band tables grade through ``classify``
 # below, the banding loop ``LosBandTable.classify`` used to run; figures
 # round through this module's all-``Decimal`` ``fmt``, ``fmt_int`` and
-# ``round_half_up``; and every import is at the top of the module.
+# ``round_half_up``; every float total is a ``math.fsum``; vehicles-mode
+# PCU is linear, each class total times its factor; and every import is at
+# the top of the module.
 
 
 def classify(table: LosBandTable, value: float) -> LosResult:
@@ -464,22 +467,19 @@ class AnalysisResult:
 class _ApproachFold:
     """What one pass over an approach's rows collects, in file order.
 
-    ``class_counts`` holds one tuple per class with that class's count in
-    each row; ``totals`` sums each class over all rows and
-    ``record_totals`` holds each row's vehicle total.  Both are exact
-    integer sums.
+    ``totals`` sums each class over all rows and ``record_totals`` holds
+    each row's vehicle total.  Both are exact integer sums.
     """
 
     cycles: Sequence[float]
     greens: Sequence[float]
     effective_greens: list[float]
     exited: list[float]
-    class_counts: list[Sequence[int]]
     totals: ClassifiedCount
     record_totals: list[int]
 
     def hourly_class_counts(self) -> dict[VehicleClass, float]:
-        cycle_time = sum(self.cycles)
+        cycle_time = math.fsum(self.cycles)
         return {cls: n * 3600.0 / cycle_time for cls, n in self.totals.counts.items()}
 
 
@@ -504,7 +504,6 @@ def _fold_approach(
         greens=take(table.green_time),
         effective_greens=list(filterfalse(math.isnan, take(table.effective_green))),
         exited=list(filterfalse(math.isnan, take(table.exited_pcu))),
-        class_counts=class_counts,
         totals=ClassifiedCount(approach_id, dict(zip(VEHICLE_CLASSES, map(sum, class_counts)))),
         record_totals=list(map(sum, zip(*class_counts))),
     )
@@ -548,8 +547,8 @@ def analyze_records(
         }
 
         # Each class's PCU factor, in VEHICLE_CLASSES order, from the
-        # intersection's composition: a row's PCU is the same sum of
-        # count * factor products that ``pcu.to_pcu`` forms.
+        # intersection's composition: an approach's PCU is the exact sum of
+        # its class totals times these factors.
         factors: tuple[float, ...] = ()
         if config.counts_unit == COUNTS_VEHICLES:
             shares = composition_shares(f.totals for f in folds.values())
@@ -574,8 +573,8 @@ def analyze_records(
                 composition = {cls: 0.0 for cls in VEHICLE_CLASSES}
 
             if config.counts_unit == COUNTS_VEHICLES:
-                pcu_per_cycle = statistics.fmean(
-                    [sum(map(mul, counts, factors)) for counts in zip(*fold.class_counts)])
+                class_totals = (fold.totals.counts[cls] for cls in VEHICLE_CLASSES)
+                pcu_per_cycle = math.fsum(map(mul, class_totals, factors)) / len(fold.cycles)
             else:
                 pcu_per_cycle = statistics.fmean(fold.record_totals)
             volume = hourly_volume(pcu_per_cycle, mean_cycle)
@@ -650,7 +649,7 @@ def analyze_records(
     return AnalysisResult(
         approaches=tuple(approach_reports),
         intersections=tuple(intersection_reports),
-        study_total_co2_kg_per_hour=sum(totals),
+        study_total_co2_kg_per_hour=math.fsum(totals),
         city=city,
     )
 
@@ -688,10 +687,8 @@ def _intersection_report(
             f"the requested emission delay policy")
     emission_delay = mean_major if emission_policy is DelayPolicy.MAJOR_ONLY else mean_all
 
-    hourly_counts = {cls: 0.0 for cls in VEHICLE_CLASSES}
-    for approach_id in sorted(folds):
-        for cls, count in folds[approach_id].hourly_class_counts().items():
-            hourly_counts[cls] += count
+    hourly = [folds[approach_id].hourly_class_counts() for approach_id in sorted(folds)]
+    hourly_counts = {cls: math.fsum(counts[cls] for counts in hourly) for cls in VEHICLE_CLASSES}
 
     fuel = idle_fuel(hourly_counts, emission_delay, config.idle_rates)
     emissions = co2_from_fuel(fuel, config.emission_factors)
@@ -750,12 +747,18 @@ def fmt_g(value: float | None) -> str:
 
 
 def _csv_doc(name: str, header: Sequence[str], rows: Iterable[Sequence[str]]) -> str:
+    """Rows as ``csv.writer`` writes them, each ended by a line feed.  A row
+    is written with a CR LF terminator, which makes every Python quote a
+    cell that holds a carriage return, and the terminator is then swapped."""
+    lines = [f"# schema: intersection-analyzer/{name} v{SCHEMA_VERSION}\n"]
     buffer = io.StringIO()
-    buffer.write(f"# schema: intersection-analyzer/{name} v{SCHEMA_VERSION}\n")
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buffer.getvalue()
+    writer = csv.writer(buffer, lineterminator="\r\n")
+    for row in [header, *rows]:
+        buffer.seek(0)
+        buffer.truncate()
+        writer.writerow(row)
+        lines.append(buffer.getvalue()[:-2] + "\n")
+    return "".join(lines)
 
 
 def flow_csv(result: AnalysisResult) -> str:

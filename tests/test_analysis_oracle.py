@@ -31,9 +31,9 @@ FIXTURES = Path(__file__).parent / "fixtures"
 PCU = load_config()
 VEHICLES = load_config(FIXTURES / "vehicles_config.json")
 # With the threshold at 0.5 most classes fall below it and take the factors
-# 0.5, 1.0, 1.2, 1.4 and 2.2, whose products with a count add with rounding
-# error.  From Python 3.12 on the builtin ``sum`` compensates that error, so
-# there this config tells ``sum`` from a plain left-to-right addition.
+# 0.5, 1.0, 1.2, 1.4 and 2.2, whose products with a class total are inexact,
+# so a rounded running sum of them could differ from the exact ``math.fsum``
+# both analyses take.
 SPARSE_VEHICLES = dataclasses.replace(VEHICLES, pcu_factors=dataclasses.replace(
     VEHICLES.pcu_factors, composition_threshold=0.5))
 NO_DIESEL = dataclasses.replace(PCU, emission_factors=EmissionFactorTable(

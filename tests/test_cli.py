@@ -298,6 +298,70 @@ def test_cycle_lengths_summing_past_the_largest_float_are_an_input_error(tmp_pat
         "the cycle_length_s values of approach 'SR2' add up past the largest float")
 
 
+_CYCLE_HEADER = "approach_id,cycle_length_s,red_s,green_s,car\n"
+_TIMED_HEADER = "approach_id,cycle_length_s,red_s,green_s,car,timestamp\n"
+_HUGE_CAPACITIES = [{"lanes": lanes, "directionality": directionality, "pcu_per_hour": 1.7e308}
+                    for lanes, directionality in ((3, "oneway"), (2, "oneway"), (1, "twoway"))]
+_HUGE_PCU_FACTORS = {"composition_threshold": 0.05, "factors": {
+    "two_wheeler": [0.5, 0.75], "car": [1e308, 1e308], "auto_rickshaw": [1.2, 2.0],
+    "lcv": [1.4, 2.0], "bus": [1e308, 1e308]}}
+
+# site -> (subcommand and flags, cycle CSV or None for the study's, config, message).
+# Every total below adds finite values past the largest double.
+OVERFLOWING_TOTALS = {
+    "class PCUs": (
+        ["flow"], "approach_id,cycle_length_s,red_s,green_s,car,bus\nSR1,152,120,32,1,1\n",
+        {"counts_unit": "vehicles", "pcu_factors": _HUGE_PCU_FACTORS},
+        "the class PCUs of approach 'SR1'"),
+    "green total": (
+        ["flow"],
+        _CYCLE_HEADER + "".join(f"SR{k},1.7e308,1e307,1.6e308,3\n" for k in (1, 2, 3)),
+        {}, "the mean greens of intersection 'SSC'"),
+    # 7.2e307 cars an hour on each approach, within a huge capacity
+    "hourly counts": (
+        ["emissions"],
+        _CYCLE_HEADER + "".join(f"SR{k},5e-305,4e-305,1e-305,1\n" for k in (1, 2, 3)),
+        {"capacity_table": _HUGE_CAPACITIES}, "the hourly car counts of intersection 'SSC'"),
+    "intersection CO2": (
+        ["emissions"], None,
+        {"emission_factors": {"cng": 1.5e307, "diesel": 1.5e307, "petrol": 2.392}},
+        "the CO2 rates of intersection 'SSC'"),
+    "study CO2": (
+        ["emissions"], None,
+        {"emission_factors": {"cng": 1.5e307, "diesel": 2.64, "petrol": 2.392}},
+        "the intersections' CO2 rates of the study"),
+    "window sum": (
+        ["peak-hours", "--span", "1"],
+        _TIMED_HEADER + "N1,1e308,0,1,1,1704096000\nN2,1e308,0,1,1,1704096600\n",
+        None, "the cycle lengths of the window from second 28800"),
+    "peak-window run": (
+        ["peak-hours", "--span", "2"],
+        _TIMED_HEADER + "N1,1e308,0,1,1,1704096000\nN2,1e308,0,1,1,1704097800\n",
+        None, "the mean cycle lengths of the run of windows from second 28800"),
+}
+
+
+@pytest.mark.parametrize("site", OVERFLOWING_TOTALS)
+def test_an_exact_total_past_the_largest_float_is_an_input_error(site, tmp_path, capsys):
+    command, cycles_text, config, message = OVERFLOWING_TOTALS[site]
+    cycles = STUDY_CYCLES
+    if cycles_text is not None:
+        cycles = tmp_path / "cycles.csv"
+        cycles.write_text(cycles_text)
+    argv = [*command, "--cycles", str(cycles)]
+    if config is not None:
+        (tmp_path / "config.json").write_text(json.dumps(config))
+        argv += ["--approaches", str(STUDY_APPROACHES), "--config", str(tmp_path / "config.json"),
+                 "--out", str(tmp_path / "out")]
+    code = main(argv)
+    captured = capsys.readouterr()
+    record = json.loads(captured.err)
+    assert code == 2
+    assert (record["error"], record["subcommand"]) == ("InputError", command[0])
+    assert record["message"] == f"{message} add up past the largest float"
+    assert "Traceback" not in captured.out + captured.err
+
+
 def test_byte_order_mark_in_inputs_is_accepted(tmp_path, capsys):
     cycles = tmp_path / "cycles.csv"
     approaches = tmp_path / "approaches.csv"

@@ -2,7 +2,9 @@
 reference in ``oracles.py``, and CSV documents against the ``csv.writer``
 one kept there."""
 
+import csv
 import decimal
+import io
 import math
 from itertools import chain
 from unittest import mock
@@ -11,7 +13,10 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import oracles
-from intersection_analyzer import report
+from intersection_analyzer import (
+    ApproachConfig, CycleTable, Directionality, analyze_records, load_config, report,
+)
+from intersection_analyzer.cli import ARTIFACTS
 from intersection_analyzer.report import (
     fmt, fmt_column, fmt_g, fmt_g_column, fmt_int, fmt_int_column, round_half_up,
 )
@@ -173,3 +178,20 @@ def test_csv_documents_match_the_csv_writer(document, chunk):
     header, rows = document
     with mock.patch.object(report, "_CHUNK_ROWS", chunk):
         assert report._csv_doc("t", header, iter(rows)) == oracles._csv_doc("t", header, rows)
+
+
+def test_ids_holding_a_carriage_return_read_back_from_every_artifact():
+    approach_id, intersection_id = "N\r1", "X\rY"
+    approaches = {approach_id: ApproachConfig(
+        approach_id, intersection_id, 1, Directionality.TWO_WAY, 3.5, is_major=True)}
+    table = CycleTable()
+    table.append(approach_id, 100.0, 40.0, 50.0, (6, 4, 5, 2, 1), 45.0, 20.0)
+    result = analyze_records(table, approaches, load_config())
+    for name, build in ARTIFACTS.items():
+        if not name.endswith(".csv"):
+            continue
+        _, header, *rows = csv.reader(io.StringIO(build(result, 13.0), newline=""))
+        assert rows and all(len(row) == len(header) for row in rows), name
+        for column, value in (("approach_id", approach_id), ("intersection_id", intersection_id)):
+            if column in header:
+                assert {row[header.index(column)] for row in rows} == {value}, name

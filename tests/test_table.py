@@ -2,7 +2,7 @@
 record-list entry points and the reference parser."""
 
 import io
-import statistics
+import math
 from pathlib import Path
 
 import pytest
@@ -83,7 +83,7 @@ def test_table_and_record_list_give_equal_results(text):
 
 @settings(max_examples=50, deadline=None)
 @given(text=analyzable_csv())
-def test_vehicles_mode_pcu_is_the_mean_of_to_pcu_per_record(text):
+def test_vehicles_mode_pcu_is_to_pcu_of_the_summed_counts_per_cycle(text):
     table = ingest_cycles(io.StringIO(text))
     config = CONFIGS[1]
     result = settle(analyze_records, table, APPROACHES, config)
@@ -93,10 +93,45 @@ def test_vehicles_mode_pcu_is_the_mean_of_to_pcu_per_record(text):
         shares = composition_shares(
             r.counts for r in records
             if APPROACHES[r.approach_id].intersection_id == report.intersection_id)
-        expected = statistics.fmean(
-            to_pcu(r.counts, shares, config.pcu_factors)
-            for r in records if r.approach_id == report.approach_id)
+        own = [r for r in records if r.approach_id == report.approach_id]
+        summed = ClassifiedCount(report.approach_id, {
+            cls: sum(r.counts.counts[cls] for r in own) for cls in own[0].counts.counts})
+        expected = to_pcu(summed, shares, config.pcu_factors) / len(own)
         assert report.green.pcu_per_cycle == expected
+
+
+@st.composite
+def float_row(draw):
+    """A row for ``CycleTable.append``: any finite positive cycle length,
+    timed between 08:00 and 09:00 on one of a week's days, so that rows share
+    windows."""
+    cycle = draw(st.one_of(st.floats(30.0, 200.0), st.floats(30.0, 200.0),
+                           st.floats(0.0, exclude_min=True, allow_infinity=False)))
+    green = draw(st.floats(0.0, cycle / 4))
+    counts = draw(st.lists(st.integers(0, 30), min_size=5, max_size=5))
+    effective = draw(st.one_of(st.just(math.nan), st.floats(0.0, green)))
+    exited = draw(st.one_of(st.just(math.nan), st.floats(0.0, allow_infinity=False)))
+    day = draw(st.integers(0, 6))
+    timestamp = 1704096000.0 + 86400 * day + draw(st.floats(0.0, 3600.0))
+    return draw(st.sampled_from(["N1", "S1", "E1"])), cycle, 0.0, green, counts, \
+        effective, exited, timestamp
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=st.lists(float_row(), min_size=1, max_size=20), data=st.data())
+def test_row_order_changes_no_figure(rows, data):
+    """Every float total is exact, so permuting the rows changes no bit of
+    the analysis or of the windows."""
+    tables = [CycleTable(), CycleTable()]
+    for table, order in zip(tables, (rows, data.draw(st.permutations(rows)))):
+        for row in order:
+            table.append(*row)
+    for config in CONFIGS:
+        first, second = (repr(settle(analyze_records, t, APPROACHES, config)) for t in tables)
+        assert first == second
+    for window in (600.0, 1800.0):
+        first, second = (repr(settle(window_cycle_lengths, t, window)) for t in tables)
+        assert first == second
 
 
 def test_dirty_fixture_errors_match_reference(study_approaches):
