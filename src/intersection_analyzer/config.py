@@ -66,7 +66,10 @@ def _strip_notes(value: Any) -> Any:
 
 
 def _finite(value: Any, label: str) -> float:
-    number = float(value)
+    try:
+        number = float(value)
+    except OverflowError:
+        raise ConfigError(f"{label} is an integer past the largest float") from None
     if not math.isfinite(number):
         raise ConfigError(f"{label} must be finite, got {value!r}")
     return number
@@ -119,6 +122,7 @@ def _build_idle_rates(section: Mapping[str, Any]) -> IdleRateTable:
 
 def _build_city(section: Mapping[str, Any]) -> CityScaling:
     intersection_count = int(section["intersection_count"])
+    _finite(intersection_count, "city.intersection_count")
     if intersection_count < 1:
         raise ConfigError(
             f"city.intersection_count must be >= 1, got {intersection_count}")
@@ -190,7 +194,7 @@ def load_config(path: str | Path | None = None) -> AnalysisConfig:
                 overrides = json.load(handle)
         except FileNotFoundError:
             raise ConfigError(f"config file not found: {path}") from None
-        except (json.JSONDecodeError, UnicodeDecodeError) as err:
+        except ValueError as err:  # also bad UTF-8, or an integer int() will not read
             raise ConfigError(f"config file {path} is not valid JSON: {err}") from None
         if not isinstance(overrides, dict):
             raise ConfigError(f"config file {path} must hold a JSON object")

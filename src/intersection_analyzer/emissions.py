@@ -20,6 +20,7 @@ from typing import Mapping, Sequence
 
 from .errors import InputError, InvariantViolation
 from .model import VehicleClass
+from .stats import require_finite
 
 
 class FuelType(Enum):
@@ -174,8 +175,7 @@ def scale_emissions(
             raise InputError("no per-intersection totals to extrapolate from")
         rate = statistics.fmean(per_intersection) * intersection_count_citywide
         extrapolated = True
-    return CityEstimate(
-        city_kg_per_hour=rate,
-        tons_per_day=rate * active_hours_per_day / 1000.0,
-        extrapolated=extrapolated,
-    )
+    tons = rate * active_hours_per_day / 1000.0
+    require_finite([rate], "CO2 rate", "the city", [None])
+    require_finite([tons], "daily CO2", "the city", [None])
+    return CityEstimate(city_kg_per_hour=rate, tons_per_day=tons, extrapolated=extrapolated)

@@ -133,20 +133,26 @@ def failing_cycles(
 
     The same comparisons on the same floats, as C-level passes over whole
     columns; NaN fails every comparison, so a NaN row is never reported.
+    A comparison runs row by row only if a ``min`` or ``max`` (which return
+    a first NaN and skip others) fails to clear the whole column.
     """
     zero, slack = itertools.repeat(0.0), itertools.repeat(_TIMING_SLACK_S)
-    add, gt, lt = operator.add, operator.gt, operator.lt
+    add, gt, lt, sub = operator.add, operator.gt, operator.lt, operator.sub
     found: set[int] = set()
-    for flags in (
-        map(operator.le, cycle_length, zero),
-        map(lt, red_time, zero),
-        map(lt, green_time, zero),
-        map(gt, map(add, red_time, green_time), map(add, cycle_length, slack)),
-        map(lt, effective_green, zero),
-        map(gt, effective_green, map(add, green_time, slack)),
-        map(lt, exited_pcu, zero),
+    for clear, flags in (
+        (min(cycle_length, default=1.0) > 0, map(operator.le, cycle_length, zero)),
+        (min(red_time, default=0.0) >= 0, map(lt, red_time, zero)),
+        (min(green_time, default=0.0) >= 0, map(lt, green_time, zero)),
+        (max(map(sub, map(add, red_time, green_time), map(add, cycle_length, slack)),
+             default=0.0) <= 0,
+         map(gt, map(add, red_time, green_time), map(add, cycle_length, slack))),
+        (min(effective_green, default=0.0) >= 0, map(lt, effective_green, zero)),
+        (max(map(sub, effective_green, map(add, green_time, slack)), default=0.0) <= 0,
+         map(gt, effective_green, map(add, green_time, slack))),
+        (min(exited_pcu, default=0.0) >= 0, map(lt, exited_pcu, zero)),
     ):
-        found.update(itertools.compress(itertools.count(), flags))
+        if not clear:
+            found.update(itertools.compress(itertools.count(), flags))
     return sorted(found)
 
 

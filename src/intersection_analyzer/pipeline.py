@@ -60,7 +60,7 @@ from .pcu import composition_shares
 # name, and a missing name reads as an absent layer.
 from .pcu import to_pcu  # noqa: F401
 from .report import fmt_column
-from .stats import group_totals
+from .stats import group_totals, require_finite
 
 VC_STANDARD = "vc_ratio"
 
@@ -338,8 +338,8 @@ def analyze_records(
     a.mean_green = list(map(truediv, per_approach(take(table.green_time), name="green_s"),
                             sizes))
     a.mean_effective_green = _present_means(
-        take(table.effective_green), per_approach, sizes, "effective_green_s")
-    a.mean_exited_pcu = _present_means(take(table.exited_pcu), per_approach, sizes, "exited_pcu")
+        take(table.effective_green), rows, output, sizes, "effective_green_s")
+    a.mean_exited_pcu = _present_means(take(table.exited_pcu), rows, output, sizes, "exited_pcu")
 
     class_totals = [per_approach(take(column), sum) for column in table.class_columns()]
     # Shares of at least one vehicle: an approach with none has shares of 0.
@@ -470,6 +470,16 @@ def analyze_records(
         list(zip(*i.co2_per_hour.values())), what="CO2 rates", groups=range(len(spans)))
     study_total = group_totals(math.fsum, i.total_co2_per_hour, [slice(None)],
                                "intersections' CO2 rates", "the study", [None])[0]
+    # The emitted figures that no check above keeps finite.
+    require_finite(a.delay_s, "control delay", "approach {!r}", output)
+    require_finite(a.green_to_pcu_ratio, "green per PCU", "approach {!r}", output, absent=True)
+    for figure, columns in (("idle burn", i.fuel_per_hour), ("CO2 rate", i.co2_per_hour)):
+        for fuel_type, column in columns.items():
+            require_finite(column, f"{fuel_type.value} {figure}", "intersection {!r}",
+                           intersection_ids)
+    # The study's daily tonnage, as the emission summary prints it.
+    require_finite([study_total * config.city.active_hours_per_day / 1000.0], "daily CO2",
+                   "the study", [None])
     city = scale_emissions(
         i.total_co2_per_hour,
         config.city.intersection_count,
@@ -480,16 +490,26 @@ def analyze_records(
     return AnalysisResult(a, i, standards, study_total, city)
 
 
-def _present_means(column: Sequence[float], per_approach, sizes: Sequence[int],
-                   name: str) -> list[float]:
-    """Each approach's mean of its entries that are not NaN; NaN if it has none.
-
-    Entries are never negative, so ``max(0.0, v)`` reads NaN as 0, which
-    leaves the exact sum alone.
-    """
-    absent = per_approach(tuple(map(math.isnan, column)), sum)
-    sums = per_approach(tuple(map(max, repeat(0.0), column)), name=name)
-    return list(map(truediv, sums, _zero_as_nan(list(map(sub, sizes, absent)))))
+def _present_means(column: Sequence[float], rows: Sequence[slice], output: Sequence[str],
+                   sizes: Sequence[int], name: str) -> list[float]:
+    """Each approach's mean of its ``rows`` of ``column`` that are not NaN;
+    NaN if it has none.  An approach whose plain sum is NaN, or each one if a
+    plain sum overflows (a NaN restarts ``math.fsum``), is summed again with
+    NaN read as 0, which no entry is below, and has its absent entries counted."""
+    try:
+        sums = list(map(math.fsum, map(column.__getitem__, rows)))
+    except OverflowError:
+        sums = [math.nan] * len(rows)
+    present = list(sizes)
+    partial = list(compress(count(), map(math.isnan, sums)))
+    entries = [column[rows[k]] for k in partial]
+    for k, total, values in zip(partial, group_totals(
+            math.fsum, [tuple(map(max, repeat(0.0), values)) for values in entries],
+            range(len(partial)), f"{name} values", "approach {!r}", [output[k] for k in partial]),
+            entries):
+        sums[k] = total
+        present[k] -= sum(map(math.isnan, values))
+    return list(map(truediv, sums, _zero_as_nan(present)))
 
 
 def _notes(approach_ids: Sequence[str], vc_grades: Sequence[str] | None,

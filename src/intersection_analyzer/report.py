@@ -44,8 +44,10 @@ def _quantum(places: int) -> Decimal:
 
 
 def _rounded(value: float, places: int) -> Decimal:
-    return Decimal(repr(value)).quantize(
-        _quantum(places), rounding=ROUND_HALF_UP, context=_CONTEXT)
+    number = Decimal(repr(value))
+    if not number.is_finite():  # NaN or an infinity, which quantize rejects
+        return number
+    return number.quantize(_quantum(places), rounding=ROUND_HALF_UP, context=_CONTEXT)
 
 
 @functools.cache

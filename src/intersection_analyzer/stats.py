@@ -98,6 +98,18 @@ def group_totals(total, column: Sequence, groups: Sequence, what: str, owner: st
         raise
 
 
+def require_finite(column: Sequence[float], what: str, owner: str, owner_ids: Sequence,
+                   absent: bool = False) -> None:
+    """Raise an ``InputError`` for the first value of ``column`` that is
+    infinite, or NaN unless ``absent`` lets NaN mark an absent value; it
+    names ``what`` the value is and whose, as ``group_totals`` does."""
+    if math.isfinite(sum(column)):
+        return
+    for owner_id, value in zip(owner_ids, column):
+        if math.isinf(value) or not (absent or value == value):
+            raise InputError(f"the {what} of {owner.format(owner_id)} is not finite: {value}")
+
+
 def _day_and_time(timestamp: float) -> tuple[int, float]:
     """Days since the epoch and seconds since that day's midnight, in UTC.
 

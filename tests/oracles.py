@@ -67,6 +67,7 @@ from intersection_analyzer.ingest import (
 )
 from intersection_analyzer.los import LosBandTable, LosResult
 from intersection_analyzer.model import (
+    COUNT_MAX,
     VEHICLE_CLASSES,
     ApproachConfig,
     ClassifiedCount,
@@ -118,6 +119,8 @@ def _int_cell(value: str, column: str, row: int) -> int:
         raise SchemaViolation(f"column {column!r}: not an integer: {value!r}", row=row) from None
     if n < 0:
         raise SchemaViolation(f"column {column!r}: negative count {n}", row=row)
+    if n > COUNT_MAX:
+        raise SchemaViolation(f"column {column!r}: count exceeds {COUNT_MAX}: {n}", row=row)
     return n
 
 

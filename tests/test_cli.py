@@ -378,6 +378,85 @@ def test_byte_order_mark_in_inputs_is_accepted(tmp_path, capsys):
         assert (tmp_path / "bom" / name).read_bytes() == (tmp_path / "plain" / name).read_bytes()
 
 
+def test_crlf_and_byte_order_mark_inputs_give_the_same_report(tmp_path, capsys):
+    assert main(["report", *STUDY, "--out", str(tmp_path / "lf")]) == 0
+    expected = {path.name: path.read_bytes() for path in (tmp_path / "lf").iterdir()}
+    for name, prefix in (("crlf", b""), ("bom_crlf", b"\xef\xbb\xbf")):
+        inputs = []
+        for source in (STUDY_CYCLES, STUDY_APPROACHES):
+            inputs.append(tmp_path / f"{name}_{source.name}")
+            inputs[-1].write_bytes(prefix + source.read_bytes().replace(b"\n", b"\r\n"))
+        out = tmp_path / name
+        assert main(["report", "--cycles", str(inputs[0]), "--approaches", str(inputs[1]),
+                     "--out", str(out)]) == 0
+        assert {path.name: path.read_bytes() for path in out.iterdir()} == expected
+
+
+def test_a_present_mean_past_the_largest_float_names_the_first_approach(tmp_path, capsys):
+    """SR1's exited PCU overflows only once its blanks read as 0; SR2's, later
+    in output order, overflows as it is.  The error names SR1."""
+    cycles = tmp_path / "cycles.csv"
+    cycles.write_text(
+        "approach_id,cycle_length_s,red_s,green_s,car,effective_green_s,exited_pcu\n"
+        + "SR1,152,120,32,3,20,\nSR1,152,120,32,3,20,5e307\n" * 4
+        + "SR2,152,120,32,3,20,5e307\n" * 4)
+    code = main(["report", "--cycles", str(cycles), "--approaches", str(STUDY_APPROACHES),
+                 "--out", str(tmp_path / "out")])
+    captured = capsys.readouterr()
+    record = json.loads(captured.err)
+    assert code == 2
+    assert (record["error"], record["message"]) == (
+        "InputError", "the exited_pcu values of approach 'SR1' add up past the largest float")
+    assert not (tmp_path / "out").exists()
+
+
+def _idle_rate_past_the_largest_float() -> dict:
+    config = json.loads((Path(cli.__file__).parent / "data" / "default_config.json").read_text())
+    config["idle_rates"]["entries"][0]["rate_per_hour"] = 1e308  # auto-rickshaws on CNG
+    return {"idle_rates": config["idle_rates"]}
+
+
+NON_FINITE_FIGURES = {
+    "CNG emission factor": (
+        {"emission_factors": {"cng": 1e308, "diesel": 2.64, "petrol": 2.392}},
+        "InputError", "the cng CO2 rate of intersection 'SSC' is not finite: inf"),
+    "idle rate": (
+        _idle_rate_past_the_largest_float(),
+        "InputError", "the cng idle burn of intersection 'SSC' is not finite: inf"),
+    "active hours": (
+        {"city": {"intersection_count": 6, "active_hours_per_day": 1e308,
+                  "co2_kg_per_hour": 370.0}},
+        "InputError", "the daily CO2 of the study is not finite: inf"),
+    "configured city rate": (
+        {"city": {"intersection_count": 6, "active_hours_per_day": 13,
+                  "co2_kg_per_hour": 1e308}},
+        "InputError", "the daily CO2 of the city is not finite: inf"),
+    "extrapolated city rate": (
+        {"city": {"intersection_count": 10**307, "active_hours_per_day": 13,
+                  "co2_kg_per_hour": None}},
+        "InputError", "the CO2 rate of the city is not finite: inf"),
+    "intersection count": (
+        {"city": {"intersection_count": 10**400, "active_hours_per_day": 13,
+                  "co2_kg_per_hour": None}},
+        "ConfigError", "city.intersection_count is an integer past the largest float"),
+}
+
+
+@pytest.mark.parametrize("case", NON_FINITE_FIGURES)
+def test_a_config_that_makes_an_emission_figure_non_finite_is_a_typed_error(
+        case, tmp_path, capsys):
+    config, error, message = NON_FINITE_FIGURES[case]
+    (tmp_path / "config.json").write_text(json.dumps(config))
+    code = main(["emissions", *STUDY, "--config", str(tmp_path / "config.json"),
+                 "--out", str(tmp_path / "out")])
+    captured = capsys.readouterr()
+    record = json.loads(captured.err)
+    assert code == 2
+    assert (record["error"], record["message"]) == (error, message)
+    assert "Traceback" not in captured.out + captured.err
+    assert not (tmp_path / "out").exists()
+
+
 def test_undecodable_inputs_are_input_errors(tmp_path, capsys):
     cycles = tmp_path / "cycles.csv"
     config = tmp_path / "config.json"

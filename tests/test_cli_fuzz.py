@@ -6,6 +6,7 @@ earlier run's artifacts as they were."""
 import contextlib
 import io
 import json
+import math
 import tempfile
 from pathlib import Path
 
@@ -165,3 +166,60 @@ def source_of_rows(paths: dict[str, Path]) -> str:
 def line_count(path: Path) -> int:
     with open(path, encoding="utf-8", errors="replace", newline="") as handle:
         return sum(1 for _ in handle)
+
+
+SHIPPED_CONFIG = json.loads(CONFIGS[1].read_text())  # default_config.json
+# Extremes for one numeric leaf of a config; 10**400 fits no double.
+EXTREMES = [1e308, -1e308, 5e-324, 0, -0.0, 2**63, 10**400]
+
+
+def numeric_leaves(value, path=()):
+    """The paths of the numbers in a JSON value, booleans apart."""
+    if isinstance(value, dict):
+        for key, item in value.items():
+            yield from numeric_leaves(item, (*path, key))
+    elif isinstance(value, list):
+        for index, item in enumerate(value):
+            yield from numeric_leaves(item, (*path, index))
+    elif isinstance(value, (int, float)) and not isinstance(value, bool):
+        yield path
+
+
+LEAVES = list(numeric_leaves(SHIPPED_CONFIG))
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.sampled_from(LEAVES), st.sampled_from(EXTREMES),
+       st.sampled_from(["pcu", "vehicles"]))
+def test_an_extreme_config_leaf_ends_in_finite_figures_or_a_typed_error(leaf, value, unit):
+    config = json.loads(json.dumps(SHIPPED_CONFIG))
+    config["counts_unit"] = unit
+    parent = config
+    for key in leaf[:-1]:
+        parent = parent[key]
+    parent[leaf[-1]] = value
+    with tempfile.TemporaryDirectory() as work:
+        path, out = Path(work) / "config.json", Path(work) / "out"
+        path.write_text(json.dumps(config))
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = main(["report", "--cycles", str(STUDY_CYCLES), "--approaches",
+                         str(STUDY_APPROACHES), "--config", str(path), "--out", str(out)])
+        assert code in (0, 2, 3, 4)
+        assert "Traceback" not in stdout.getvalue() + stderr.getvalue()
+        if code:
+            record = json.loads(stderr.getvalue().splitlines()[-1])
+            assert record["exit_code"] == code == EXIT_CODES[record["error"]]
+            return
+        for artifact in out.iterdir():
+            text = artifact.read_text()
+            if artifact.suffix == ".csv":
+                cells = [cell for line in text.splitlines()[2:] for cell in line.split(",")]
+            else:
+                cells = text.replace(",", " ").split()
+            for cell in cells:
+                try:
+                    number = float(cell.strip("%:;()[]"))
+                except ValueError:
+                    continue
+                assert math.isfinite(number), (artifact.name, cell)

@@ -188,6 +188,130 @@ def test_batches_of_any_size_match_reference(parts, batch_rows, configs):
     assert got == reference_outcome(header, chunks, unsplittable, configs)
 
 
+# csv's field size limit while the plain-block tests run: the rows drawn
+# stay far below it, and a breaker's field lies at it or just past it.
+FIELD_LIMIT = 1000
+# Count cells the lookup table holds, and spellings it lacks that int() reads
+# or rejects.
+COUNT_SPELLINGS = st.sampled_from(
+    ["", "0", "007", " 7", "+3", "٣", "1022", "1023", "1024", "1_000", str(2**63), "-1"])
+# What ends a run of plain blocks: a line the parser must hand to csv.reader.
+# Each is the first cell of a row; the rest of the row and its end follow.
+BREAKERS = {
+    "quote": lambda first: f'"{first}"',
+    "quoted line break": lambda first: f'"{first}\n"',
+    "carriage return": lambda first: first + "\r",
+    "NUL": lambda first: first + "\0",
+    "field at the limit": lambda first: "1" * FIELD_LIMIT,
+    "field past the limit": lambda first: "1" * (FIELD_LIMIT + 1),
+}
+UNPLAIN = str.maketrans("", "", '"\r\n\0')
+
+
+def unsplittable(item):
+    """csv's error for a line it cannot split alone, or None."""
+    try:
+        list(csv.reader([item]))
+    except csv.Error as err:
+        return str(err)
+    return None
+
+
+def stream_reference(items, configs):
+    """What scan_cycles must return for the stream ``items``, from the
+    oracle: it reads the header with each run of items that csv splits
+    alone, and each other item is an unreadable row.  Rows are numbered by
+    item, as csv.reader counts lines."""
+    records, errors = [], []
+    run, offset = [], 0  # a run of items, and the items between the header and it
+
+    def read_run():
+        run_records, run_errors = oracles.scan_cycles(items[:1] + run, configs)
+        records.extend(run_records)
+        for err in run_errors:
+            err.row += offset
+            errors.append((type(err), str(err), err.row))
+
+    for line, item in enumerate(items[1:], 2):
+        message = unsplittable(item)
+        if message is None:
+            run.append(item)
+            continue
+        read_run()
+        errors.append((SchemaViolation, f"row {line}: unreadable CSV row: {message}", line))
+        run, offset = [], line - 1
+    read_run()
+    return records, errors
+
+
+@st.composite
+def plain_streams(draw):
+    """A cycle file as a list of items, and the batch size to read it with.
+
+    Its rows hold no quote, NUL or line break; blank and whitespace lines lie
+    among them; lines end in "\\n", "\\r\\n" or either.  After some whole
+    batches a breaker line may come, and the last line may lack its end.
+    The data lines may be cut into items anywhere instead, so that an item
+    holds several lines or part of one.
+    """
+    batch = draw(st.integers(1, 5))
+    columns = draw(cycle_columns())
+    counts = [i for i, name in enumerate(columns) if name in CYCLE_COUNT_COLUMNS]
+    rows = draw(dirty_rows(columns, 16))
+    for row in rows:
+        for i in counts:
+            if i < len(row) and draw(st.booleans()):
+                row[i] = draw(COUNT_SPELLINGS)
+    lines = [",".join(cell.translate(UNPLAIN) for cell in row) for row in rows]
+    for _ in range(draw(st.integers(0, 3))):
+        lines.insert(draw(st.integers(0, len(lines))),
+                     draw(st.sampled_from(["", " ", "\t ", "\x1c"])))
+    ending = draw(st.sampled_from(["\n", "\r\n", "mixed"]))
+    ends = [draw(st.sampled_from(["\n", "\r\n"])) if ending == "mixed" else ending
+            for _ in range(len(lines) + 1)]
+    items = [",".join(columns) + ends[0]] + list(map(str.__add__, lines, ends[1:]))
+    breaker = draw(st.sampled_from([None, *BREAKERS]))
+    if breaker is not None:
+        at = min(1 + batch * draw(st.integers(0, 3)), len(items))
+        row = draw(good_row(columns))
+        items.insert(at, ",".join([BREAKERS[breaker](row[0]), *row[1:]]) + ends[0])
+    if len(items) > 1 and draw(st.booleans()):
+        items[-1] = items[-1].rstrip("\r\n")
+    if breaker is None and len(items) > 1 and draw(st.booleans()):
+        text = "".join(items[1:])
+        cuts = sorted(draw(st.sets(st.integers(1, max(1, len(text) - 1)), max_size=6)))
+        items[1:] = [text[i:j] for i, j in zip([0, *cuts], [*cuts, len(text)]) if text[i:j]]
+    return items, batch
+
+
+@settings(max_examples=300, deadline=None)
+@given(plain_streams(), st.sampled_from([None, CONFIGS]))
+@example((["approach_id,cycle_length_s,red_s,green_s,car\n", "SR1,100,50,40,007\n",
+           "SR1,100,50,40,1024\n", "\n", "SR1,100,50,40, 7\n", "SR1,100,50,40,1_000\n",
+           "SR1,100,50,40,٣\n", 'SR1,100,50,40,"2"\n', "SR1,100,50,40,+3"], 2), CONFIGS)
+@example((["approach_id,cycle_length_s,red_s,green_s,car\r\n", "SR1,100,50,40,1\r\n",
+           "SR1,100,50,40,1\n", "SR1,100,\r50,40,1\r\n", "SR1,100,50,40,9223372036854775808\r\n"],
+          1), None)
+@example((["approach_id,cycle_length_s,red_s,green_s,car\n", "SR1,100,50,40,1",
+           "SR1,100,50,40,2\n\n", "SR1,100,50,40\0,3\n"], 2), None)
+def test_plain_blocks_match_reference(stream, configs):
+    items, batch = stream
+    limit = csv.field_size_limit(FIELD_LIMIT)
+    try:
+        with mock.patch.object(ingest, "_BATCH_ROWS", batch):
+            records, errors = scan_cycles(items, configs)
+        assert (records, [(type(e), str(e), e.row) for e in errors]) == stream_reference(
+            items, configs)
+        # A text stream splits at line feeds only, as a file opened with
+        # newline="" does when the text holds no bare carriage return.
+        text = "".join(items)
+        with mock.patch.object(ingest, "_BATCH_ROWS", batch):
+            assert outcome(scan_cycles, text, configs) == stream_reference(
+                list(io.StringIO(text)), configs)
+    finally:
+        csv.field_size_limit(limit)
+
+
 # datetime's range: 0001-01-01T00:00:00Z up to the end of 9999-12-31.
 DATETIME_MIN = -62135596800
 DATETIME_MAX = 253402300800

@@ -350,18 +350,19 @@ UNSPLITTABLE_LINE = "X9,I\rJ,1,oneway,3.5,0,0"  # a bare carriage return, unquot
 @st.composite
 def approach_files(draw):
     names = draw(st.permutations(APPROACH_COLUMNS))
+    end = draw(st.sampled_from(["\n", "\r\n"]))
     buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
+    writer = csv.writer(buffer, lineterminator=end)
     writer.writerow(names)
     ids: list[str] = []
     for n in range(draw(st.integers(0, 24))):
         kind = draw(st.sampled_from(["clean"] * 10 + ["bad", "duplicate", "blank", "fields",
                                                       "unsplittable"]))
         if kind == "blank":
-            buffer.write(draw(st.sampled_from(BLANK_LINES)) + "\n")
+            buffer.write(draw(st.sampled_from(BLANK_LINES)) + end)
             continue
         if kind == "unsplittable":
-            buffer.write(UNSPLITTABLE_LINE + "\n")
+            buffer.write(UNSPLITTABLE_LINE + end)
             continue
         cells = {"approach_id": f"{draw(st.sampled_from(ID_STEMS))}{n}",
                  "intersection_id": draw(st.sampled_from(INTERSECTIONS))}
