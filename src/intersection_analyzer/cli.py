@@ -13,7 +13,6 @@ import functools
 import json
 import math
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence, TextIO
 
@@ -22,7 +21,7 @@ from .config import load_config
 from .delay import DelayPolicy
 from .errors import AnalyzerError, InputError, IoFailure
 from .ingest import ingest_approaches, ingest_cycles, scan_cycles
-from .model import ApproachConfig, CycleTable, DayFilter
+from .model import ApproachConfig, CycleTable, DayFilter, _frozen
 from .pipeline import analyze_records
 from .stats import (
     check_window, five_number, pairwise_z_matrix, summarize, window_cycle_lengths,
@@ -263,7 +262,7 @@ FLAGS: dict[str, dict] = {
 ANALYSIS_FLAGS = ("cycles", "approaches", "config", "out")
 
 
-@dataclass(frozen=True)
+@_frozen
 class Subcommand:
     help: str
     flags: tuple[str, ...]

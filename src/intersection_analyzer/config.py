@@ -12,7 +12,6 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 from typing import Any, Callable, Mapping
@@ -21,7 +20,7 @@ from .errors import AnalyzerError, ConfigError
 from .flow import CapacityTable
 from .emissions import EmissionFactorTable, FuelType, IdleRate, IdleRateTable
 from .los import LosBandTable
-from .model import Directionality, VehicleClass
+from .model import Directionality, VehicleClass, _frozen
 from .pcu import PcuFactorTable
 
 ENV_CONFIG_DIR = "ANALYZER_CONFIG_DIR"
@@ -31,14 +30,14 @@ COUNTS_PCU = "pcu"
 COUNTS_VEHICLES = "vehicles"
 
 
-@dataclass(frozen=True)
+@_frozen
 class CityScaling:
     intersection_count: int
     active_hours_per_day: float
     co2_kg_per_hour: float | None
 
 
-@dataclass(frozen=True)
+@_frozen
 class AnalysisConfig:
     """Every lookup table and constant the pipeline treats as given."""
 
@@ -130,10 +129,14 @@ def _build_city(section: Mapping[str, Any]) -> CityScaling:
     if active_hours <= 0:
         raise ConfigError(f"city.active_hours_per_day must be > 0, got {active_hours:g}")
     rate = section.get("co2_kg_per_hour")
+    if rate is not None:
+        rate = _finite(rate, "co2_kg_per_hour") + 0.0  # so -0.0 prints as 0.00
+        if rate < 0:
+            raise ConfigError(f"city.co2_kg_per_hour must be >= 0, got {rate:g}")
     return CityScaling(
         intersection_count=intersection_count,
         active_hours_per_day=active_hours,
-        co2_kg_per_hour=None if rate is None else _finite(rate, "co2_kg_per_hour"),
+        co2_kg_per_hour=rate,
     )
 
 

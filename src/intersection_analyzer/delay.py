@@ -15,15 +15,13 @@ evaluates it over one-entry columns.
 from __future__ import annotations
 
 import math
-import statistics
-from dataclasses import dataclass
 from enum import Enum
 from itertools import repeat
 from operator import add, mul, sub, truediv
 from typing import Iterable, Iterator, Mapping
 
 from .errors import InputError, InvariantViolation, SaturatedRegime
-from .model import ApproachConfig
+from .model import ApproachConfig, _frozen
 
 BASE_DELAY_S = 6.23
 PLATOON_COEFFICIENT = 15.35
@@ -31,7 +29,7 @@ PLATOON_COEFFICIENT = 15.35
 SATURATION_GUARD = 1e-9
 
 
-@dataclass(frozen=True)
+@_frozen
 class DelayInputs:
     """Inputs to the control-delay model.
 
@@ -57,7 +55,7 @@ class DelayInputs:
             raise InvariantViolation("platoon_ratio must be finite")
 
 
-@dataclass(frozen=True)
+@_frozen
 class DelayEstimate:
     seconds: float
     clamped: bool = False
@@ -124,4 +122,4 @@ def intersection_delay(
             raise InputError("no approach is flagged as major")
     else:
         selected = list(per_approach)
-    return statistics.fmean(per_approach[a] for a in selected)
+    return math.fsum(per_approach[a] for a in selected) / len(selected)

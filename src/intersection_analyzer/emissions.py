@@ -10,8 +10,6 @@ is identified by calibrating against observed fuel totals.
 from __future__ import annotations
 
 import math
-import statistics
-from dataclasses import dataclass
 from enum import Enum
 from itertools import repeat
 from operator import add, mul, truediv
@@ -19,7 +17,7 @@ from types import MappingProxyType
 from typing import Mapping, Sequence
 
 from .errors import InputError, InvariantViolation
-from .model import VehicleClass
+from .model import VehicleClass, _frozen
 from .stats import require_finite
 
 
@@ -31,7 +29,7 @@ class FuelType(Enum):
     __hash__ = object.__hash__  # as VehicleClass
 
 
-@dataclass(frozen=True)
+@_frozen
 class IdleRate:
     """Fraction of a vehicle class running on a fuel, and that fuel's idle
     burn rate in fuel units per vehicle-hour."""
@@ -47,7 +45,7 @@ class IdleRate:
             raise InvariantViolation(f"idle rate must be >= 0, got {self.rate_per_hour}")
 
 
-@dataclass(frozen=True)
+@_frozen
 class IdleRateTable:
     rates: Mapping[tuple[VehicleClass, FuelType], IdleRate]
 
@@ -63,7 +61,7 @@ class IdleRateTable:
         object.__setattr__(self, "rates", MappingProxyType(dict(self.rates)))
 
 
-@dataclass(frozen=True)
+@_frozen
 class EmissionFactorTable:
     """kg CO2 emitted per unit of fuel burned."""
 
@@ -76,14 +74,14 @@ class EmissionFactorTable:
         object.__setattr__(self, "factors", MappingProxyType(dict(self.factors)))
 
 
-@dataclass(frozen=True)
+@_frozen
 class EmissionReport:
     fuel_per_hour: Mapping[FuelType, float]
     co2_per_hour: Mapping[FuelType, float]
     total_co2_per_hour: float
 
 
-@dataclass(frozen=True)
+@_frozen
 class CityEstimate:
     city_kg_per_hour: float
     tons_per_day: float
@@ -173,7 +171,7 @@ def scale_emissions(
     else:
         if not per_intersection:
             raise InputError("no per-intersection totals to extrapolate from")
-        rate = statistics.fmean(per_intersection) * intersection_count_citywide
+        rate = math.fsum(per_intersection) / len(per_intersection) * intersection_count_citywide
         extrapolated = True
     tons = rate * active_hours_per_day / 1000.0
     require_finite([rate], "CO2 rate", "the city", [None])

@@ -11,20 +11,19 @@ evaluate the same pass over one-entry columns.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import repeat
 from operator import mul, truediv
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping
 
 from .errors import InputError, InvariantViolation
-from .model import ApproachConfig, Directionality
+from .model import ApproachConfig, Directionality, _frozen
 
 # Discharge rate supported per metre of approach width, PCU per hour.
 WIDTH_FLOW_RATE = 525.0
 
 
-@dataclass(frozen=True)
+@_frozen
 class CapacityTable:
     """Capacity in PCU/hour keyed by (lane count, directionality)."""
 
@@ -47,7 +46,7 @@ class CapacityTable:
         return self.capacities[key]
 
 
-@dataclass(frozen=True)
+@_frozen
 class FlowReport:
     """Volume, capacity and saturation-flow figures for one approach.
 
@@ -72,7 +71,7 @@ class FlowReport:
         return None if self.sf_discharge is None else self.sf_discharge - self.sf_width
 
 
-@dataclass(frozen=True)
+@_frozen
 class GreenReport:
     """Green-time allocation and utilization figures for one approach."""
 

@@ -9,23 +9,23 @@ lower-inclusive with an open-ended F at 1.0.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from itertools import repeat
 from operator import le
 from typing import Sequence
 
 from .errors import InputError, InvariantViolation
+from .model import _frozen
 
 GRADES = ("A", "B", "C", "D", "E", "F")
 
 
-@dataclass(frozen=True)
+@_frozen
 class LosResult:
     grade: str
     standard: str
 
 
-@dataclass(frozen=True)
+@_frozen
 class LosBandTable:
     """Ordered (upper_bound, grade) bands; the last band is unbounded (None)."""
 

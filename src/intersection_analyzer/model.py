@@ -8,12 +8,12 @@ share across threads; a table only grows, by ``CycleTable.append`` or
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
 from array import array
 from collections.abc import Sequence
-from dataclasses import dataclass
 from enum import Enum
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping
@@ -26,6 +26,61 @@ _TIMING_SLACK_S = 1e-9
 
 # The largest count a CycleTable's array('q') column holds.
 COUNT_MAX = 2**63 - 1
+
+
+def _refuse_change(self, name, value=None):
+    raise AttributeError(f"cannot assign to or delete field {name!r}")
+
+
+def _frozen(cls=None, /, *, slots=False):
+    """``dataclasses.dataclass(frozen=True, slots=slots)`` over the fields
+    ``cls`` annotates, built from closures instead of generated code:
+    importing ``dataclasses`` (with ``inspect``) costs more than the package.
+    """
+    if cls is None:
+        return functools.partial(_frozen, slots=slots)
+    names = tuple(cls.__annotations__)
+    defaults = {name: cls.__dict__[name] for name in names if name in cls.__dict__}
+    post_init = cls.__dict__.get("__post_init__")
+    if slots:
+        body = {key: value for key, value in cls.__dict__.items()
+                if key not in names and key not in ("__dict__", "__weakref__")}
+        cls = type(cls)(cls.__name__, cls.__bases__, {**body, "__slots__": names})
+
+    def __init__(self, *args, **kwargs):
+        if kwargs or len(args) != len(names):
+            given = {**defaults, **dict(zip(names, args)), **kwargs}
+            if (len(args) > len(names) or given.keys() != set(names)
+                    or not kwargs.keys().isdisjoint(names[:len(args)])):
+                raise TypeError(f"{cls.__name__}() takes {', '.join(names)}; got "
+                                f"{len(args)} positional and {sorted(kwargs)} by keyword")
+            args = map(given.__getitem__, names)
+        if slots:
+            for name, value in zip(names, args):
+                object.__setattr__(self, name, value)
+        else:
+            self.__dict__.update(zip(names, args))
+        if post_init is not None:
+            post_init(self)
+
+    def values(self):
+        return tuple(map(getattr, itertools.repeat(self), names))
+
+    def __repr__(self):
+        fields = ", ".join(map("{}={!r}".format, names, values(self)))
+        return f"{type(self).__qualname__}({fields})"
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return values(self) == values(other)
+        return NotImplemented
+
+    cls.__init__, cls.__repr__, cls.__eq__ = __init__, __repr__, __eq__
+    cls.__hash__ = lambda self: hash(values(self))
+    cls.__reduce__ = lambda self: (type(self), values(self))  # for copy and pickle
+    cls.__setattr__ = cls.__delattr__ = _refuse_change
+    cls.__match_args__ = names
+    return cls
 
 
 class VehicleClass(Enum):
@@ -60,7 +115,7 @@ class DayFilter(Enum):
     ALL = "all"
 
 
-@dataclass(frozen=True, eq=True, slots=True)
+@_frozen(slots=True)
 class ClassifiedCount:
     """Raw per-class vehicle counts for one approach, optionally timestamped.
 
@@ -156,7 +211,7 @@ def failing_cycles(
     return sorted(found)
 
 
-@dataclass(frozen=True, eq=True, slots=True)
+@_frozen(slots=True)
 class SignalCycleRecord:
     """One signal cycle's timing joined with its classified counts.
 
@@ -351,7 +406,7 @@ class CycleTable(Sequence[SignalCycleRecord]):
         return f"CycleTable({list(self)!r})"
 
 
-@dataclass(frozen=True, eq=True)
+@_frozen
 class ApproachConfig:
     """Static geometry and role of one approach road."""
 

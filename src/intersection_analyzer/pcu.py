@@ -10,14 +10,13 @@ and does not depend on the PCU values it produces.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Iterable, Mapping
 
 from .errors import InputError, InvariantViolation
-from .model import VEHICLE_CLASSES, ClassifiedCount, VehicleClass
+from .model import VEHICLE_CLASSES, ClassifiedCount, VehicleClass, _frozen
 
-@dataclass(frozen=True)
+@_frozen
 class PcuFactorTable:
     """(factor below threshold, factor at/above threshold) per class."""
 

@@ -16,7 +16,6 @@ import functools
 import math
 import os
 import tempfile
-from decimal import ROUND_HALF_UP, Context, Decimal
 from itertools import chain, compress, count, cycle, islice, repeat
 from operator import add, lt, mul, not_, or_, sub
 from pathlib import Path
@@ -27,27 +26,23 @@ from .model import VEHICLE_CLASSES
 from .stats import FiveNumberSummary, WindowedAverage
 
 if TYPE_CHECKING:
+    from decimal import Decimal
+
     from .pipeline import AnalysisResult
 
 SCHEMA_VERSION = 1
 
 
-# A finite double has at most 309 integer digits, so 400 digits hold it
-# quantized at up to 91 places; the default context's 28 raise
-# InvalidOperation from about 1e28 up.  Nothing reads the flags it collects.
-_CONTEXT = Context(prec=400)
-
-
-@functools.cache
-def _quantum(places: int) -> Decimal:
-    return Decimal(1).scaleb(-places)
-
-
 def _rounded(value: float, places: int) -> Decimal:
+    from decimal import ROUND_HALF_UP, Context, Decimal  # imported late: few values need it
     number = Decimal(repr(value))
     if not number.is_finite():  # NaN or an infinity, which quantize rejects
         return number
-    return number.quantize(_quantum(places), rounding=ROUND_HALF_UP, context=_CONTEXT)
+    # A finite double has at most 309 integer digits, so 400 digits hold it
+    # quantized at up to 91 places; the default context's 28 raise
+    # InvalidOperation from about 1e28 up.  Nothing reads the flags it collects.
+    return number.quantize(Decimal(1).scaleb(-places), rounding=ROUND_HALF_UP,
+                           context=Context(prec=400))
 
 
 @functools.cache

@@ -9,12 +9,11 @@ from __future__ import annotations
 
 import itertools
 import math
-import statistics
-from dataclasses import dataclass
+from operator import eq, floordiv, methodcaller, mul
 from typing import Iterable, Mapping, Sequence
 
 from .errors import InputError, InvariantViolation
-from .model import CycleTable, DayFilter, SignalCycleRecord
+from .model import CycleTable, DayFilter, SignalCycleRecord, _frozen
 
 SECONDS_PER_DAY = 86400
 DAY_START_S = 8 * 3600
@@ -26,7 +25,7 @@ P_VALUE_FLOOR = 1e-300
 _SQRT2 = math.sqrt(2.0)
 
 
-@dataclass(frozen=True)
+@_frozen
 class WindowedAverage:
     """Mean cycle length in one time-of-day window, across the filtered days.
 
@@ -40,13 +39,13 @@ class WindowedAverage:
     sample_count: int
 
 
-@dataclass(frozen=True)
+@_frozen
 class ZTestResult:
     z_statistic: float
     p_value: float
 
 
-@dataclass(frozen=True, slots=True)
+@_frozen(slots=True)
 class SampleSummary:
     """Size, mean and sample variance of one sample, for reuse across z-tests.
 
@@ -63,7 +62,7 @@ class SampleSummary:
         return self.n
 
 
-@dataclass(frozen=True)
+@_frozen
 class FiveNumberSummary:
     minimum: float
     q1: float
@@ -256,12 +255,34 @@ def normal_two_tailed_p(z: float) -> float:
     return math.erfc(abs(z) / _SQRT2)
 
 
+def variance(sample: Sequence[float]) -> float:
+    """``statistics.variance`` of two or more values: with the values as
+    integers ``k`` over a common denominator ``D``, the int true division
+    ``(n*sum(k*k) - sum(k)**2) / (n*(n-1)*D*D)``, correctly rounded.  A NaN
+    or an infinity gives the non-finite values' sum over ``n - 1``, as 3.11 does.
+    """
+    n = len(sample)
+    try:
+        numerators = list(map(int, sample))
+    except (OverflowError, ValueError):  # an infinity or NaN
+        return sum(itertools.filterfalse(math.isfinite, sample)) / (n - 1)
+    scale = 1
+    if not all(map(eq, numerators, sample)):
+        numerators, denominators = zip(*map(methodcaller("as_integer_ratio"), sample))
+        scale = math.lcm(*set(denominators))
+        numerators = list(map(mul, numerators, map(floordiv, itertools.repeat(scale),
+                                                   denominators)))
+    total = sum(numerators)
+    return ((n * sum(map(mul, numerators, numerators)) - total * total)
+            / (n * (n - 1) * scale * scale))
+
+
 def summarize(sample: Sequence[float]) -> SampleSummary:
-    """Summarise a sample once, with the exact ``fmean`` and ``variance``."""
+    """Summarise a sample once, with the exact ``math.fsum`` mean and ``variance``."""
     n = len(sample)
     if n < 2:
         return SampleSummary(n, math.nan, math.nan)
-    return SampleSummary(n, statistics.fmean(sample), statistics.variance(sample))
+    return SampleSummary(n, math.fsum(sample) / n, variance(sample))
 
 
 def z_test(
@@ -322,5 +343,8 @@ def five_number(values: Iterable[float]) -> FiveNumberSummary:
     if len(data) == 1:
         v = float(data[0])
         return FiveNumberSummary(v, v, v, v, v)
-    q1, q2, q3 = statistics.quantiles(data, n=4, method="inclusive")
+    # statistics.quantiles(data, n=4, method="inclusive"), term for term
+    last = len(data) - 1
+    q1, q2, q3 = [(data[j] * (4 - delta) + data[j + 1] * delta) / 4
+                  for j, delta in (divmod(i * last, 4) for i in (1, 2, 3))]
     return FiveNumberSummary(float(data[0]), q1, q2, q3, float(data[-1]))

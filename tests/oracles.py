@@ -422,6 +422,14 @@ def classify(table: LosBandTable, value: float) -> LosResult:
     raise AssertionError("unreachable: final band is open-ended")
 
 
+def replace(record, **changes):
+    """A copy of a frozen record with ``changes`` to its fields, built anew
+    through its class (so its checks run again), as ``dataclasses.replace``
+    does for a dataclass."""
+    fields = {name: getattr(record, name) for name in record.__match_args__}
+    return type(record)(**(fields | changes))
+
+
 @dataclass(frozen=True)
 class ApproachReport:
     """Computed bundle for one approach."""

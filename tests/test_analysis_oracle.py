@@ -4,7 +4,6 @@ report fields and, on failing inputs, the same first error.  The oracle's
 artifacts are written by ``csv.writer``, so the ids, which hold every
 character it quotes, also pin the package's own CSV writer."""
 
-import dataclasses
 import decimal
 import math
 from pathlib import Path
@@ -34,12 +33,12 @@ VEHICLES = load_config(FIXTURES / "vehicles_config.json")
 # 0.5, 1.0, 1.2, 1.4 and 2.2, whose products with a class total are inexact,
 # so a rounded running sum of them could differ from the exact ``math.fsum``
 # both analyses take.
-SPARSE_VEHICLES = dataclasses.replace(VEHICLES, pcu_factors=dataclasses.replace(
+SPARSE_VEHICLES = oracles.replace(VEHICLES, pcu_factors=oracles.replace(
     VEHICLES.pcu_factors, composition_threshold=0.5))
-NO_DIESEL = dataclasses.replace(PCU, emission_factors=EmissionFactorTable(
+NO_DIESEL = oracles.replace(PCU, emission_factors=EmissionFactorTable(
     {FuelType.CNG: 2.252, FuelType.PETROL: 2.392}))
 # A capacity so small that an ordinary volume over it is an infinite V/C.
-TINY_CAPACITY = dataclasses.replace(PCU, capacity_table=CapacityTable({
+TINY_CAPACITY = oracles.replace(PCU, capacity_table=CapacityTable({
     **PCU.capacity_table.capacities, (1, Directionality.ONE_WAY): 1e-308}))
 
 # artifact -> its text from an oracle result, as ``cli.ARTIFACTS`` builds it
@@ -199,7 +198,7 @@ def test_each_domain_error_is_the_first_one_the_oracle_raises(kind):
         approaches[approach_id] = ApproachConfig(
             approach_id, intersection_id, 1, Directionality.TWO_WAY, 3.5, is_major=True)
         if intersection_id == "M":
-            approaches[approach_id] = dataclasses.replace(approaches[approach_id], **(
+            approaches[approach_id] = oracles.replace(approaches[approach_id], **(
                 {"lane_count": 1, "directionality": Directionality.ONE_WAY} | changes))
     table = CycleTable()
     for cells in reversed(rows):

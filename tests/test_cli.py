@@ -1,10 +1,12 @@
 import json
-import statistics
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-from intersection_analyzer import cli
+from intersection_analyzer import cli, stats
 from intersection_analyzer.cli import main
 from intersection_analyzer.errors import InvariantViolation
 from intersection_analyzer.stats import z_test
@@ -483,6 +485,26 @@ def test_non_positive_city_scaling_is_a_config_error(tmp_path, capsys, city):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("rate, code, line", [
+    (-1, 2, None),
+    (0, 0, "city,0.00,0.00,13,configured_rate"),
+    (-0.0, 0, "city,0.00,0.00,13,configured_rate"),
+])
+def test_a_negative_city_co2_rate_is_a_config_error(tmp_path, capsys, rate, code, line):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"city": {"intersection_count": 6, "active_hours_per_day": 13,
+                                           "co2_kg_per_hour": rate}}))
+    out = tmp_path / "out"
+    assert main(["emissions", *STUDY, "--config", str(config), "--out", str(out)]) == code
+    if line is None:
+        record = json.loads(capsys.readouterr().err)
+        assert (record["error"], record["message"], record["exit_code"]) == (
+            "ConfigError", "city.co2_kg_per_hour must be >= 0, got -1", 2)
+        assert not out.exists()
+    else:
+        assert line in read(out / "emissions_summary.csv")
+
+
 @pytest.mark.parametrize("section", [
     {"platoon_ratios": []},
     {"idle_rates": []},
@@ -528,8 +550,8 @@ def test_variability_summarises_each_sample_once(tmp_path, capsys, monkeypatch):
     # 3 intersections x 3 approaches x 6 cycles: each approach sample is in 2
     # pairwise tests and each pooled sample in 2 inflow tests
     sizes = []
-    variance = statistics.variance
-    monkeypatch.setattr(statistics, "variance",
+    variance = stats.variance
+    monkeypatch.setattr(stats, "variance",
                         lambda data: sizes.append(len(data)) or variance(data))
     assert main(["variability", "--cycles", str(SPREAD_CYCLES),
                  "--approaches", str(SPREAD_APPROACHES), "--out", str(tmp_path)]) == 0
@@ -653,3 +675,22 @@ def test_an_empty_intersection_id_is_rejected(tmp_path, capsys):
     assert code == 2 and not out.exists()
     assert record == {"subcommand": "report", "error": "SchemaViolation",
                       "message": "row 3: empty intersection_id", "row": 3, "exit_code": 2}
+
+
+def test_the_cli_imports_no_stdlib_module_it_does_not_need():
+    # dataclasses (with inspect), statistics (with fractions) and decimal
+    # cost more to import than the whole package; decimal is imported only
+    # to round values too large for a float's fixed-point format.
+    script = (
+        "import sys\n"
+        "from intersection_analyzer.cli import main\n"
+        "unused = {'dataclasses', 'inspect', 'statistics', 'fractions', 'decimal'}\n"
+        "print(sorted(unused & set(sys.modules)))\n"
+        "main(['los', '--delay', '1'])\n"
+        "print(sorted(unused & set(sys.modules)))\n")
+    src = Path(cli.__file__).parents[1]
+    child = subprocess.run([sys.executable, "-S", "-c", script], capture_output=True,
+                           text=True, env={**os.environ, "PYTHONPATH": str(src)}, timeout=60)
+    assert child.returncode == 0, child.stderr
+    assert child.stdout.splitlines() == [
+        "[]", "delay 1 s: delay_hcm=A delay_heterogeneous=A", "[]"]

@@ -1,5 +1,8 @@
 import math
+import operator
 import random
+import statistics
+import sys
 from datetime import datetime, timezone
 
 import mpmath
@@ -20,7 +23,7 @@ from intersection_analyzer import (
     z_test,
 )
 from intersection_analyzer.errors import InputError
-from intersection_analyzer.stats import P_VALUE_FLOOR
+from intersection_analyzer.stats import P_VALUE_FLOOR, SampleSummary
 
 
 def ts(day: str, hh: int, mm: int) -> float:
@@ -358,3 +361,60 @@ def test_five_number_matches_numpy_inclusive(values):
     assert s.median == pytest.approx(q2, rel=1e-12, abs=1e-9)
     assert s.q3 == pytest.approx(q3, rel=1e-12, abs=1e-9)
     assert s.minimum <= s.q1 <= s.median <= s.q3 <= s.maximum
+
+
+# --- the standard library as reference ---------------------------------------
+
+def _outcome(function, *args):
+    """The exact repr of ``function(*args)``, or the name of the error it raises."""
+    try:
+        return repr(function(*args))
+    except (ArithmeticError, ValueError) as err:
+        return type(err).__name__
+
+
+def _stdlib_summary(sample):
+    return SampleSummary(len(sample), statistics.fmean(sample), statistics.variance(sample))
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+extremes = st.sampled_from([5e-324, -5e-324, 2.5e-308, 0.1, 1.0, 3.0, 1e300, -1e300])
+whole = st.integers(min_value=-10**6, max_value=10**6).map(float)
+
+
+@given(st.one_of(
+    st.lists(whole, min_size=2),
+    st.lists(st.one_of(finite, extremes), min_size=2),
+    st.builds(operator.mul, st.lists(finite, min_size=1, max_size=1),
+              st.integers(min_value=2, max_value=20)),
+))
+@example([5e-324, 1e300])
+@example([1e300, 1e300])
+@example([-1.7e308, 1.7e308])  # the variance overflows
+@example([1.7e308, 1.7e308])  # the mean overflows
+def test_summarize_matches_the_standard_library(sample):
+    assert _outcome(summarize, sample) == _outcome(_stdlib_summary, sample)
+
+
+@given(st.lists(st.one_of(finite, st.sampled_from([math.nan, math.inf, -math.inf])),
+                min_size=2, max_size=12).filter(lambda xs: not all(map(math.isfinite, xs))))
+@example([1.0, math.nan])
+@example([math.inf, 2.0, 3.0])
+@example([-math.inf, -math.inf])
+@example([math.inf, -math.inf])
+def test_a_non_finite_sample_keeps_the_python_311_variance(sample):
+    # From 3.11 statistics.variance gives the non-finite mean; 3.10's raises.
+    def mean_twice(xs):
+        return SampleSummary(len(xs), statistics.fmean(xs), statistics.fmean(xs))
+
+    assert _outcome(summarize, sample) == _outcome(mean_twice, sample)
+    if sys.version_info >= (3, 11):
+        assert _outcome(summarize, sample) == _outcome(_stdlib_summary, sample)
+
+
+@given(st.lists(st.one_of(whole, st.floats(min_value=-1e300, max_value=1e300), extremes),
+                min_size=2, max_size=60))
+@example([1.0, 2.0])
+def test_five_number_matches_the_standard_library(values):
+    s = five_number(values)
+    assert [s.q1, s.median, s.q3] == statistics.quantiles(values, n=4, method="inclusive")
