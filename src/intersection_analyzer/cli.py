@@ -10,9 +10,11 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
+import itertools
 import json
 import math
 import sys
+from operator import itemgetter
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence, TextIO
 
@@ -21,7 +23,7 @@ from .config import load_config
 from .delay import DelayPolicy
 from .errors import AnalyzerError, InputError, IoFailure
 from .ingest import ingest_approaches, ingest_cycles, scan_cycles
-from .model import ApproachConfig, CycleTable, DayFilter, _frozen
+from .model import ApproachConfig, CycleTable, DayFilter, _frozen, _row_groups
 from .pipeline import analyze_records
 from .stats import (
     check_window, five_number, pairwise_z_matrix, summarize, window_cycle_lengths,
@@ -126,11 +128,14 @@ def cmd_variability(args) -> int:
     approaches = _load_approaches(args)
     table = _load_records(args, approaches)
 
+    # Each approach's row totals, in file order: the rows grouped by
+    # approach, gathered only if they are not already, as floats.
+    ids, numbers = table.approach_column()
+    order, starts = _row_groups(numbers, len(ids))
     totals = table.row_totals()
-    samples = {
-        approach_id: [float(totals[i]) for i in rows]
-        for approach_id, rows in table.groups()
-    }
+    values = list(map(float, totals if order is None else itemgetter(*order)(totals)))
+    del totals
+    samples = dict(zip(ids, map(values.__getitem__, map(slice, starts, starts[1:]))))
 
     by_intersection: dict[str, dict[str, list[float]]] = {}
     for approach_id, values in samples.items():
@@ -148,7 +153,7 @@ def cmd_variability(args) -> int:
     }
     # pooled per-intersection groups back the box plot and the inflow comparison
     pooled = {
-        intersection_id: [v for vs in approach_samples.values() for v in vs]
+        intersection_id: list(itertools.chain.from_iterable(approach_samples.values()))
         for intersection_id, approach_samples in sorted(by_intersection.items())
     }
     for intersection_id, values in pooled.items():

@@ -12,7 +12,6 @@ from __future__ import annotations
 import json
 import math
 import os
-from importlib import resources
 from pathlib import Path
 from typing import Any, Callable, Mapping
 
@@ -173,9 +172,11 @@ def _build(config: Mapping[str, Any]) -> AnalysisConfig:
 
 
 def _default_dict() -> dict[str, Any]:
-    text = resources.files("intersection_analyzer").joinpath(
-        "data/default_config.json").read_text(encoding="utf-8")
-    return _strip_notes(json.loads(text))
+    # Through the package's own loader, which reads from a directory or a
+    # zip archive alike: importlib.resources costs more than the package.
+    data = __spec__.loader.get_data(
+        os.path.join(os.path.dirname(__file__), "data", "default_config.json"))
+    return _strip_notes(json.loads(data.decode("utf-8")))
 
 
 def load_config(path: str | Path | None = None) -> AnalysisConfig:

@@ -13,6 +13,7 @@ import itertools
 import math
 import operator
 from array import array
+from bisect import bisect_left
 from collections.abc import Sequence
 from enum import Enum
 from types import MappingProxyType
@@ -240,6 +241,18 @@ class SignalCycleRecord:
         return self.counts.timestamp
 
 
+def _row_groups(keys: Sequence[int], count: int) -> tuple[list[int] | None, list[int]]:
+    """Group rows by their ``keys``, each in ``range(count)``: a stable order
+    of the rows by key, or None when the keys never decrease and the rows
+    are grouped already, and where each key's run of the rows in that order
+    starts (``count + 1`` bounds)."""
+    if all(map(operator.le, keys, itertools.islice(keys, 1, None))):
+        order, ordered = None, keys
+    else:
+        order, ordered = sorted(range(len(keys)), key=keys.__getitem__), sorted(keys)
+    return order, list(map(bisect_left, itertools.repeat(ordered), range(count + 1)))
+
+
 def _absent_as_none(value: float) -> float | None:
     return None if math.isnan(value) else value
 
@@ -345,15 +358,12 @@ class CycleTable(Sequence[SignalCycleRecord]):
         self.timestamp.extend(timestamp)
         self.counts.extend(counts)
 
-    def groups(self) -> Iterator[tuple[str, array]]:
+    def groups(self) -> Iterator[tuple[str, Sequence[int]]]:
         """Each approach id with its row numbers in file order, approaches
         in the order they first appear."""
-        # Built per call, not as rows arrive: thousands of small arrays made
-        # while a batch of rows is alive keep its memory from being reused.
-        rows = [array("q") for _ in self._ids]
-        for row, number in enumerate(self._approach):
-            rows[number].append(row)
-        return zip(self._ids, rows)
+        order, starts = _row_groups(self._approach, len(self._ids))
+        rows = range(len(self)) if order is None else order
+        return zip(self._ids, map(rows.__getitem__, map(slice, starts, starts[1:])))
 
     def approach_column(self) -> tuple[list[str], array]:
         """The approach ids in the order they first appear, and each row's

@@ -5,12 +5,12 @@ that approach (single-row aggregate datasets reduce to the plain per-cycle
 formulas).  Orchestration is deterministic: approaches are ordered by
 (intersection id, approach id) and intersections by id.
 
-The analysis works a column at a time.  One stable sort puts the table's
-rows in that order, each table column is gathered once, per-approach sums
-are taken over contiguous slices, and every formula is one C-level ``map``
-pass over the per-approach columns.  ``AnalysisResult`` holds the columns;
-``ApproachReport`` and ``IntersectionReport`` are views of one entry, built
-on demand.
+The analysis works a column at a time.  Unless the table's rows already
+arrive in that order, one stable sort puts them in it and each table column
+is gathered once; per-approach sums are taken over contiguous slices, and
+every formula is one C-level ``map`` pass over the per-approach columns.
+``AnalysisResult`` holds the columns; ``ApproachReport`` and
+``IntersectionReport`` are views of one entry, built on demand.
 
 Every float total is one ``math.fsum``: the exact sum, rounded once, so no
 figure depends on the order of the rows or on which ``sum`` the running
@@ -24,7 +24,7 @@ times the factors its intersection's composition picks, over its cycles.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from itertools import chain, compress, count, repeat
 from operator import and_, attrgetter, ge, itemgetter, le, lt, mul, ne, not_, sub, truediv
 from types import MappingProxyType
@@ -54,7 +54,9 @@ from .flow import (
     vc_ratio,
 )
 from .los import LosResult
-from .model import VEHICLE_CLASSES, ApproachConfig, ClassifiedCount, CycleTable, SignalCycleRecord
+from .model import (
+    VEHICLE_CLASSES, ApproachConfig, ClassifiedCount, CycleTable, SignalCycleRecord, _row_groups,
+)
 from .pcu import composition_shares
 # Unused here: ``bench/tracing.py`` hooks its ``pcu.to_pcu`` layer at this
 # name, and a missing name reads as an absent layer.
@@ -295,13 +297,12 @@ def analyze_records(
 
     # The approaches in output order, and the rows stably sorted by their
     # approach's place in it: each approach's rows are then contiguous.
+    # Rows that arrive in that order are summed where they are.
     output = sorted(ids, key=lambda a: (approaches[a].intersection_id, a))
     place = dict(zip(output, count()))
-    row_place = list(map(list(map(place.__getitem__, ids)).__getitem__, numbers))
-    order = sorted(range(len(row_place)), key=row_place.__getitem__)
-    row_place.sort()
-    row_start = list(map(bisect_left, repeat(row_place), range(len(output) + 1)))
-    del row_place, place
+    order, row_start = _row_groups(
+        list(map(list(map(place.__getitem__, ids)).__getitem__, numbers)), len(output))
+    del place
     rows = list(map(slice, row_start, row_start[1:]))
     sizes = list(map(sub, row_start[1:], row_start))
 
@@ -321,7 +322,7 @@ def analyze_records(
     counts = list(map(sub, start[1:], start))
     intersection_ids = [a.intersection_id[s.start] for s in spans]
 
-    take = itemgetter(*order) if len(order) > 1 else (lambda column: (column[order[0]],))
+    take = (lambda column: column) if order is None else itemgetter(*order)
 
     def per_approach(column: Sequence, total=math.fsum, name: str = "") -> list:
         """``total`` of each approach's run of an output-ordered row column."""
@@ -341,7 +342,9 @@ def analyze_records(
         take(table.effective_green), rows, output, sizes, "effective_green_s")
     a.mean_exited_pcu = _present_means(take(table.exited_pcu), rows, output, sizes, "exited_pcu")
 
-    class_totals = [per_approach(take(column), sum) for column in table.class_columns()]
+    # A class column at a time: all five at once take 40 bytes a row.
+    width = len(VEHICLE_CLASSES)
+    class_totals = [per_approach(take(table.counts[k::width]), sum) for k in range(width)]
     # Shares of at least one vehicle: an approach with none has shares of 0.
     vehicles = list(map(max, map(sum, zip(*class_totals)), repeat(1)))
     a.composition = dict(zip(VEHICLE_CLASSES, (

@@ -15,7 +15,6 @@ from __future__ import annotations
 import functools
 import math
 import os
-import tempfile
 from itertools import chain, compress, count, cycle, islice, repeat
 from operator import add, lt, mul, not_, or_, sub
 from pathlib import Path
@@ -223,6 +222,8 @@ class ArtifactWriter:
         return IoFailure(f"failed writing artifacts to {self.out_dir}: {err}")
 
     def stage(self, name: str, content: str) -> None:
+        import tempfile  # here, not at import: with random it costs more than the package
+
         try:
             if not self.out_dir.is_dir():
                 self.out_dir.mkdir(parents=True)

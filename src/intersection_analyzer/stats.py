@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from operator import eq, floordiv, methodcaller, mul
+from operator import add, eq, floordiv, itemgetter, methodcaller, mod, mul, sub
 from typing import Iterable, Mapping, Sequence
 
 from .errors import InputError, InvariantViolation
@@ -183,40 +183,43 @@ def window_cycle_lengths(
         start += window
 
     timestamps = table.timestamp
-    if all(map(float.is_integer, timestamps)):
-        # Whole seconds carry no fraction to round; int time of day
-        # compares and divides exactly as _day_and_time's float does.
-        day_times = map(divmod, map(int, timestamps), itertools.repeat(SECONDS_PER_DAY))
+    whole = all(map(float.is_integer, timestamps))
+    kept_weekdays = _KEPT_WEEKDAYS[day_filter]
+    if whole:
+        # Whole seconds carry no fraction to round; int day and time of day
+        # compare and divide exactly as _day_and_time's do.
+        times = map(mod, map(int, timestamps), itertools.repeat(SECONDS_PER_DAY))
+        days = map(floordiv, map(int, timestamps), itertools.repeat(SECONDS_PER_DAY))
     else:
         day_times = map(_day_and_time, timestamps)
-    kept_weekdays = _KEPT_WEEKDAYS[day_filter]
-    kept_any = False
-    lengths = [[] for _ in starts]  # each window's cycle lengths
-    for (day, tod), cycle_length in zip(day_times, table.cycle_length):
-        if kept_weekdays is not None and _weekday(day) not in kept_weekdays:
-            continue
-        kept_any = True
-        if tod < DAY_START_S:
-            continue
-        index = int((tod - DAY_START_S) // window)
-        if index >= len(starts):
-            continue
-        lengths[index].append(cycle_length)
-    if not kept_any:
+        # Copied only for a day filter: a copy no pass reads would keep every row.
+        times, days = (day_times, ()) if kept_weekdays is None else itertools.tee(day_times)
+        times, days = map(itemgetter(1), times), map(itemgetter(0), days)
+    cycle_lengths = table.cycle_length
+    if kept_weekdays is not None:
+        # Whether each row's _weekday is kept, once for each compress pass.
+        kept = itertools.tee(map(kept_weekdays.__contains__, map(
+            mod, map(add, days, itertools.repeat(3)), itertools.repeat(7))))
+        times = itertools.compress(times, kept[0])
+        cycle_lengths = itertools.compress(cycle_lengths, kept[1])
+    offsets = map(sub, times, itertools.repeat(DAY_START_S))
+    if whole and float(window).is_integer():
+        index = map(floordiv, offsets, itertools.repeat(int(window)))
+    else:
+        index = map(int, map(floordiv, offsets, itertools.repeat(window)))
+    # Each window's cycle lengths; a row before 08:00 (a negative index) or
+    # from 21:00 goes to the discard slot.
+    lengths = [[] for _ in starts]
+    discard: list[float] = []
+    slots = map(dict(enumerate(lengths)).get, index, itertools.repeat(discard))
+    any(map(list.append, slots, cycle_lengths))  # list.append returns None: runs to the end
+    if not (discard or any(lengths)):  # no row was kept
         return []
     sums = group_totals(math.fsum, lengths, range(len(starts)), "cycle lengths",
                         "the window from second {:g}", starts)
     counts = list(map(len, lengths))
-
-    return [
-        WindowedAverage(
-            window_start=starts[i],
-            window_length=window,
-            mean_cycle_length=(sums[i] / counts[i]) if counts[i] else None,
-            sample_count=counts[i],
-        )
-        for i in range(len(starts))
-    ]
+    means = [total / n if n else None for total, n in zip(sums, counts)]
+    return list(map(WindowedAverage, starts, itertools.repeat(window), means, counts))
 
 
 def peak_window(averages: Sequence[WindowedAverage], span: int) -> tuple[float, float]:
@@ -268,10 +271,17 @@ def variance(sample: Sequence[float]) -> float:
         return sum(itertools.filterfalse(math.isfinite, sample)) / (n - 1)
     scale = 1
     if not all(map(eq, numerators, sample)):
-        numerators, denominators = zip(*map(methodcaller("as_integer_ratio"), sample))
-        scale = math.lcm(*set(denominators))
-        numerators = list(map(mul, numerators, map(floordiv, itertools.repeat(scale),
-                                                   denominators)))
+        # Each value is a whole multiple of the smallest nonzero one's unit
+        # in the last place, 2**-shift: one ldexp makes it an exact integer.
+        shift = min(1074, 53 - math.frexp(min(filter(None, map(abs, sample))))[1])
+        try:
+            numerators = list(map(int, map(math.ldexp, sample, itertools.repeat(shift))))
+            scale = 1 << shift
+        except OverflowError:  # a value too large to shift: the common denominator
+            numerators, denominators = zip(*map(methodcaller("as_integer_ratio"), sample))
+            scale = math.lcm(*set(denominators))
+            numerators = list(map(mul, numerators, map(floordiv, itertools.repeat(scale),
+                                                       denominators)))
     total = sum(numerators)
     return ((n * sum(map(mul, numerators, numerators)) - total * total)
             / (n * (n - 1) * scale * scale))

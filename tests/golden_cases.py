@@ -69,6 +69,9 @@ CASES = {
     "emissions_study": (["emissions", *STUDY], True, True),
     "emissions_study_major": (["emissions", *STUDY, "--policy", "major"], True, True),
     "peak_hours_week_weekday": (["peak-hours", *WEEK, "--day", "weekday"], True, True),
+    # A window that is not whole seconds: window indices come from float floor division.
+    "peak_hours_week_fractional_window": (
+        ["peak-hours", *WEEK, "--window", "1234.5", "--span", "3"], True, True),
     "los_values": (["los", "--delay", "56", "--delay", "36",
                     "--vc", "0.73", "--vc", "0.84"], False, True),
     "report_study_text": (["report", *STUDY, "--format", "text"], True, True),

@@ -83,6 +83,22 @@ def test_variability_outputs(tmp_path, capsys):
     assert "NX," in boxplot
 
 
+def test_variability_does_not_depend_on_how_rows_are_grouped(tmp_path, capsys):
+    # The week's N1 and N2 rows alternate; sorted by approach, each
+    # approach's rows are contiguous and its sample is a slice of them.
+    header, *rows = WEEK_CYCLES.read_text().splitlines(keepends=True)
+    assert [row[:2] for row in rows[:3]] == ["N1", "N2", "N1"]
+    grouped = tmp_path / "grouped.csv"
+    grouped.write_text(header + "".join(sorted(rows, key=lambda row: row.split(",")[0])))
+    outputs = []
+    for cycles in (WEEK_CYCLES, grouped):
+        out = tmp_path / cycles.stem
+        assert main(["variability", "--cycles", str(cycles),
+                     "--approaches", str(WEEK_APPROACHES), "--out", str(out)]) == 0
+        outputs.append({path.name: path.read_bytes() for path in sorted(out.iterdir())})
+    assert outputs[0] == outputs[1] and len(outputs[0]) == 2
+
+
 def test_variability_needs_repeated_cycles(tmp_path, capsys):
     code = main(["variability", *STUDY, "--out", str(tmp_path)])
     assert code == 2
@@ -680,11 +696,14 @@ def test_an_empty_intersection_id_is_rejected(tmp_path, capsys):
 def test_the_cli_imports_no_stdlib_module_it_does_not_need():
     # dataclasses (with inspect), statistics (with fractions) and decimal
     # cost more to import than the whole package; decimal is imported only
-    # to round values too large for a float's fixed-point format.
+    # to round values too large for a float's fixed-point format.  The
+    # shipped config is read without importlib.resources, and tempfile (with
+    # random) is imported only to stage an artifact, which `los` never does.
     script = (
         "import sys\n"
         "from intersection_analyzer.cli import main\n"
-        "unused = {'dataclasses', 'inspect', 'statistics', 'fractions', 'decimal'}\n"
+        "unused = {'dataclasses', 'inspect', 'statistics', 'fractions', 'decimal',\n"
+        "          'importlib.resources', 'tempfile'}\n"
         "print(sorted(unused & set(sys.modules)))\n"
         "main(['los', '--delay', '1'])\n"
         "print(sorted(unused & set(sys.modules)))\n")

@@ -7,6 +7,7 @@ import itertools
 from datetime import date, datetime, timezone
 from unittest import mock
 
+import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 import oracles
@@ -380,10 +381,32 @@ WHOLE = [WEEK_START + 5 * 86400 + s for s in (0, 8 * 3600 - 1, 8 * 3600, 21 * 36
 @example([(float(WHOLE[2]), 90.0), (WHOLE[2] + 0.5, 120.0), (WHOLE[3] + 0.9999995, 60.0)],
          DayFilter.SATURDAY, 3600.0)
 @example([(WHOLE[1] + 0.9999996, 90.0), (float(WHOLE[2]), 120.0)], DayFilter.ALL, 600.0)
+# A whole-second window over fractional timestamps: float time of day, so
+# each window index is float floor division made an int.
+@example([(WHOLE[2] + 0.25, 90.0), (WHOLE[2] + 1799.75, 95.0), (WHOLE[3] + 0.5, 120.0)],
+         DayFilter.SATURDAY, 1800.0)
+# Rows only before 08:00 or from 21:00: no window gets a row, on a kept day.
+@example([(float(WHOLE[0]), 90.0), (float(WHOLE[1]), 95.0), (WHOLE[1] + 0.5, 97.0),
+          (float(WHOLE[3] + 1), 120.0), (float(WHOLE[4]), 60.0)], DayFilter.SATURDAY, 600.0)
 def test_windows_match_reference(samples, day_filter, window):
+    _check_windows(samples, day_filter, window)
+
+
+def _check_windows(samples, day_filter, window):
     records = [
         SignalCycleRecord("A", cycle, 0.0, 0.0, ClassifiedCount("A", {}, timestamp))
         for timestamp, cycle in samples
     ]
     assert (window_cycle_lengths(records, window, day_filter)
             == oracles.window_cycle_lengths(records, window, day_filter))
+
+
+@pytest.mark.parametrize("samples", [
+    [(float(t), 100.0 + i) for i, t in enumerate(WHOLE)],
+    [(WHOLE[1] + 0.5, 90.0), (WHOLE[2] + 0.25, 95.0), (WHOLE[3] + 0.75, 120.0)],
+    [(float(WHOLE[0]), 90.0), (float(WHOLE[4]), 60.0)],  # no row in any window
+])
+def test_one_second_windows_match_reference(samples):
+    # The shortest window, 46,800 of them: a plain test, since building
+    # them twice takes longer than a hypothesis example's deadline.
+    _check_windows(samples, DayFilter.ALL, 1.0)

@@ -13,6 +13,8 @@ from intersection_analyzer import (
 )
 from intersection_analyzer.errors import InputError, SaturatedRegime
 
+from conftest import FIXTURES
+
 # Computed expectations for the bundled study dataset.  Where the dataset's
 # own tables are internally inconsistent (rounded per-cycle PCU inputs), the
 # pipeline reports the values implied by the per-cycle records.
@@ -164,3 +166,24 @@ def test_saturated_regime_propagates(study_approaches, tmp_path):
     records = ingest_cycles(cycles, study_approaches)
     with pytest.raises(SaturatedRegime):
         analyze_records(records, study_approaches, load_config())
+
+
+@pytest.mark.parametrize("config_file", [None, FIXTURES / "vehicles_config.json"])
+def test_rows_in_report_order_and_reversed_give_the_same_analysis(study_approaches,
+                                                                   config_file):
+    # Rows in report order are summed where they are; reversed, they are
+    # sorted and gathered first.  Fractional timings make every sum inexact,
+    # and an absent effective green makes a present-value mean.
+    header = ("approach_id,cycle_length_s,red_s,green_s,two_wheeler,auto_rickshaw,car,lcv,"
+              "bus,effective_green_s,exited_pcu\n")
+    rows = [f"{a},{150 + k / 10},{100 + k / 7:.4f},{30 + k / 3:.4f},{k},{2 * k % 5},"
+            f"{k % 3 + 1},{k % 2},{k // 4},{'' if k == 4 else f'{20 + k / 9:.4f}'},"
+            f"{40 + k / 11:.4f}\n"
+            for a in ("SR1", "SR2", "SR4") for k in range(1, 8)]
+    config = load_config(config_file)
+    forward, backward = (
+        analyze_records(ingest_cycles(io.StringIO(header + "".join(lines)), study_approaches),
+                        study_approaches, config)
+        for lines in (rows, rows[::-1]))
+    assert repr(forward) == repr(backward)
+    assert [r.approach_id for r in forward.approaches] == ["SR1", "SR2", "SR4"]
