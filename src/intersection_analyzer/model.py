@@ -269,8 +269,8 @@ class CycleTable(Sequence[SignalCycleRecord]):
     entry per row; NaN marks an absent optional value.  Every accepted value
     is finite, so NaN is never a real one.  ``counts`` is an ``array('q')``
     holding each row's class counts in ``VEHICLE_CLASSES`` order, row after
-    row.  ``groups()`` gives each approach's row numbers, approaches in the
-    order they first appear.
+    row.  ``approach_column()`` gives each row's approach, as an index into
+    the approach ids in the order they first appear.
 
     The table is a ``Sequence[SignalCycleRecord]``: indexing or iterating it
     builds records on demand, and it compares equal to any sequence of
@@ -358,22 +358,18 @@ class CycleTable(Sequence[SignalCycleRecord]):
         self.timestamp.extend(timestamp)
         self.counts.extend(counts)
 
-    def groups(self) -> Iterator[tuple[str, Sequence[int]]]:
-        """Each approach id with its row numbers in file order, approaches
-        in the order they first appear."""
-        order, starts = _row_groups(self._approach, len(self._ids))
-        rows = range(len(self)) if order is None else order
-        return zip(self._ids, map(rows.__getitem__, map(slice, starts, starts[1:])))
-
     def approach_column(self) -> tuple[list[str], array]:
         """The approach ids in the order they first appear, and each row's
         approach as an index into them."""
         return self._ids, self._approach
 
-    def class_columns(self) -> list[array]:
-        """One column per class in ``VEHICLE_CLASSES`` order: its count in each row."""
+    def class_columns(self) -> Iterator[array]:
+        """One column per class in ``VEHICLE_CLASSES`` order: its count in
+        each row.  Each is sliced when it is reached, so a caller that takes
+        them one at a time holds one."""
         width = len(VEHICLE_CLASSES)
-        return [self.counts[k::width] for k in range(width)]
+        return map(self.counts.__getitem__, map(
+            slice, range(width), itertools.repeat(None), itertools.repeat(width)))
 
     def row_totals(self) -> list[int]:
         """Each row's vehicle total, in file order."""

@@ -343,8 +343,7 @@ def analyze_records(
     a.mean_exited_pcu = _present_means(take(table.exited_pcu), rows, output, sizes, "exited_pcu")
 
     # A class column at a time: all five at once take 40 bytes a row.
-    width = len(VEHICLE_CLASSES)
-    class_totals = [per_approach(take(table.counts[k::width]), sum) for k in range(width)]
+    class_totals = list(map(per_approach, map(take, table.class_columns()), repeat(sum)))
     # Shares of at least one vehicle: an approach with none has shares of 0.
     vehicles = list(map(max, map(sum, zip(*class_totals)), repeat(1)))
     a.composition = dict(zip(VEHICLE_CLASSES, (

@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 import math
 from operator import add, eq, floordiv, itemgetter, methodcaller, mod, mul, sub
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import InputError, InvariantViolation
 from .model import CycleTable, DayFilter, SignalCycleRecord, _frozen
@@ -130,9 +130,10 @@ def _day_and_time(timestamp: float) -> tuple[int, float]:
     return day, second + micro / 1e6
 
 
-def _weekday(day: int) -> int:
-    """Monday = 0, as ``datetime.weekday``; the epoch day was a Thursday."""
-    return (day + 3) % 7
+def _weekdays(days: Iterable[int]) -> Iterator[int]:
+    """Each day's weekday, Monday = 0 as ``datetime.weekday``; the epoch
+    day was a Thursday."""
+    return map(mod, map(add, days, itertools.repeat(3)), itertools.repeat(7))
 
 
 # Weekdays each filter keeps; None keeps every day.
@@ -197,16 +198,12 @@ def window_cycle_lengths(
         times, days = map(itemgetter(1), times), map(itemgetter(0), days)
     cycle_lengths = table.cycle_length
     if kept_weekdays is not None:
-        # Whether each row's _weekday is kept, once for each compress pass.
-        kept = itertools.tee(map(kept_weekdays.__contains__, map(
-            mod, map(add, days, itertools.repeat(3)), itertools.repeat(7))))
+        # Whether each row's weekday is kept, once for each compress pass.
+        kept = itertools.tee(map(kept_weekdays.__contains__, _weekdays(days)))
         times = itertools.compress(times, kept[0])
         cycle_lengths = itertools.compress(cycle_lengths, kept[1])
     offsets = map(sub, times, itertools.repeat(DAY_START_S))
-    if whole and float(window).is_integer():
-        index = map(floordiv, offsets, itertools.repeat(int(window)))
-    else:
-        index = map(int, map(floordiv, offsets, itertools.repeat(window)))
+    index = map(int, map(floordiv, offsets, itertools.repeat(window)))
     # Each window's cycle lengths; a row before 08:00 (a negative index) or
     # from 21:00 goes to the discard slot.
     lengths = [[] for _ in starts]
@@ -271,17 +268,10 @@ def variance(sample: Sequence[float]) -> float:
         return sum(itertools.filterfalse(math.isfinite, sample)) / (n - 1)
     scale = 1
     if not all(map(eq, numerators, sample)):
-        # Each value is a whole multiple of the smallest nonzero one's unit
-        # in the last place, 2**-shift: one ldexp makes it an exact integer.
-        shift = min(1074, 53 - math.frexp(min(filter(None, map(abs, sample))))[1])
-        try:
-            numerators = list(map(int, map(math.ldexp, sample, itertools.repeat(shift))))
-            scale = 1 << shift
-        except OverflowError:  # a value too large to shift: the common denominator
-            numerators, denominators = zip(*map(methodcaller("as_integer_ratio"), sample))
-            scale = math.lcm(*set(denominators))
-            numerators = list(map(mul, numerators, map(floordiv, itertools.repeat(scale),
-                                                       denominators)))
+        numerators, denominators = zip(*map(methodcaller("as_integer_ratio"), sample))
+        scale = math.lcm(*set(denominators))
+        numerators = list(map(mul, numerators, map(floordiv, itertools.repeat(scale),
+                                                   denominators)))
     total = sum(numerators)
     return ((n * sum(map(mul, numerators, numerators)) - total * total)
             / (n * (n - 1) * scale * scale))

@@ -520,6 +520,16 @@ def _fold_approach(
     )
 
 
+def _row_numbers_by_approach(table: CycleTable) -> dict[str, list[int]]:
+    """Each approach id with its row numbers in file order, approaches in the
+    order they first appear: one row at a time."""
+    ids, numbers = table.approach_column()
+    rows: dict[str, list[int]] = {}
+    for row, number in enumerate(numbers):
+        rows.setdefault(ids[number], []).append(row)
+    return rows
+
+
 def _fmean_or_none(values: Sequence[float]) -> float | None:
     return statistics.fmean(values) if values else None
 
@@ -536,11 +546,11 @@ def analyze_records(
         raise InputError("no cycle records to analyze")
     cycle_table = CycleTable.from_records(records)
 
-    by_approach = dict(cycle_table.groups())
+    by_approach = _row_numbers_by_approach(cycle_table)
     for approach_id in by_approach:
         if approach_id not in approaches:
             raise UnknownApproach(f"approach {approach_id!r} has no configuration")
-    class_columns = cycle_table.class_columns()
+    class_columns = list(cycle_table.class_columns())
 
     by_intersection: dict[str, list[str]] = {}
     for approach_id in sorted(by_approach):

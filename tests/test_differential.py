@@ -21,7 +21,7 @@ from intersection_analyzer.model import (
     Directionality,
     SignalCycleRecord,
 )
-from intersection_analyzer.stats import _day_and_time, _weekday, window_cycle_lengths
+from intersection_analyzer.stats import _day_and_time, _weekdays, window_cycle_lengths
 
 CONFIGS = {
     "SR1": ApproachConfig("SR1", "SSC", 3, Directionality.ONE_WAY, 10.5),
@@ -354,13 +354,13 @@ def test_time_of_day_matches_datetime(timestamp):
         assume(False)
     day, seconds = _day_and_time(timestamp)
     assert seconds == oracles.seconds_since_midnight(timestamp)
-    assert _weekday(day) == dt.weekday() == oracles.weekday(timestamp)
+    assert list(_weekdays([day])) == [dt.weekday()] == [oracles.weekday(timestamp)]
     assert day == (dt.date() - EPOCH).days
 
 
 def test_far_timestamps_still_get_a_time_of_day():
     day, seconds = _day_and_time(1e300)
-    assert 0 <= seconds < 86400 and 0 <= _weekday(day) < 7
+    assert 0 <= seconds < 86400 and 0 <= next(_weekdays([day])) < 7
 
 
 WEEK_START = 1704067200  # 2024-01-01 00:00 UTC, a Monday
