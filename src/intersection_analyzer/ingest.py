@@ -35,8 +35,7 @@ from .model import (
     CycleTable,
     Directionality,
     VehicleClass,
-    check_cycle,
-    failing_cycles,
+    timing_faults,
 )
 
 CYCLE_REQUIRED = ("approach_id", "cycle_length_s", "red_s", "green_s")
@@ -365,13 +364,13 @@ def _cycle_batch_parser(
     several problems always reports the first in this order: field count,
     approach id (empty, then unknown), cycle, red and green, the counts in
     ``VEHICLE_CLASSES`` order, the optional columns in ``CYCLE_OPTIONAL``
-    order, then the record invariants (``check_cycle``).
+    order, then the timing checks (``timing_faults``).
 
     Each check runs over a whole column of the batch at C level, with
     cells converted unstripped.  Only where it fails does the parser go
     cell by cell: each failing cell, stripped, through ``_float_cell`` or
-    ``_int_cell``, and each failing row through ``check_cycle``, so every
-    message is the one those per-cell and per-row checks give.
+    ``_int_cell``, so every message is the one those per-cell checks give.
+    ``timing_faults`` gives each failing row's message itself.
     """
     width = len(names)
     index = {name: i for i, name in enumerate(names)}
@@ -400,13 +399,8 @@ def _cycle_batch_parser(
             else _float_column(columns[at], name, True, lines, bad)
             for name, at in optional_at)
 
-        for j in failing_cycles(cycle, red, green, effective_green, exited_pcu):
-            if lines[j] not in bad:
-                try:
-                    check_cycle(cycle[j], red[j], green[j], effective_green[j], exited_pcu[j])
-                except InvariantViolation as err:
-                    err.row = lines[j]
-                    bad[lines[j]] = _detached(err)
+        for j, message in timing_faults(cycle, red, green, effective_green, exited_pcu).items():
+            bad.setdefault(lines[j], InvariantViolation(message, row=lines[j]))
 
         if bad:
             dropped = list(itertools.compress(itertools.count(), map(bad.__contains__, lines)))

@@ -149,6 +149,51 @@ class ClassifiedCount:
         return sum(self.counts.values())
 
 
+def timing_faults(
+    cycle_length: Sequence[float],
+    red_time: Sequence[float],
+    green_time: Sequence[float],
+    effective_green: Sequence[float],
+    exited_pcu: Sequence[float],
+) -> dict[int, str]:
+    """The rows with inconsistent timing, given column by column, each with
+    the message of the first check it fails, in this table's order.
+
+    NaN marks an absent optional value; it fails every comparison, so it
+    passes every check.  Each check runs as C-level passes over whole
+    columns: its comparison runs row by row only if a ``min`` or ``max``
+    (which return a first NaN and skip others) fails to clear the column.
+    """
+    zero, slack = itertools.repeat(0.0), itertools.repeat(_TIMING_SLACK_S)
+    add, gt, lt, sub = operator.add, operator.gt, operator.lt, operator.sub
+    faults: dict[int, str] = {}
+    for clear, flags, message in (
+        (min(cycle_length, default=1.0) > 0, map(operator.le, cycle_length, zero),
+         "cycle_length must be > 0, got {cycle}"),
+        (min(red_time, default=0.0) >= 0, map(lt, red_time, zero),
+         "red_time and green_time must be >= 0"),
+        (min(green_time, default=0.0) >= 0, map(lt, green_time, zero),
+         "red_time and green_time must be >= 0"),
+        (max(map(sub, map(add, red_time, green_time), map(add, cycle_length, slack)),
+             default=0.0) <= 0,
+         map(gt, map(add, red_time, green_time), map(add, cycle_length, slack)),
+         "red + green = {used} exceeds cycle length {cycle}"),
+        (min(effective_green, default=0.0) >= 0, map(lt, effective_green, zero),
+         "effective_green must be >= 0"),
+        (max(map(sub, effective_green, map(add, green_time, slack)), default=0.0) <= 0,
+         map(gt, effective_green, map(add, green_time, slack)),
+         "effective_green = {effective} exceeds green_time = {green}"),
+        (min(exited_pcu, default=0.0) >= 0, map(lt, exited_pcu, zero),
+         "exited_pcu must be >= 0"),
+    ):
+        if not clear:
+            for j in itertools.compress(itertools.count(), flags):
+                faults.setdefault(j, message.format(
+                    cycle=cycle_length[j], used=red_time[j] + green_time[j],
+                    green=green_time[j], effective=effective_green[j]))
+    return faults
+
+
 def check_cycle(
     cycle_length: float,
     red_time: float,
@@ -156,60 +201,12 @@ def check_cycle(
     effective_green: float | None,
     exited_pcu: float | None,
 ) -> None:
-    """Raise ``InvariantViolation`` unless one cycle's timing is consistent.
-
-    An absent optional value is None or NaN; NaN fails every comparison, so
-    it passes the checks as None does.
-    """
-    if cycle_length <= 0:
-        raise InvariantViolation(f"cycle_length must be > 0, got {cycle_length}")
-    if red_time < 0 or green_time < 0:
-        raise InvariantViolation("red_time and green_time must be >= 0")
-    if red_time + green_time > cycle_length + _TIMING_SLACK_S:
-        raise InvariantViolation(
-            f"red + green = {red_time + green_time} exceeds cycle length {cycle_length}")
-    if effective_green is not None:
-        if effective_green < 0:
-            raise InvariantViolation("effective_green must be >= 0")
-        if effective_green > green_time + _TIMING_SLACK_S:
-            raise InvariantViolation(
-                f"effective_green = {effective_green} exceeds green_time = {green_time}")
-    if exited_pcu is not None and exited_pcu < 0:
-        raise InvariantViolation("exited_pcu must be >= 0")
-
-
-def failing_cycles(
-    cycle_length: Sequence[float],
-    red_time: Sequence[float],
-    green_time: Sequence[float],
-    effective_green: Sequence[float],
-    exited_pcu: Sequence[float],
-) -> list[int]:
-    """Indices of the rows ``check_cycle`` rejects, given column by column.
-
-    The same comparisons on the same floats, as C-level passes over whole
-    columns; NaN fails every comparison, so a NaN row is never reported.
-    A comparison runs row by row only if a ``min`` or ``max`` (which return
-    a first NaN and skip others) fails to clear the whole column.
-    """
-    zero, slack = itertools.repeat(0.0), itertools.repeat(_TIMING_SLACK_S)
-    add, gt, lt, sub = operator.add, operator.gt, operator.lt, operator.sub
-    found: set[int] = set()
-    for clear, flags in (
-        (min(cycle_length, default=1.0) > 0, map(operator.le, cycle_length, zero)),
-        (min(red_time, default=0.0) >= 0, map(lt, red_time, zero)),
-        (min(green_time, default=0.0) >= 0, map(lt, green_time, zero)),
-        (max(map(sub, map(add, red_time, green_time), map(add, cycle_length, slack)),
-             default=0.0) <= 0,
-         map(gt, map(add, red_time, green_time), map(add, cycle_length, slack))),
-        (min(effective_green, default=0.0) >= 0, map(lt, effective_green, zero)),
-        (max(map(sub, effective_green, map(add, green_time, slack)), default=0.0) <= 0,
-         map(gt, effective_green, map(add, green_time, slack))),
-        (min(exited_pcu, default=0.0) >= 0, map(lt, exited_pcu, zero)),
-    ):
-        if not clear:
-            found.update(itertools.compress(itertools.count(), flags))
-    return sorted(found)
+    """Raise ``InvariantViolation`` unless ``timing_faults`` passes one row;
+    an absent optional value is None or NaN."""
+    for message in timing_faults((cycle_length,), (red_time,), (green_time,),
+                                 (_none_as_nan(effective_green),),
+                                 (_none_as_nan(exited_pcu),)).values():
+        raise InvariantViolation(message)
 
 
 @_frozen(slots=True)

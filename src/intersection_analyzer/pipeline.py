@@ -9,6 +9,8 @@ The analysis works a column at a time.  Unless the table's rows already
 arrive in that order, one stable sort puts them in it and each table column
 is gathered once; per-approach sums are taken over contiguous slices, and
 every formula is one C-level ``map`` pass over the per-approach columns.
+The domain checks are flags over those columns too, in one list in the
+scalar functions' order; the first failure raises the error they would.
 ``AnalysisResult`` holds the columns; ``ApproachReport`` and
 ``IntersectionReport`` are views of one entry, built on demand.
 
@@ -31,36 +33,12 @@ from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .config import COUNTS_VEHICLES, AnalysisConfig
-from .delay import SATURATION_GUARD, DelayInputs, DelayPolicy, control_delay, unclamped_delays
-from .emissions import (
-    CityEstimate,
-    EmissionReport,
-    co2_from_fuel,
-    idle_fuel,
-    idle_fuel_columns,
-    scale_emissions,
-)
-from .errors import InputError, UnknownApproach
-from .flow import (
-    WIDTH_FLOW_RATE,
-    FlowReport,
-    GreenReport,
-    discharge_flows,
-    green_shares,
-    hourly_volume,
-    hourly_volumes,
-    saturation_flow_discharge,
-    saturation_flow_width,
-    vc_ratio,
-)
+from .delay import SATURATION_GUARD, DelayPolicy, unclamped_delays
+from .emissions import CityEstimate, EmissionReport, idle_fuel_columns, scale_emissions
+from .errors import AnalyzerError, InputError, InvariantViolation, SaturatedRegime, UnknownApproach
+from .flow import WIDTH_FLOW_RATE, FlowReport, GreenReport, discharge_flows, hourly_volumes
 from .los import LosResult
-from .model import (
-    VEHICLE_CLASSES, ApproachConfig, ClassifiedCount, CycleTable, SignalCycleRecord, _row_groups,
-)
-from .pcu import composition_shares
-# Unused here: ``bench/tracing.py`` hooks its ``pcu.to_pcu`` layer at this
-# name, and a missing name reads as an absent layer.
-from .pcu import to_pcu  # noqa: F401
+from .model import VEHICLE_CLASSES, ApproachConfig, CycleTable, SignalCycleRecord, _row_groups
 from .report import fmt_column
 from .stats import group_totals, require_finite
 
@@ -78,6 +56,23 @@ def _zero_as_nan(divisors: Sequence[float]) -> Iterator[float]:
 def _first(flags: Iterable[bool], none: int) -> int:
     """The index of the first true flag, or ``none``."""
     return next(compress(count(), flags), none)
+
+
+def _first_failure(checks: Iterable[tuple], end: int) -> tuple[int, AnalyzerError | None]:
+    """The place and error of the first failure of ``checks``, or ``(end, None)``.
+
+    Each check is ``(at, flags, error)``: ``flags`` flags entries, entry
+    ``k`` belongs to the approach at place ``at[k]`` (``k`` if ``at`` is
+    None), and ``error(k)`` is its error.  At one place, the checks fail in
+    list order.
+    """
+    found = [(end, 0, 0, None)]
+    for rank, (at, flags, error) in enumerate(checks):
+        k = _first(flags, -1)
+        if k >= 0:
+            found.append((k if at is None else at[k], rank, k, error))
+    place, _, k, error = min(found)
+    return place, error and error(k)
 
 
 class _Columns:
@@ -382,24 +377,37 @@ def analyze_records(
     green_total = per_intersection(a.mean_green, what="mean greens")
     major_count = per_intersection(a.is_major, sum)
 
-    # Find the first intersection the scalar path would raise an error for:
-    # its approaches' failures in the formulas above, then its own.
-    failing_approach = min(_first(flags, len(output)) for flags in (
-        map(math.isnan, a.capacity),  # no capacity entry
-        map(math.isinf, a.sf_width),
-        map(math.isinf, a.sf_discharge),
-        map(not_, map(and_, map(lt, repeat(0.0), a.mean_green),
-                      map(le, a.mean_green, a.mean_cycle_length))),
-        map(not_, map(math.isfinite, a.vc_ratio)),
-        map(ge, load, repeat(1.0 - SATURATION_GUARD)),  # the saturated regime
-    ))
-    failing = min(
-        bisect_right(start, failing_approach) - 1,
-        _first(map(le, green_total, repeat(0.0)), len(spans)),
-        _first(map(not_, intersection_vehicles or ()), len(spans)),
-        _first(map(not_, major_count), len(spans))
-        if emission_policy is DelayPolicy.MAJOR_ONLY else len(spans),
-    )
+    # The checks of one intersection, in the order the scalar functions make
+    # them: its own, then each approach's in turn, then its emission checks.
+    # An intersection's own checks sit at the place of its first approach,
+    # its emission checks at its last.
+    first, last = start[:-1], list(map(sub, start[1:], repeat(1)))
+    place, error = _first_failure([
+        (first, map(not_, intersection_vehicles or ()),
+         lambda j: InputError("no vehicles counted in any record")),
+        (first, map(le, green_total, repeat(0.0)),
+         lambda j: InputError("total green time across the intersection is zero")),
+        (None, map(math.isnan, a.capacity), lambda k: InputError(
+            f"no capacity entry for {a.lane_count[k]}-lane {a.directionality[k]} "
+            f"(approach {a.approach_id[k]})")),
+        (None, map(math.isinf, a.sf_width), lambda k: InputError(
+            f"saturation flow is not finite: width {a.width[k]:g} m")),
+        (None, map(math.isinf, a.sf_discharge), lambda k: InputError(
+            f"saturation flow is not finite: exited_pcu {a.mean_exited_pcu[k]:g} over "
+            f"effective green {a.mean_effective_green[k]:g} s")),
+        (None, map(not_, map(and_, map(lt, repeat(0.0), a.mean_green),
+                             map(le, a.mean_green, a.mean_cycle_length))),
+         lambda k: InvariantViolation(
+             f"green_time must lie in (0, cycle_length], got {a.mean_green[k]}")),
+        (None, map(not_, map(math.isfinite, a.vc_ratio)), lambda k: InvariantViolation(
+            f"vc_ratio must be >= 0 and finite, got {a.vc_ratio[k]}")),
+        (None, map(ge, load, repeat(1.0 - SATURATION_GUARD)), lambda k: SaturatedRegime(
+            f"X*g/C = {load[k]:.9f}: the model covers undersaturated operation only")),
+        (last, map(not_, major_count) if emission_policy is DelayPolicy.MAJOR_ONLY else (),
+         lambda j: InputError(f"intersection {intersection_ids[j]!r} has no major approaches "
+                              f"for the requested emission delay policy")),
+    ], len(output))
+    failing = bisect_right(start, place) - 1
 
     # The delay model over the intersections before it, which hold no
     # saturated or out-of-range approach.
@@ -407,7 +415,7 @@ def analyze_records(
         a.mean_cycle_length[:start[failing]], green_ratio, load, a.platoon_ratio))
     a.delay_s = list(map(max, seconds, repeat(0.0)))
     a.delay_clamped = list(map(lt, seconds, repeat(0.0)))
-    del seconds, green_ratio, load
+    del seconds, green_ratio
     clean = spans[:failing]
     n = counts[:failing]
     i = _Columns(
@@ -430,14 +438,16 @@ def analyze_records(
     }
     i.fuel_per_hour = idle_fuel_columns(hourly, i.emission_delay_s, config.idle_rates)
     factors = config.emission_factors.factors
-    failing = min([failing] + [
-        _first(map(ne, fuel, repeat(0.0)), failing)
+    # The last checks, fuel that no emission factor covers in ``FuelType``
+    # order, have figures only for the intersections before ``failing``, so
+    # a failure of theirs comes before ``error``.
+    _, fuel_error = _first_failure([
+        (last, map(ne, fuel, repeat(0.0)),
+         lambda j, fuel_type=fuel_type: InputError(f"no emission factor for {fuel_type.value}"))
         for fuel_type, fuel in i.fuel_per_hour.items() if fuel_type not in factors
-    ])
-    if failing < len(spans):
-        _raise_error(spans[failing], a, class_totals, approaches, config, emission_policy,
-                     {cls: column[failing:failing + 1] for cls, column in hourly.items()},
-                     i.emission_delay_s[failing:failing + 1])
+    ], len(output))
+    if fuel_error or error:
+        raise fuel_error or error
 
     # Every intersection passed: every approach's mean green lies in (0, C].
     totals = chain.from_iterable(map(repeat, green_total, counts))
@@ -532,45 +542,3 @@ def _notes(approach_ids: Sequence[str], vc_grades: Sequence[str] | None,
             f"mean delay depends on the aggregation policy: "
             f"all-approach {mean_all:.2f} s vs major-only {mean_major:.2f} s")
     return tuple(notes)
-
-
-def _raise_error(
-    span: slice,
-    a: _Columns,
-    class_totals: Sequence[Sequence[int]],
-    approaches: Mapping[str, ApproachConfig],
-    config: AnalysisConfig,
-    emission_policy: DelayPolicy,
-    hourly_counts: Mapping,
-    emission_delay: Sequence[float],
-) -> None:
-    """Re-run one intersection that failed a column check one approach at a
-    time through the scalar formulas, which raise its first error.
-
-    ``hourly_counts`` and ``emission_delay`` hold the intersection's hourly
-    class counts and emission delay, or nothing when the delay model was not
-    run for it: one of its earlier checks then raises first.
-    """
-    approach_ids = a.approach_id[span]
-    if config.counts_unit == COUNTS_VEHICLES:
-        composition_shares(
-            ClassifiedCount(approach_id, dict(zip(VEHICLE_CLASSES, totals)))
-            for approach_id, totals in zip(approach_ids, zip(*(t[span] for t in class_totals))))
-    green_shares(dict(zip(approach_ids, a.mean_green[span])))
-    for k in range(span.start, span.stop):
-        volume = hourly_volume(a.pcu_per_cycle[k], a.mean_cycle_length[k])
-        x = vc_ratio(volume, approaches[a.approach_id[k]], config.capacity_table)
-        saturation_flow_width(a.width[k])
-        effective_green, exited = a.mean_effective_green[k], a.mean_exited_pcu[k]
-        if effective_green > 0 and exited == exited:
-            saturation_flow_discharge(exited, effective_green)
-        control_delay(DelayInputs(
-            a.mean_cycle_length[k], a.mean_green[k], x, platoon_ratio=a.platoon_ratio[k]))
-    if emission_policy is DelayPolicy.MAJOR_ONLY and not any(a.is_major[span]):
-        raise InputError(
-            f"intersection {a.intersection_id[span.start]!r} has no major approaches for "
-            f"the requested emission delay policy")
-    hourly = {cls: counts[0] for cls, counts in hourly_counts.items()}
-    co2_from_fuel(idle_fuel(hourly, emission_delay[0], config.idle_rates),
-                  config.emission_factors)
-    raise AssertionError(f"no error found in intersection {a.intersection_id[span.start]!r}")

@@ -1,9 +1,10 @@
 """Reference implementations kept as test oracles.
 
-These are the straightforward per-row cycle and approach parsers, the
-datetime-based time-of-day windowing, the all-``Decimal`` half-up rounding
-and the ``csv.writer`` document writer that the optimized code in
-``ingest``, ``stats`` and ``report`` replaced.  The
+These are the straightforward per-row cycle and approach parsers (with a
+per-row timing check of their own), the datetime-based time-of-day
+windowing, the all-``Decimal`` half-up rounding and the ``csv.writer``
+document writer that the optimized code in ``ingest``, ``stats`` and
+``report`` replaced.  The
 differential tests require the optimized code to agree with them exactly:
 equal records, the same errors in the same order, bit-identical window
 averages and identical formatted strings.  The rounding functions quantize
@@ -46,6 +47,7 @@ from intersection_analyzer.emissions import (
 from intersection_analyzer.errors import (
     AnalyzerError,
     InputError,
+    InvariantViolation,
     SchemaViolation,
     UnknownApproach,
 )
@@ -258,6 +260,7 @@ def _parse_cycle_row(
     timestamp = optional_float("timestamp")
 
     try:
+        _check_cycle(cycle, red, green, effective_green, exited_pcu)
         classified = ClassifiedCount(approach_id, counts, timestamp)
         return SignalCycleRecord(
             approach_id=approach_id,
@@ -271,6 +274,32 @@ def _parse_cycle_row(
     except InputError as err:
         err.row = line
         raise
+
+
+def _check_cycle(
+    cycle_length: float,
+    red_time: float,
+    green_time: float,
+    effective_green: float | None,
+    exited_pcu: float | None,
+) -> None:
+    """Raise ``InvariantViolation`` unless one cycle's timing is consistent:
+    the row-at-a-time checks that ``model.timing_faults`` makes on columns."""
+    if cycle_length <= 0:
+        raise InvariantViolation(f"cycle_length must be > 0, got {cycle_length}")
+    if red_time < 0 or green_time < 0:
+        raise InvariantViolation("red_time and green_time must be >= 0")
+    if red_time + green_time > cycle_length + 1e-9:
+        raise InvariantViolation(
+            f"red + green = {red_time + green_time} exceeds cycle length {cycle_length}")
+    if effective_green is not None:
+        if effective_green < 0:
+            raise InvariantViolation("effective_green must be >= 0")
+        if effective_green > green_time + 1e-9:
+            raise InvariantViolation(
+                f"effective_green = {effective_green} exceeds green_time = {green_time}")
+    if exited_pcu is not None and exited_pcu < 0:
+        raise InvariantViolation("exited_pcu must be >= 0")
 
 
 def weekday(timestamp: float) -> int:

@@ -129,9 +129,12 @@ def study(draw):
         for _ in range(draw(st.integers(1, 4))):
             approach_id = next(approach_ids)
             lanes, directionality = draw(st.sampled_from(KEYS * 6 + [MISSING_KEY] * faulty))
+            width = draw(st.floats(2.0, 15.0))
+            if faulty and draw(st.integers(0, 24)) == 0:
+                width = 1e306  # its saturation flow overflows
             approaches[approach_id] = ApproachConfig(
-                approach_id, intersection_id, lanes, directionality,
-                draw(st.floats(2.0, 15.0)), is_major=draw(st.booleans()))
+                approach_id, intersection_id, lanes, directionality, width,
+                is_major=draw(st.booleans()))
             rows += [draw(row(approach_id, faulty)) for _ in range(draw(st.integers(1, 4)))]
     table = CycleTable()
     for approach_id, cycle, red, green, counts, effective, exited in draw(st.permutations(rows)):
@@ -183,6 +186,13 @@ ERRORS = {
     "no green": ("total green time across the intersection is zero",
                  [clean("M1", green=0.0, effective=math.nan),
                   clean("M2", green=0.0, effective=math.nan)], {}, PCU, "all"),
+    "infinite width flow": ("saturation flow is not finite: width 1e+306 m",
+                            [clean("M1")], {"width": 1e306}, PCU, "all"),
+    # M1's last check fails before M2's first: approach by approach, not
+    # check by check.
+    "approach before check": ("the model covers undersaturated operation only",
+                              [clean("M1", counts=(200,) * 5),
+                               clean("M2", green=0.0, effective=math.nan)], {}, PCU, "all"),
 }
 
 

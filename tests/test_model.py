@@ -1,4 +1,6 @@
 import copy
+import io
+import math
 import pickle
 
 import pytest
@@ -6,9 +8,11 @@ import pytest
 from intersection_analyzer import (
     ApproachConfig,
     ClassifiedCount,
+    CycleTable,
     Directionality,
     SignalCycleRecord,
     VehicleClass,
+    scan_cycles,
 )
 from intersection_analyzer.errors import InvariantViolation
 from intersection_analyzer.model import _frozen
@@ -64,6 +68,55 @@ def test_nonpositive_cycle_rejected():
     counts = ClassifiedCount("A1", {})
     with pytest.raises(InvariantViolation):
         SignalCycleRecord("A1", 0.0, 0.0, 0.0, counts)
+
+
+# (cycle, red, green, effective green, exited PCU; NaN is absent) -> the
+# message of the first timing check the row fails
+TIMING_FAULTS = {
+    "cycle": ((0.0, 0.0, 0.0, math.nan, math.nan), "cycle_length must be > 0, got 0.0"),
+    "red": ((100.0, -1.0, 50.0, math.nan, math.nan), "red_time and green_time must be >= 0"),
+    "green": ((100.0, 40.0, -1.0, math.nan, math.nan),
+              "red_time and green_time must be >= 0"),
+    "red + green": ((100.0, 60.0, 50.0, math.nan, math.nan),
+                    "red + green = 110.0 exceeds cycle length 100.0"),
+    "effective green": ((100.0, 40.0, 50.0, -1.0, math.nan), "effective_green must be >= 0"),
+    "effective over green": ((100.0, 40.0, 50.0, 51.0, math.nan),
+                             "effective_green = 51.0 exceeds green_time = 50.0"),
+    "exited": ((100.0, 40.0, 50.0, 45.0, -1.0), "exited_pcu must be >= 0"),
+    # a row that fails two checks reports the earlier one
+    "red + green and exited": ((100.0, 60.0, 50.0, 45.0, -2.0),
+                               "red + green = 110.0 exceeds cycle length 100.0"),
+    "cycle and effective over green": ((-5.0, 0.0, 10.0, 20.0, math.nan),
+                                       "cycle_length must be > 0, got -5.0"),
+}
+
+
+def scan_row(*values):
+    cells = ",".join("" if math.isnan(value) else repr(value) for value in values)
+    table, errors = scan_cycles(io.StringIO(
+        f"approach_id,cycle_length_s,red_s,green_s,effective_green_s,exited_pcu\nA1,{cells}\n"))
+    assert len(table) == 0 and len(errors) == 1
+    assert errors[0].row == 2
+    raise errors[0]
+
+
+def append_row(cycle, red, green, effective, exited):
+    CycleTable().append("A1", cycle, red, green, (0,) * 5, effective, exited)
+
+
+def make_record(cycle, red, green, *optional):
+    SignalCycleRecord("A1", cycle, red, green, ClassifiedCount("A1", {}),
+                      *(None if math.isnan(value) else value for value in optional))
+
+
+@pytest.mark.parametrize("entry", [scan_row, append_row, make_record],
+                         ids=["scan_cycles", "CycleTable.append", "SignalCycleRecord"])
+@pytest.mark.parametrize("fault", TIMING_FAULTS)
+def test_each_timing_fault_has_its_message(entry, fault):
+    values, message = TIMING_FAULTS[fault]
+    with pytest.raises(InvariantViolation) as caught:
+        entry(*values)
+    assert caught.value.args == (message,)
 
 
 def test_counts_approach_must_match_record():
