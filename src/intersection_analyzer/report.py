@@ -16,7 +16,7 @@ import functools
 import math
 import os
 from itertools import chain, compress, count, cycle, islice, repeat
-from operator import add, lt, mul, not_, or_, sub
+from operator import add, lt, mul, not_, sub
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
@@ -44,9 +44,15 @@ def _rounded(value: float, places: int) -> Decimal:
                            context=Context(prec=400))
 
 
+# ``abs(math.remainder(v * 10**(places + 1), 10))`` above this marks a
+# possible tie; ``_fast_specs`` shows that no tie falls at or below it.
+_TIE_FLOOR = 5 - 2.0**-16
+
+
 @functools.cache
-def _fast_specs(places: int) -> tuple[float, str, str]:
-    """Magnitude below which ``fmt`` may round in C, and the two specs it uses.
+def _fast_specs(places: int) -> tuple[float, float, str, str]:
+    """The magnitude below which ``fmt_column`` rounds in C and finds ties by
+    arithmetic, the scale ``10**(places + 1)``, and the two specs it uses.
 
     Below ``2**52 / 10**(places + 1)`` doubles lie closer together than
     ``10**-(places + 1)``.  No rounding midpoint at ``places`` then lies
@@ -57,14 +63,27 @@ def _fast_specs(places: int) -> tuple[float, str, str]:
     further than ``v`` is from ``repr(v)``.  So C's round-to-nearest on the
     exact value agrees with half-up on ``repr`` except at a tie, where one
     of them is the midpoint.
+
+    A tie is a ``v`` whose ``repr`` is ``k * 10**-(places + 1)`` for an odd
+    multiple ``k`` of 5.  ``v`` is the double nearest that decimal, so the
+    two differ by at most half a step, no more than ``|v| * 2**-53``.  A
+    double below the returned bound, the double nearest
+    ``2**32 / 10**(places + 1)``, is below that number itself.  With the
+    scale exact (``places`` below 22), the exact ``v * 10**(places + 1)``
+    then lies below ``2**32`` and within ``2**-21`` of ``k``, and rounding
+    it moves it by at most ``2**-22``.  So the product lies within ``2**-20``
+    of ``k``, and ``math.remainder(product, 10)``, which is exact, has a
+    magnitude above ``5 - 2**-20``, and above ``_TIE_FLOOR``.  No tie is
+    missed; a value the test flags that is not a tie fails the exact check.
     """
-    return 2.0**52 / 10**(places + 1), f".{places}f", f".{places + 1}f"
+    return (2.0**32 / 10**(places + 1), 10.0**(places + 1),
+            f".{places}f", f".{places + 1}f")
 
 
 def _away_from_zero(value: float) -> float:
     """The double next to ``value``, further from zero.
 
-    Below ``_fast_specs``' limit a double lies within half a step of the
+    Below ``_fast_specs``' bound a double lies within half a step of the
     decimal tie it reads as, and a step is less than ``10**-(places + 1)``.
     The next double out then lies strictly between the tie and the next
     rounding midpoint, so C rounds it as half-up rounds the tie.
@@ -75,16 +94,8 @@ def _away_from_zero(value: float) -> float:
 def fmt(value: float, places: int) -> str:
     """``value`` rounded half-up at ``places`` >= 0, on its shortest ``repr``."""
     value = float(value)
-    limit, spec, finer = _fast_specs(places)
-    if -limit < value < limit:
-        digits = format(value, finer)
-        if digits[-1] != "5" or float(digits) != value:
-            return format(value, spec)
-        return format(_away_from_zero(value), spec)
-    # A large value or a non-finite one.  Formatting the Decimal itself
-    # prints no binary digits past the rounding point, which a float of 1e13
-    # or more would.
-    return f"{_rounded(value, places):.{places}f}"
+    # fmt_column prints NaN, and only NaN, empty.
+    return fmt_column((value,), places)[0] or f"{_rounded(value, places):.{places}f}"
 
 
 def round_half_up(value: float, places: int = 0) -> float:
@@ -99,47 +110,65 @@ def fmt_g(value: float | None) -> str:
     return "" if value is None else f"{value:.6g}"
 
 
+def _column_texts(values: Sequence[float], places: int) -> tuple[list[str], bool]:
+    """``fmt_column(values, places)``, and True only if every value but NaN
+    lies below ``_fast_specs``' bound."""
+    bound, scale, spec, finer = _fast_specs(places)
+    texts = list(map(format, values, repeat(spec)))
+    # min and max pass over NaN unless it comes first, which only sends the
+    # column the long way.
+    in_range = not texts or (-bound < min(values) and max(values) < bound)
+    if in_range:
+        scaled = map(mul, values, repeat(scale))
+    else:
+        inside = list(map(lt, map(abs, values), repeat(bound)))  # False for NaN too
+        for i in compress(count(), map(not_, inside)):
+            value = values[i]
+            if not math.isnan(value):
+                # Formatting the Decimal itself prints no binary digits past
+                # the rounding point, which a float of 1e13 or more would.
+                texts[i] = f"{_rounded(value, places):.{places}f}"
+        # A value outside scales to 0, or to NaN if infinite; neither is flagged.
+        scaled = map(mul, values, map(mul, inside, repeat(scale)))
+    flagged = map(lt, repeat(_TIE_FLOOR), map(abs, map(math.remainder, scaled, repeat(10.0))))
+    for i in compress(count(), flagged):
+        value = values[i]
+        digits = format(value, finer)
+        if digits[-1] == "5" and float(digits) == value:
+            texts[i] = format(_away_from_zero(value), spec)
+    if "nan" in texts:
+        for i in compress(count(), map(math.isnan, values)):
+            texts[i] = ""
+    return texts, in_range
+
+
 def fmt_column(values: Sequence[float], places: int) -> list[str]:
     """``fmt`` of each value; NaN, an absent value, prints empty.
 
-    Each value is formatted in C at ``places`` and at one place more.  A
-    tie is formatted as the double next to it, further from zero, as ``fmt``
-    does; only a large value or a non-finite one goes through ``fmt`` itself.
+    Each value is formatted in C at ``places``.  Only a value that
+    ``_fast_specs``' arithmetic test flags as a possible tie is formatted at
+    one place more, and a tie is formatted as the double next to it, further
+    from zero.  A value at or past the bound, or an infinity, is rounded as
+    a ``Decimal``.
     """
-    limit, spec, finer = _fast_specs(places)
-    texts = list(map(format, values, repeat(spec)))
-    finer_texts = list(map(format, values, repeat(finer)))
-    redo = map(str.endswith, finer_texts, repeat("5"))
-    if texts and not (-limit < min(values) and max(values) < limit and "nan" not in texts):
-        redo = map(or_, redo, map(not_, map(lt, map(abs, values), repeat(limit))))
-    for i in compress(count(), redo):
-        value = values[i]
-        if not -limit < value < limit:
-            texts[i] = "" if math.isnan(value) else fmt(value, places)
-        elif float(finer_texts[i]) == value:
-            texts[i] = format(_away_from_zero(value), spec)
-    return texts
+    return _column_texts(values, places)[0]
 
 
 def fmt_int_column(values: Sequence[float]) -> list[str]:
     """``fmt_int`` of each value; NaN prints empty."""
-    texts = fmt_column(values, 0)
-    # Below fmt's C limit the digits are already an integer's; -0 and the
-    # larger values are read back as ``fmt_int`` reads them.
-    limit = _fast_specs(0)[0]
-    redo = map(str.__eq__, texts, repeat("-0"))
-    if texts and not (-limit < min(values) and max(values) < limit):
-        redo = map(or_, redo, map(not_, map(lt, map(abs, values), repeat(limit))))
-    for i in compress(count(), redo):
-        texts[i] = texts[i] and str(int(float(texts[i])))
-    return texts
+    texts, in_range = _column_texts(values, 0)
+    if in_range and "-0" not in texts:
+        return texts  # below the bound the digits are already an integer's
+    # -0 and the larger values are read back as ``fmt_int`` reads them.
+    return [text and str(int(float(text))) for text in texts]
 
 
 def fmt_g_column(values: Sequence[float]) -> list[str]:
     """``fmt_g`` of each value; NaN prints empty."""
     texts = list(map(format, values, repeat(".6g")))
-    for i in compress(count(), map(math.isnan, values)):
-        texts[i] = ""
+    if "nan" in texts:
+        for i in compress(count(), map(math.isnan, values)):
+            texts[i] = ""
     return texts
 
 

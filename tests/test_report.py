@@ -22,6 +22,12 @@ from intersection_analyzer.report import (
 )
 
 PLACES = st.integers(0, 4)
+# The largest k whose tie k5e-(places+1) lies below 2**32 / 10**(places+1),
+# the magnitude up to which ``fmt_column`` finds ties by arithmetic.
+TIE_BOUND_K = 2**32 // 10
+# 525 x each one-decimal width below 400 m: the width saturation flow,
+# printed at 0 places, a tie at every odd tenth.
+WIDTH_FLOWS = [525 * (n / 10) for n in range(1, 4000)]
 
 
 def test_fmt_prints_the_rounded_decimal():
@@ -44,7 +50,9 @@ def test_the_largest_double_keeps_every_digit():
 def ties(draw):
     """The double nearest a decimal tie ``k5e-(places+1)``, or one next to it."""
     places = draw(PLACES)
-    k = draw(st.integers(-10**13, 10**13))
+    k = draw(st.one_of(st.integers(-10**13, 10**13),
+                       st.integers(TIE_BOUND_K - 30, TIE_BOUND_K + 30),
+                       st.integers(-TIE_BOUND_K - 30, -TIE_BOUND_K + 30)))
     value = float(f"{k}5e-{places + 1}")
     step = draw(st.sampled_from([0.0, math.inf, -math.inf]))
     return (value if step == 0.0 else math.nextafter(value, step)), places
@@ -63,9 +71,10 @@ def near_zero(draw):
 @st.composite
 def near_limit(draw):
     """A value at, just inside or just outside the magnitude where ``fmt``
-    stops rounding in C."""
+    stops rounding in C, or where C's rounding could first disagree with
+    half-up."""
     places = draw(PLACES)
-    limit = 2.0**52 / 10**(places + 1)
+    limit = draw(st.sampled_from([2.0**32, 2.0**52])) / 10**(places + 1)
     value = draw(st.one_of(
         st.sampled_from([limit, math.nextafter(limit, 0.0), math.nextafter(limit, math.inf)]),
         st.floats(limit / 4, limit * 4)))
@@ -103,14 +112,16 @@ def test_fast_rounding_matches_the_decimal_reference(case):
 
 @st.composite
 def columns(draw):
-    """A column mixing every kind of value above, with repeats and NaN."""
+    """A column mixing every kind of value above, with repeats, NaN and the
+    infinities."""
     places = draw(PLACES)
     pool = draw(st.lists(st.one_of(
         st.floats(allow_infinity=False),
         ties().map(lambda case: case[0]),
         near_zero().map(lambda case: case[0]),
         near_limit().map(lambda case: case[0]),
-        st.sampled_from([0.0, -0.0, math.nan, 2.675, 0.125])), min_size=1, max_size=8))
+        st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf, 2.675, 0.125])),
+        min_size=1, max_size=8))
     return draw(st.lists(st.sampled_from(pool), max_size=30)), places
 
 
@@ -127,18 +138,23 @@ def test_column_formatting_matches_fmt_value_by_value(case):
     values, places = case
     assert fmt_column(values, places) == list(map(absent_or(lambda v: fmt(v, places)), values))
     assert fmt_g_column(values) == list(map(absent_or(fmt_g), values))
-    assert fmt_int_column(values) == list(map(absent_or(fmt_int), values))
+    # An infinity has no integer: both raise OverflowError.
+    assert (outcome(fmt_int_column, values)
+            == outcome(lambda: list(map(absent_or(fmt_int), values))))
 
 
 def tie_cases():
-    """Each half-up tie ``k5e-(places+1)`` for k below 10**4 and next to
-    ``fmt``'s fast-path limit, at places 0-4, and 525 x each one-decimal
-    width below 400 m (the width saturation flow, printed at 0 places)."""
+    """Each half-up tie ``k5e-(places+1)`` for k below 10**4, next to the
+    bound of ``fmt``'s arithmetic tie test, below 2**40 / 10**(places+1),
+    where that test would miss some ties, and next to the magnitude where C
+    rounding could first disagree with half-up, at places 0-4, and the
+    width saturation flows."""
     for places in range(5):
         limit_k = int(2.0**52 / 10**(places + 1) * 10**places)
-        ks = chain(range(10**4), range(limit_k - 300, limit_k + 100))
+        ks = chain(range(10**4), range(TIE_BOUND_K - 300, TIE_BOUND_K + 100),
+                   range(2**40 // 10 - 300, 2**40 // 10), range(limit_k - 300, limit_k + 100))
         yield places, [float(f"{k}5e-{places + 1}") for k in ks]
-    yield 0, [525 * (n / 10) for n in range(1, 4000)]
+    yield 0, WIDTH_FLOWS
 
 
 def signed_neighbours(values):
@@ -157,6 +173,55 @@ def test_ties_and_their_neighbours_round_half_up(places, ties):
     assert fmt_column(values, places) == expected
     if places == 0:
         assert fmt_int_column(values) == list(map(fmt_int, values))
+
+
+SPECIALS = {math.inf: "Infinity", -math.inf: "-Infinity"}
+
+
+@pytest.mark.parametrize("places", range(5))
+@pytest.mark.parametrize("specials", [[math.nan, -0.0], [-0.0, math.inf, math.nan, -math.inf]])
+@pytest.mark.parametrize("specials_first", [False, True])
+def test_ties_mixed_with_nan_infinities_and_negative_zero(places, specials, specials_first):
+    # NaN after a finite value leaves a column in range; NaN first, or an
+    # infinity, sends it the long way.
+    values = signed_neighbours([float(f"{k}5e-{places + 1}")
+                                for k in (0, 7, 12, TIE_BOUND_K - 1, TIE_BOUND_K, TIE_BOUND_K + 1)])
+    values = specials + values if specials_first else values + specials
+    with decimal.localcontext(decimal.Context(prec=400)):
+        assert fmt_column(values, places) == [
+            "" if math.isnan(v) else SPECIALS.get(v) or oracles.fmt(v, places) for v in values]
+        if math.inf in values:
+            with pytest.raises(OverflowError):
+                fmt_int_column(values)
+        else:
+            assert fmt_int_column(values) == [
+                "" if math.isnan(v) else oracles.fmt_int(v) for v in values]
+
+
+def finer_formats(monkeypatch, places):
+    """The values ``report`` formats at ``places + 1`` decimals from now on."""
+    finer, values = f".{places + 1}f", []
+
+    def counting_format(value, spec=""):
+        if spec == finer:
+            values.append(value)
+        return format(value, spec)
+
+    monkeypatch.setattr(report, "format", counting_format, raising=False)
+    return values
+
+
+def test_only_possible_ties_are_formatted_twice(monkeypatch):
+    # 1000 * n/3 lies at least 5/3 from any odd multiple of 5: no candidate.
+    checked = finer_formats(monkeypatch, 2)
+    fmt_column([n / 3 for n in range(4000)], 2)
+    assert checked == []
+
+    checked = finer_formats(monkeypatch, 0)
+    fmt_int_column(WIDTH_FLOWS)
+    ties = [v for v in WIDTH_FLOWS if (digits := f"{v:.1f}")[-1] == "5" and float(digits) == v]
+    # No value here is flagged without being a tie.
+    assert len(ties) == 2000 and checked == ties
 
 
 CELLS = st.text(alphabet=st.sampled_from(list('ab ,"\n\r\tÉΩ5')), max_size=5)
