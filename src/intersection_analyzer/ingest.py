@@ -184,12 +184,14 @@ def _plain_end(block: list[str], text: str) -> str | None:
     """The line end of ``block`` (joined: ``text``) if csv splits each line
     as ``str.split`` on commas would: no quote, no NUL (3.10's csv rejects
     it), no line over csv's field size limit, and no line break but one
-    "\\n" or one "\\r\\n" ending each line.  A blank line gives ``['']``."""
+    "\\n" or one "\\r\\n" ending each line.  A blank line gives ``['']``.
+    The lines are measured only if ``text`` itself is over the limit."""
     end = "\r\n" if block[0].endswith("\r\n") else "\n"
+    limit = csv.field_size_limit()
     plain = ('"' not in text and "\0" not in text and text.count("\n") == len(block)
              and text.count("\r") == (len(block) if end == "\r\n" else 0)
              and all(map(str.endswith, block, itertools.repeat(end)))
-             and max(map(len, block)) <= csv.field_size_limit())
+             and (len(text) <= limit or max(map(len, block)) <= limit))
     return end if plain else None
 
 
@@ -310,14 +312,25 @@ def _count_column(
     lines: Sequence[int],
     bad: dict[int, InputError | None],
 ) -> array:
-    """One batch's cells of a count column: an empty cell reads as 0, and
+    """One batch's cells of a count column: a blank cell reads as 0, and
     any other cell that is not an integer in [0, ``COUNT_MAX``] gets
-    ``_int_cell``'s error; read from ``_COUNTS`` if it holds them all, else by ``int``."""
-    counts = list(map(_COUNTS.get, cells, itertools.repeat(-1)))
-    if min(counts, default=0) >= 0:
-        return array("q", counts)
-    return _column(cells, int, array("q"), -1, _negative,
-                   lambda raw, line: _int_cell(raw, column, line) if raw else 0, lines, bad)
+    ``_int_cell``'s error.  Cells are read from ``_COUNTS`` in one pass;
+    only where that raises ``KeyError`` is each cell it lacks, stripped, read
+    by ``_int_cell``."""
+    try:
+        return array("q", list(map(_COUNTS.__getitem__, cells)))
+    except KeyError:
+        pass
+    counts = list(map(_COUNTS.get, cells))
+    for i in itertools.compress(itertools.count(), map(operator.is_, counts,
+                                                        itertools.repeat(None))):
+        raw = cells[i].strip()
+        try:
+            counts[i] = _int_cell(raw, column, lines[i]) if raw else 0
+        except SchemaViolation as err:
+            counts[i] = 0  # a placeholder: the row is dropped
+            bad.setdefault(lines[i], _detached(err))
+    return array("q", counts)
 
 
 def scan_cycles(

@@ -161,11 +161,15 @@ def timing_faults(
 
     NaN marks an absent optional value; it fails every comparison, so it
     passes every check.  Each check runs as C-level passes over whole
-    columns: its comparison runs row by row only if a ``min`` or ``max``
-    (which return a first NaN and skip others) fails to clear the column.
+    columns: its comparison runs row by row only if a clear test fails to
+    clear the column.  A sign check's clear test is a ``min`` (which returns
+    a first NaN, failing the test, and skips others).  The two slack checks
+    clear a column where no row has r + g > c, or e > g: rounding is
+    monotone and the slack is positive, so fl(r + g) <= c <= fl(c + slack),
+    and NaN fails both comparisons, so no such column has a flagged row.
     """
     zero, slack = itertools.repeat(0.0), itertools.repeat(_TIMING_SLACK_S)
-    add, gt, lt, sub = operator.add, operator.gt, operator.lt, operator.sub
+    add, gt, lt = operator.add, operator.gt, operator.lt
     faults: dict[int, str] = {}
     for clear, flags, message in (
         (min(cycle_length, default=1.0) > 0, map(operator.le, cycle_length, zero),
@@ -174,13 +178,12 @@ def timing_faults(
          "red_time and green_time must be >= 0"),
         (min(green_time, default=0.0) >= 0, map(lt, green_time, zero),
          "red_time and green_time must be >= 0"),
-        (max(map(sub, map(add, red_time, green_time), map(add, cycle_length, slack)),
-             default=0.0) <= 0,
+        (not any(map(gt, map(add, red_time, green_time), cycle_length)),
          map(gt, map(add, red_time, green_time), map(add, cycle_length, slack)),
          "red + green = {used} exceeds cycle length {cycle}"),
         (min(effective_green, default=0.0) >= 0, map(lt, effective_green, zero),
          "effective_green must be >= 0"),
-        (max(map(sub, effective_green, map(add, green_time, slack)), default=0.0) <= 0,
+        (not any(map(gt, effective_green, green_time)),
          map(gt, effective_green, map(add, green_time, slack)),
          "effective_green = {effective} exceeds green_time = {green}"),
         (min(exited_pcu, default=0.0) >= 0, map(lt, exited_pcu, zero),

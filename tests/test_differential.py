@@ -41,6 +41,8 @@ APPROACH_ID = st.sampled_from(["SR1", "SR2", " SR1 "])
 BAD_CELL = st.one_of(
     JUNK,
     st.sampled_from(["", "ZZ9", "-1", "-7", "1e9", "0"]),
+    # counts at the edge of the lookup table and of int64
+    st.sampled_from(["1022", "1023", " 1023 ", "9223372036854775807", "9223372036854775808"]),
     st.floats(-1e3, 1e3).map(repr),
 )
 NUMBER_OR_JUNK = st.one_of(st.integers(0, 200).map(str), JUNK)

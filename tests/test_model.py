@@ -1,10 +1,12 @@
 import copy
 import io
+import itertools
 import math
 import pickle
 
 import pytest
 
+import oracles
 from intersection_analyzer import (
     ApproachConfig,
     ClassifiedCount,
@@ -15,7 +17,7 @@ from intersection_analyzer import (
     scan_cycles,
 )
 from intersection_analyzer.errors import InvariantViolation
-from intersection_analyzer.model import _frozen
+from intersection_analyzer.model import _frozen, timing_faults
 from intersection_analyzer.stats import SampleSummary
 
 
@@ -117,6 +119,56 @@ def test_each_timing_fault_has_its_message(entry, fault):
     with pytest.raises(InvariantViolation) as caught:
         entry(*values)
     assert caught.value.args == (message,)
+
+
+SLACK = 1e-9  # the tolerance of the two sum checks, as in oracles._check_cycle
+INF = math.inf
+# Where red + green, or the effective green, lies against its bound.
+PLACES = {
+    "at the bound": lambda bound: bound,
+    "within the slack": lambda bound: bound + SLACK / 2,
+    "past bound + slack": lambda bound: math.nextafter(bound + SLACK, INF),
+}
+
+
+def slack_rows(place, cycle):
+    """(cycle, red, green, effective green, exited PCU; NaN is absent) rows
+    whose red + green, then whose effective green, lies at ``place``."""
+    over, green = PLACES[place](cycle), cycle / 2
+    return [(cycle, 0.0, over, math.nan, math.nan),
+            (cycle, cycle / 4, over - cycle / 4, math.nan, math.nan),
+            (cycle, over / 2, over / 2, 0.0, 1.0),
+            (cycle, green / 2, green, PLACES[place](green), math.nan)]
+
+
+# Columns of rows at each place against the bound, for cycle lengths whose
+# spacing lies below and above the slack; then all of them mixed with rows
+# holding NaN or infinities in every column.
+TIMING_COLUMNS = {
+    f"{place}, cycle {cycle:g}": slack_rows(place, cycle)
+    for place in PLACES for cycle in (1.0, 100.0, 152.0, 1e6, 1e9)}
+TIMING_COLUMNS["mixed with NaN and infinities"] = [
+    row for rows in zip(itertools.chain(*TIMING_COLUMNS.values()), itertools.cycle([
+        (math.nan, 1.0, 2.0, math.nan, math.nan), (INF, 1.0, 2.0, 3.0, 1.0),
+        (INF, INF, 1.0, math.nan, math.nan), (100.0, INF, -INF, math.nan, math.nan),
+        (100.0, 1.0, math.nan, 5.0, math.nan), (100.0, 40.0, 50.0, INF, -INF),
+        (100.0, 40.0, INF, INF, math.nan), (-INF, 0.0, 0.0, -INF, INF),
+        (100.0, math.nan, 50.0, 60.0, math.nan), (100.0, 40.0, 50.0, math.nan, INF),
+    ])) for row in rows]
+
+
+@pytest.mark.parametrize("name", TIMING_COLUMNS)
+def test_timing_faults_match_the_row_by_row_checks(name):
+    rows, expected = TIMING_COLUMNS[name], {}
+    for j, (cycle, red, green, *optional) in enumerate(rows):
+        try:
+            oracles._check_cycle(cycle, red, green,
+                                 *(None if math.isnan(value) else value for value in optional))
+        except InvariantViolation as err:
+            expected[j] = str(err)
+    assert timing_faults(*zip(*rows)) == expected
+    # only a value past bound + slack fails
+    assert bool(expected) != name.startswith(("at", "within"))
 
 
 def test_counts_approach_must_match_record():
