@@ -1,6 +1,6 @@
 """Analytics for signalized intersections under heterogeneous traffic.
 
-From per-cycle signal and classified-count records this package computes
+From per-cycle signal timings and classified counts this package computes
 PCU-normalized volumes, volume-to-capacity ratios, saturation flow by two
 models, green-time splits and utilization, control delay with
 level-of-service grading under three standards, and idle fuel / CO2
@@ -30,8 +30,6 @@ from .emissions import (
 )
 from .flow import (
     CapacityTable,
-    FlowReport,
-    GreenReport,
     hourly_volume,
     saturation_flow_discharge,
     saturation_flow_width,
@@ -45,11 +43,9 @@ from .los import (
 )
 from .model import (
     ApproachConfig,
-    ClassifiedCount,
     CycleTable,
     DayFilter,
     Directionality,
-    SignalCycleRecord,
     VehicleClass,
 )
 from .pcu import (
@@ -57,7 +53,7 @@ from .pcu import (
     composition_shares,
     to_pcu,
 )
-from .pipeline import AnalysisResult, ApproachReport, IntersectionReport, analyze_records
+from .pipeline import AnalysisResult, analyze_records
 from .stats import (
     FiveNumberSummary,
     SampleSummary,

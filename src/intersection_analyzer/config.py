@@ -51,9 +51,6 @@ class AnalysisConfig:
     default_platoon_ratio: float
     city: CityScaling
 
-    def platoon_ratio_for(self, approach_id: str) -> float:
-        return self.platoon_ratios.get(approach_id, self.default_platoon_ratio)
-
 
 def _strip_notes(value: Any) -> Any:
     if isinstance(value, dict):

@@ -1,4 +1,4 @@
-"""Flow-side computations: hourly volume, V/C ratio, saturation flow, green use.
+"""Flow-side computations: hourly volume, V/C ratio and saturation flow.
 
 Everything returns full-precision floats; report emitters round (volumes
 and saturation flows to integers, ratios to two decimals).  The two-step
@@ -44,42 +44,6 @@ class CapacityTable:
                 f"no capacity entry for {config.lane_count}-lane "
                 f"{config.directionality.value} (approach {config.approach_id})")
         return self.capacities[key]
-
-
-@_frozen
-class FlowReport:
-    """Volume, capacity and saturation-flow figures for one approach.
-
-    ``sf_discharge`` is absent when no discharge observations (exited PCU
-    over effective green) exist; ``sf_difference`` follows it.
-    """
-
-    approach_id: str
-    hourly_volume: float
-    capacity: float
-    vc_ratio: float
-    sf_width: float
-    sf_discharge: float | None = None
-
-    def __post_init__(self):
-        if self.vc_ratio < 0:
-            raise InvariantViolation("vc_ratio must be >= 0")
-
-    @property
-    def sf_difference(self) -> float | None:
-        """Discharge-model minus width-model saturation flow."""
-        return None if self.sf_discharge is None else self.sf_discharge - self.sf_width
-
-
-@_frozen
-class GreenReport:
-    """Green-time allocation and utilization figures for one approach."""
-
-    approach_id: str
-    pcu_per_cycle: float
-    green_share: float | None = None
-    green_to_pcu_ratio: float | None = None
-    wastage: float | None = None
 
 
 def hourly_volumes(
@@ -134,14 +98,3 @@ def saturation_flow_width(width: float) -> float:
     if not math.isfinite(flow):
         raise InputError(f"saturation flow is not finite: width {width:g} m")
     return flow
-
-
-def green_shares(mean_greens: Mapping[str, float]) -> dict[str, float]:
-    """Each approach's share of the intersection's summed mean greens."""
-    if not mean_greens:
-        raise InputError("no approaches with records")
-    ordered = {approach_id: mean_greens[approach_id] for approach_id in sorted(mean_greens)}
-    total = math.fsum(ordered.values())
-    if total <= 0:
-        raise InputError("total green time across the intersection is zero")
-    return {approach_id: mean / total for approach_id, mean in ordered.items()}

@@ -417,15 +417,14 @@ def _cycle_batch_parser(
 
         if bad:
             dropped = list(itertools.compress(itertools.count(), map(bad.__contains__, lines)))
-            for values in (ids, cycle, red, green, effective_green, exited_pcu, timestamp,
-                           *counts):
+            for values in (ids, cycle, green, effective_green, exited_pcu, timestamp, *counts):
                 for j in reversed(dropped):
                     del values[j]
             errors.extend(err for _, err in sorted(bad.items()) if err is not None)
         flat = array("q", [0]) * (len(ids) * classes)
         for slot, values in enumerate(counts):
             flat[slot::classes] = values
-        table.extend(ids, cycle, red, green, flat, effective_green, exited_pcu, timestamp)
+        table.extend(ids, cycle, green, flat, effective_green, exited_pcu, timestamp)
 
     return parse
 

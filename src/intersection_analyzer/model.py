@@ -1,5 +1,5 @@
-"""Domain model: classified counts, signal-cycle records, the columnar cycle
-table and approach geometry.
+"""Domain model: vehicle classes, the timing checks, the columnar cycle table
+and approach geometry.
 
 Every type but ``CycleTable`` is immutable after construction and safe to
 share across threads; a table only grows, by ``CycleTable.append`` or
@@ -14,10 +14,8 @@ import math
 import operator
 from array import array
 from bisect import bisect_left
-from collections.abc import Sequence
 from enum import Enum
-from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Sequence
 
 from .errors import InvariantViolation
 
@@ -116,39 +114,6 @@ class DayFilter(Enum):
     ALL = "all"
 
 
-@_frozen(slots=True)
-class ClassifiedCount:
-    """Raw per-class vehicle counts for one approach, optionally timestamped.
-
-    Missing classes are stored as zero; every instance addresses all five
-    classes, and ``counts`` iterates them in ``VEHICLE_CLASSES`` order.
-    ``timestamp`` is wall-clock seconds since the Unix epoch (UTC).
-    """
-
-    approach_id: str
-    counts: Mapping[VehicleClass, int]
-    timestamp: float | None = None
-
-    def __post_init__(self):
-        counts = self.counts
-        full: dict[VehicleClass, int] = {}
-        for cls in VEHICLE_CLASSES:
-            value = counts.get(cls, 0)
-            if type(value) is not int and (
-                    isinstance(value, bool) or not isinstance(value, int)):
-                raise InvariantViolation(
-                    f"count for {cls.value} must be an integer, got {value!r}")
-            if not 0 <= value <= COUNT_MAX:
-                raise InvariantViolation(
-                    f"negative count for {cls.value}: {value}" if value < 0 else
-                    f"count for {cls.value} exceeds {COUNT_MAX}: {value}")
-            full[cls] = value
-        object.__setattr__(self, "counts", MappingProxyType(full))
-
-    def total(self) -> int:
-        return sum(self.counts.values())
-
-
 def timing_faults(
     cycle_length: Sequence[float],
     red_time: Sequence[float],
@@ -197,50 +162,6 @@ def timing_faults(
     return faults
 
 
-def check_cycle(
-    cycle_length: float,
-    red_time: float,
-    green_time: float,
-    effective_green: float | None,
-    exited_pcu: float | None,
-) -> None:
-    """Raise ``InvariantViolation`` unless ``timing_faults`` passes one row;
-    an absent optional value is None or NaN."""
-    for message in timing_faults((cycle_length,), (red_time,), (green_time,),
-                                 (_none_as_nan(effective_green),),
-                                 (_none_as_nan(exited_pcu),)).values():
-        raise InvariantViolation(message)
-
-
-@_frozen(slots=True)
-class SignalCycleRecord:
-    """One signal cycle's timing joined with its classified counts.
-
-    ``effective_green`` (the slice of green during which discharge actually
-    happens) and ``exited_pcu`` (PCU discharged during it) are optional:
-    they exist only where discharge observations were made.
-    """
-
-    approach_id: str
-    cycle_length: float
-    red_time: float
-    green_time: float
-    counts: ClassifiedCount
-    effective_green: float | None = None
-    exited_pcu: float | None = None
-
-    def __post_init__(self):
-        check_cycle(self.cycle_length, self.red_time, self.green_time,
-                    self.effective_green, self.exited_pcu)
-        if self.counts.approach_id != self.approach_id:
-            raise InvariantViolation(
-                f"counts belong to {self.counts.approach_id!r}, record to {self.approach_id!r}")
-
-    @property
-    def timestamp(self) -> float | None:
-        return self.counts.timestamp
-
-
 def _row_groups(keys: Sequence[int], count: int) -> tuple[list[int] | None, list[int]]:
     """Group rows by their ``keys``, each in ``range(count)``: a stable order
     of the rows by key, or None when the keys never decrease and the rows
@@ -253,38 +174,27 @@ def _row_groups(keys: Sequence[int], count: int) -> tuple[list[int] | None, list
     return order, list(map(bisect_left, itertools.repeat(ordered), range(count + 1)))
 
 
-def _absent_as_none(value: float) -> float | None:
-    return None if math.isnan(value) else value
+class CycleTable:
+    """Signal-cycle rows stored column by column, in file order; ``len()``
+    is the number of rows.
 
-
-def _none_as_nan(value: float | None) -> float:
-    return math.nan if value is None else value
-
-
-class CycleTable(Sequence[SignalCycleRecord]):
-    """Signal-cycle rows stored column by column, in file order.
-
-    ``cycle_length``, ``red_time``, ``green_time``, ``effective_green``,
-    ``exited_pcu`` and ``timestamp`` are ``array('d')`` columns with one
-    entry per row; NaN marks an absent optional value.  Every accepted value
-    is finite, so NaN is never a real one.  ``counts`` is an ``array('q')``
-    holding each row's class counts in ``VEHICLE_CLASSES`` order, row after
-    row.  ``approach_column()`` gives each row's approach, as an index into
-    the approach ids in the order they first appear.
-
-    The table is a ``Sequence[SignalCycleRecord]``: indexing or iterating it
-    builds records on demand, and it compares equal to any sequence of
-    equal records.
+    ``cycle_length``, ``green_time``, ``effective_green``, ``exited_pcu``
+    and ``timestamp`` are ``array('d')`` columns with one entry per row; NaN
+    marks an absent optional value.  Every accepted value is finite, so NaN
+    is never a real one.  ``counts`` is an ``array('q')`` holding each row's
+    class counts in ``VEHICLE_CLASSES`` order, row after row.
+    ``approach_column()`` gives each row's approach, as an index into the
+    approach ids in the order they first appear.  A row's red time is
+    checked (``timing_faults``) but not kept: no figure reads it.
     """
 
     __slots__ = (
-        "cycle_length", "red_time", "green_time", "effective_green",
-        "exited_pcu", "timestamp", "counts", "_approach", "_ids", "_number",
+        "cycle_length", "green_time", "effective_green", "exited_pcu",
+        "timestamp", "counts", "_approach", "_ids", "_number",
     )
 
     def __init__(self) -> None:
         self.cycle_length = array("d")
-        self.red_time = array("d")
         self.green_time = array("d")
         self.effective_green = array("d")
         self.exited_pcu = array("d")
@@ -293,19 +203,6 @@ class CycleTable(Sequence[SignalCycleRecord]):
         self._approach = array("q")  # each row's index into _ids
         self._ids: list[str] = []  # approach ids, first seen first
         self._number: dict[str, int] = {}  # approach id -> its index in _ids
-
-    @classmethod
-    def from_records(cls, records: Iterable[SignalCycleRecord]) -> CycleTable:
-        """``records`` as a table: a table itself, or a new one built from records."""
-        if isinstance(records, CycleTable):
-            return records
-        table = cls()
-        for r in records:
-            table.append(
-                r.approach_id, r.cycle_length, r.red_time, r.green_time,
-                r.counts.counts.values(), _none_as_nan(r.effective_green),
-                _none_as_nan(r.exited_pcu), _none_as_nan(r.timestamp))
-        return table
 
     def append(
         self,
@@ -318,28 +215,30 @@ class CycleTable(Sequence[SignalCycleRecord]):
         exited_pcu: float = math.nan,
         timestamp: float = math.nan,
     ) -> None:
-        """Add one row after ``check_cycle`` passes it; NaN marks an absent value.
+        """Add one row unless ``timing_faults`` flags it, in which case raise
+        its message as an ``InvariantViolation``; NaN marks an absent value.
 
         ``counts`` are the row's five class counts in ``VEHICLE_CLASSES``
         order, each an int in [0, ``COUNT_MAX``]; they are not checked here.
         """
-        check_cycle(cycle_length, red_time, green_time, effective_green, exited_pcu)
-        self.extend((approach_id,), (cycle_length,), (red_time,), (green_time,), counts,
+        for message in timing_faults((cycle_length,), (red_time,), (green_time,),
+                                     (effective_green,), (exited_pcu,)).values():
+            raise InvariantViolation(message)
+        self.extend((approach_id,), (cycle_length,), (green_time,), counts,
                     (effective_green,), (exited_pcu,), (timestamp,))
 
     def extend(
         self,
         approach_ids: Sequence[str],
         cycle_length: Iterable[float],
-        red_time: Iterable[float],
         green_time: Iterable[float],
         counts: Iterable[int],
         effective_green: Iterable[float],
         exited_pcu: Iterable[float],
         timestamp: Iterable[float],
     ) -> None:
-        """Add rows given column by column, with no check: every row must
-        already pass ``check_cycle`` and hold counts in [0, ``COUNT_MAX``].
+        """Add rows given column by column, with no check: ``timing_faults``
+        must flag no row, and every count must lie in [0, ``COUNT_MAX``].
 
         ``counts`` holds each row's five class counts in ``VEHICLE_CLASSES``
         order, row after row; NaN marks an absent optional value.
@@ -351,7 +250,6 @@ class CycleTable(Sequence[SignalCycleRecord]):
                 self._ids.append(approach_id)
         self._approach.extend(map(numbers.__getitem__, approach_ids))
         self.cycle_length.extend(cycle_length)
-        self.red_time.extend(red_time)
         self.green_time.extend(green_time)
         self.effective_green.extend(effective_green)
         self.exited_pcu.extend(exited_pcu)
@@ -381,36 +279,6 @@ class CycleTable(Sequence[SignalCycleRecord]):
 
     def __len__(self) -> int:
         return len(self._approach)
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return [self[i] for i in range(*index.indices(len(self)))]
-        index = operator.index(index)
-        cycle_length = self.cycle_length[index]  # raises IndexError out of range
-        if index < 0:
-            index += len(self)
-        approach_id = self._ids[self._approach[index]]
-        width = len(VEHICLE_CLASSES)
-        counts = ClassifiedCount(
-            approach_id,
-            dict(zip(VEHICLE_CLASSES, self.counts[index * width:(index + 1) * width])),
-            _absent_as_none(self.timestamp[index]))
-        return SignalCycleRecord(
-            approach_id, cycle_length, self.red_time[index], self.green_time[index],
-            counts, _absent_as_none(self.effective_green[index]),
-            _absent_as_none(self.exited_pcu[index]))
-
-    def __iter__(self) -> Iterator[SignalCycleRecord]:
-        return map(self.__getitem__, range(len(self)))
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Sequence) or isinstance(other, (str, bytes)):
-            return NotImplemented
-        return len(self) == len(other) and all(map(operator.eq, self, other))
-
-    def __repr__(self) -> str:
-        return f"CycleTable({list(self)!r})"
-
 
 @_frozen
 class ApproachConfig:

@@ -11,10 +11,10 @@ from __future__ import annotations
 
 import math
 from types import MappingProxyType
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from .errors import InputError, InvariantViolation
-from .model import VEHICLE_CLASSES, ClassifiedCount, VehicleClass, _frozen
+from .model import COUNT_MAX, VEHICLE_CLASSES, VehicleClass, _frozen
 
 @_frozen
 class PcuFactorTable:
@@ -42,15 +42,32 @@ class PcuFactorTable:
         return below if share < self.composition_threshold else at_or_above
 
 
-def composition_shares(counts: Iterable[ClassifiedCount]) -> dict[VehicleClass, float]:
-    """Fraction of total traffic contributed by each class, from raw counts.
+def _class_counts(counts: Mapping[VehicleClass, int]) -> Iterator[tuple[VehicleClass, int]]:
+    """Each class in ``VEHICLE_CLASSES`` order with its count, 0 if missing;
+    an ``InvariantViolation`` for a count that is not an int in [0, ``COUNT_MAX``]."""
+    for cls in VEHICLE_CLASSES:
+        value = counts.get(cls, 0)
+        if type(value) is not int and (isinstance(value, bool) or not isinstance(value, int)):
+            raise InvariantViolation(f"count for {cls.value} must be an integer, got {value!r}")
+        if not 0 <= value <= COUNT_MAX:
+            raise InvariantViolation(
+                f"negative count for {cls.value}: {value}" if value < 0 else
+                f"count for {cls.value} exceeds {COUNT_MAX}: {value}")
+        yield cls, value
+
+
+def composition_shares(
+    rows: Iterable[Mapping[VehicleClass, int]],
+) -> dict[VehicleClass, float]:
+    """Fraction of total traffic contributed by each class, from raw counts:
+    ``rows`` of class counts, a missing class read as 0.
 
     Shares sum to 1 (within float noise) and are invariant under uniform
     scaling of all counts.
     """
     totals = {cls: 0 for cls in VEHICLE_CLASSES}
-    for record in counts:
-        for cls, n in record.counts.items():
+    for counts in rows:
+        for cls, n in _class_counts(counts):
             totals[cls] += n
     grand_total = sum(totals.values())
     if grand_total == 0:
@@ -58,14 +75,14 @@ def composition_shares(counts: Iterable[ClassifiedCount]) -> dict[VehicleClass, 
     return {cls: totals[cls] / grand_total for cls in VEHICLE_CLASSES}
 
 
-def to_pcu(counts: ClassifiedCount,
+def to_pcu(counts: Mapping[VehicleClass, int],
            shares: Mapping[VehicleClass, float],
            table: PcuFactorTable) -> float:
-    """Convert one record's raw counts to total PCU.
+    """Convert raw class counts (a missing class read as 0) to total PCU.
 
     Linear in the counts; zero exactly when every count is zero.
     """
     return math.fsum(
         n * table.factor_for(cls, shares.get(cls, 0.0))
-        for cls, n in counts.counts.items()
+        for cls, n in _class_counts(counts)
     )

@@ -1,4 +1,4 @@
-"""End-to-end analysis: records + approach geometry + config -> reports.
+"""End-to-end analysis: cycle table + approach geometry + config -> result columns.
 
 Per-approach figures aggregate over however many cycles were recorded for
 that approach (single-row aggregate datasets reduce to the plain per-cycle
@@ -11,8 +11,7 @@ is gathered once; per-approach sums are taken over contiguous slices, and
 every formula is one C-level ``map`` pass over the per-approach columns.
 The domain checks are flags over those columns too, in one list in the
 scalar functions' order; the first failure raises the error they would.
-``AnalysisResult`` holds the columns; ``ApproachReport`` and
-``IntersectionReport`` are views of one entry, built on demand.
+``AnalysisResult`` holds the columns, which the artifact builders read.
 
 Every float total is one ``math.fsum``: the exact sum, rounded once, so no
 figure depends on the order of the rows or on which ``sum`` the running
@@ -29,16 +28,14 @@ import math
 from bisect import bisect_right
 from itertools import chain, compress, count, repeat
 from operator import and_, attrgetter, ge, itemgetter, le, lt, mul, ne, not_, sub, truediv
-from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .config import COUNTS_VEHICLES, AnalysisConfig
 from .delay import SATURATION_GUARD, DelayPolicy, unclamped_delays
-from .emissions import CityEstimate, EmissionReport, idle_fuel_columns, scale_emissions
+from .emissions import CityEstimate, idle_fuel_columns, scale_emissions
 from .errors import AnalyzerError, InputError, InvariantViolation, SaturatedRegime, UnknownApproach
-from .flow import WIDTH_FLOW_RATE, FlowReport, GreenReport, discharge_flows, hourly_volumes
-from .los import LosResult
-from .model import VEHICLE_CLASSES, ApproachConfig, CycleTable, SignalCycleRecord, _row_groups
+from .flow import WIDTH_FLOW_RATE, discharge_flows, hourly_volumes
+from .model import VEHICLE_CLASSES, ApproachConfig, CycleTable, _row_groups
 from .report import fmt_column
 from .stats import group_totals, require_finite
 
@@ -82,160 +79,15 @@ class _Columns:
         self.__dict__.update(columns)
 
 
-class _Field:
-    """A view attribute: the view's entry of the column of the same name.
-    An ``optional`` column marks an absent value with NaN; it reads as None."""
-
-    def __init__(self, optional: bool = False):
-        self.optional = optional
-
-    def __set_name__(self, owner, name: str) -> None:
-        self.name = name
-
-    def __get__(self, view, owner=None):
-        if view is None:
-            return self
-        value = getattr(view._columns, self.name)[view._index]
-        return None if self.optional and value != value else value
-
-
-class _View:
-    """A read-only record over entry ``index`` of a result's columns; it
-    compares and prints like a frozen dataclass with fields ``_fields``."""
-
-    __slots__ = ("_result", "_columns", "_index")
-    _fields: tuple[str, ...] = ()
-    _table = ""
-
-    def __init__(self, result: AnalysisResult, index: int):
-        self._result = result
-        self._columns = getattr(result, self._table)
-        self._index = index
-
-    def _values(self) -> list:
-        return [getattr(self, name) for name in self._fields]
-
-    def __eq__(self, other: object) -> bool:
-        if type(other) is not type(self):
-            return NotImplemented
-        return self._values() == other._values()
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
-        return f"{type(self).__name__}({fields})"
-
-
-class ApproachReport(_View):
-    """Computed bundle for one approach."""
-
-    __slots__ = ()
-    _table = "by_approach"
-    _fields = (
-        "approach_id", "intersection_id", "lane_count", "directionality", "width",
-        "mean_cycle_length", "mean_green", "mean_effective_green", "mean_exited_pcu",
-        "composition", "flow", "green", "platoon_ratio", "delay_s", "delay_clamped", "los",
-    )
-
-    approach_id = _Field()
-    intersection_id = _Field()
-    lane_count = _Field()
-    directionality = _Field()
-    width = _Field()
-    mean_cycle_length = _Field()
-    mean_green = _Field()
-    mean_effective_green = _Field(optional=True)
-    mean_exited_pcu = _Field(optional=True)
-    platoon_ratio = _Field()
-    delay_s = _Field()
-    delay_clamped = _Field()
-    hourly_volume = _Field()
-    capacity = _Field()
-    vc_ratio = _Field()
-    sf_width = _Field()
-    sf_discharge = _Field(optional=True)
-    pcu_per_cycle = _Field()
-    green_share = _Field()
-    green_to_pcu_ratio = _Field(optional=True)
-    wastage = _Field(optional=True)
-
-    @property
-    def composition(self) -> dict:
-        i = self._index
-        return {cls: shares[i] for cls, shares in self._columns.composition.items()}
-
-    @property
-    def flow(self) -> FlowReport:
-        return FlowReport(self.approach_id, self.hourly_volume, self.capacity,
-                          self.vc_ratio, self.sf_width, self.sf_discharge)
-
-    @property
-    def green(self) -> GreenReport:
-        return GreenReport(self.approach_id, self.pcu_per_cycle, self.green_share,
-                           self.green_to_pcu_ratio, self.wastage)
-
-    @property
-    def los(self) -> dict[str, LosResult]:
-        i, standards = self._index, self._result.los_standards
-        return {name: LosResult(grades[i], standards[name])
-                for name, grades in self._columns.los.items()}
-
-
-class IntersectionReport(_View):
-    __slots__ = ()
-    _table = "by_intersection"
-    _fields = (
-        "intersection_id", "approach_ids", "major_approach_ids", "mean_delay_all",
-        "mean_delay_major", "los_all", "los_major", "emissions", "emission_delay_s", "notes",
-    )
-
-    intersection_id = _Field()
-    mean_delay_all = _Field()
-    mean_delay_major = _Field(optional=True)
-    emission_delay_s = _Field()
-    notes = _Field()
-
-    @property
-    def approach_ids(self) -> tuple[str, ...]:
-        return tuple(self._result.by_approach.approach_id[self._columns.span[self._index]])
-
-    @property
-    def major_approach_ids(self) -> tuple[str, ...]:
-        span = self._columns.span[self._index]
-        by_approach = self._result.by_approach
-        return tuple(compress(by_approach.approach_id[span], by_approach.is_major[span]))
-
-    def _los(self, grades: Mapping[str, Sequence[str]]) -> dict[str, LosResult]:
-        i, standards = self._index, self._result.los_standards
-        return {name: LosResult(column[i], standards[name]) for name, column in grades.items()}
-
-    @property
-    def los_all(self) -> dict[str, LosResult]:
-        return self._los(self._columns.los_all)
-
-    @property
-    def los_major(self) -> dict[str, LosResult] | None:
-        return None if self.mean_delay_major is None else self._los(self._columns.los_major)
-
-    @property
-    def emissions(self) -> EmissionReport:
-        i, columns = self._index, self._columns
-        return EmissionReport(
-            fuel_per_hour=MappingProxyType({f: c[i] for f, c in columns.fuel_per_hour.items()}),
-            co2_per_hour=MappingProxyType({f: c[i] for f, c in columns.co2_per_hour.items()}),
-            total_co2_per_hour=columns.total_co2_per_hour[i],
-        )
-
-
 class AnalysisResult:
     """The analysis as columns.
 
     ``by_approach`` holds one entry per approach, in (intersection id,
     approach id) order, and ``by_intersection`` one per intersection, in id
     order; NaN marks an absent value.  ``los_standards`` names the standard
-    of each band table.  ``approaches`` and ``intersections`` build a view
-    of every entry on each access.  ``formatted`` keeps the artifact
-    builders' formatted columns, so a column several artifacts print is
-    formatted once.
+    of each band table.  ``formatted`` keeps the artifact builders'
+    formatted columns, so a column several artifacts print is formatted
+    once.
     """
 
     __slots__ = ("by_approach", "by_intersection", "los_standards",
@@ -251,40 +103,16 @@ class AnalysisResult:
         self.city = city
         self.formatted: dict = {}
 
-    @property
-    def approaches(self) -> tuple[ApproachReport, ...]:
-        return tuple(map(ApproachReport, repeat(self), range(len(self.by_approach.approach_id))))
-
-    @property
-    def intersections(self) -> tuple[IntersectionReport, ...]:
-        return tuple(map(IntersectionReport, repeat(self),
-                         range(len(self.by_intersection.intersection_id))))
-
-    def _values(self) -> tuple:
-        return (self.approaches, self.intersections, self.study_total_co2_kg_per_hour, self.city)
-
-    def __eq__(self, other: object) -> bool:
-        if type(other) is not AnalysisResult:
-            return NotImplemented
-        return self._values() == other._values()
-
-    def __repr__(self) -> str:
-        approaches, intersections, total, city = self._values()
-        return (f"AnalysisResult(approaches={approaches!r}, intersections={intersections!r}, "
-                f"study_total_co2_kg_per_hour={total!r}, city={city!r})")
-
 
 def analyze_records(
-    records: Sequence[SignalCycleRecord],
+    table: CycleTable,
     approaches: Mapping[str, ApproachConfig],
     config: AnalysisConfig,
     emission_policy: DelayPolicy = DelayPolicy.ALL_APPROACHES,
 ) -> AnalysisResult:
-    """Run the full pipeline over validated records: a ``CycleTable`` or
-    any sequence of records."""
-    if not records:
+    """Run the full pipeline over a validated cycle table."""
+    if not table:
         raise InputError("no cycle records to analyze")
-    table = CycleTable.from_records(records)
     ids, numbers = table.approach_column()
     for approach_id in ids:
         if approach_id not in approaches:

@@ -1,6 +1,6 @@
 """Windowed cycle-length aggregation, peak detection, z-tests and summaries.
 
-All functions are pure over immutable inputs.  Record timestamps are
+All functions are pure over immutable inputs.  Row timestamps are
 interpreted as UTC; the analysis day spans 08:00 to 21:00 wall clock and
 windows are half-open [start, start + window) anchored at 08:00.
 """
@@ -13,7 +13,7 @@ from operator import add, eq, floordiv, itemgetter, methodcaller, mod, mul, sub
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import InputError, InvariantViolation
-from .model import CycleTable, DayFilter, SignalCycleRecord, _frozen
+from .model import CycleTable, DayFilter, _frozen
 
 SECONDS_PER_DAY = 86400
 DAY_START_S = 8 * 3600
@@ -159,20 +159,18 @@ def check_window(window: float, name: str = "window") -> None:
 
 
 def window_cycle_lengths(
-    records: Sequence[SignalCycleRecord],
+    table: CycleTable,
     window: float = 1800.0,
     day_filter: DayFilter = DayFilter.ALL,
 ) -> list[WindowedAverage]:
     """Average cycle length per time-of-day window over the selected days.
 
     Returns one entry for every window intersecting the 08:00-21:00
-    operating span, in time order.  No surviving records means no output.
-    ``records`` is a ``CycleTable`` or any sequence of records.
+    operating span, in time order.  No surviving rows means no output.
     """
     check_window(window)
-    if not records:
+    if not table:
         return []
-    table = CycleTable.from_records(records)
     missing = table.untimed()
     if missing:
         raise InputError(f"{missing} of {len(table)} records carry no timestamp")

@@ -2,17 +2,20 @@
 
 These are the straightforward per-row cycle and approach parsers (with a
 per-row timing check of their own), the datetime-based time-of-day
-windowing, the all-``Decimal`` half-up rounding and the ``csv.writer``
-document writer that the optimized code in ``ingest``, ``stats`` and
-``report`` replaced.  The
-differential tests require the optimized code to agree with them exactly:
-equal records, the same errors in the same order, bit-identical window
-averages and identical formatted strings.  The rounding functions quantize
-under the current ``decimal`` context, whose default 28 digits overflow from
-about 1e28 up; the tests widen it.  ``cycles_to_csv`` writes records back in the
-cycle CSV schema for the round-trip tests.  The parsers number a row by the
-line its record starts on: one past the reader's ``line_num`` after the
-record before it.
+windowing, the approach-by-approach analysis with its report records, the
+all-``Decimal`` half-up rounding and the ``csv.writer`` document writer
+that the optimized code in ``ingest``, ``stats``, ``pipeline`` and
+``report`` replaced.  The differential tests require the optimized code to
+agree with them exactly: table columns equal to the parsed records' fields
+(``columns``), result columns equal to the report fields (``as_reports``),
+the same errors in the same order, bit-identical window averages and
+identical formatted strings.  The rounding functions quantize under the
+current ``decimal`` context, whose default 28 digits overflow from about
+1e28 up; the tests widen it.  ``cycles_to_csv`` writes records back in the
+cycle CSV schema for the round-trip tests, and ``cycle_table`` builds a
+``CycleTable`` from records.  The parsers number a row by the line its
+record starts on: one past the reader's ``line_num`` after the record
+before it.
 """
 
 from __future__ import annotations
@@ -25,10 +28,12 @@ import statistics
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from decimal import ROUND_HALF_UP, Decimal
-from itertools import filterfalse
+from itertools import compress, filterfalse
 from operator import itemgetter, mul
+from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, Sequence, TextIO
 
+from intersection_analyzer import pipeline
 from intersection_analyzer.config import COUNTS_VEHICLES, AnalysisConfig
 from intersection_analyzer.delay import (
     DelayInputs,
@@ -52,9 +57,6 @@ from intersection_analyzer.errors import (
     UnknownApproach,
 )
 from intersection_analyzer.flow import (
-    FlowReport,
-    GreenReport,
-    green_shares,
     hourly_volume,
     saturation_flow_discharge,
     saturation_flow_width,
@@ -72,11 +74,9 @@ from intersection_analyzer.model import (
     COUNT_MAX,
     VEHICLE_CLASSES,
     ApproachConfig,
-    ClassifiedCount,
     CycleTable,
     DayFilter,
     Directionality,
-    SignalCycleRecord,
     VehicleClass,
 )
 from intersection_analyzer.pcu import composition_shares
@@ -86,6 +86,75 @@ from intersection_analyzer.stats import DAY_END_S, DAY_START_S, WindowedAverage
 VC_STANDARD = "vc_ratio"
 
 _CLASS_BY_COLUMN = {cls.value: cls for cls in VehicleClass}
+
+
+@dataclass(frozen=True)
+class CycleRecord:
+    """One parsed cycle row.  ``counts`` holds all five classes in
+    ``VEHICLE_CLASSES`` order; None marks an absent optional value."""
+
+    approach_id: str
+    cycle_length: float
+    red_time: float
+    green_time: float
+    counts: Mapping[VehicleClass, int]
+    effective_green: float | None = None
+    exited_pcu: float | None = None
+    timestamp: float | None = None
+
+
+def _nan_for_none(value: float | None) -> float:
+    return math.nan if value is None else value
+
+
+def _none_for_nan(value: float) -> float | None:
+    return None if math.isnan(value) else value
+
+
+def cycle_table(records: Iterable[CycleRecord]) -> CycleTable:
+    """``records`` as a ``CycleTable``, one ``CycleTable.append`` each."""
+    table = CycleTable()
+    for r in records:
+        table.append(r.approach_id, r.cycle_length, r.red_time, r.green_time,
+                     [r.counts.get(cls, 0) for cls in VEHICLE_CLASSES],
+                     *map(_nan_for_none, (r.effective_green, r.exited_pcu, r.timestamp)))
+    return table
+
+
+def columns(rows: CycleTable | Sequence[CycleRecord]) -> dict[str, list]:
+    """The columns of a table, or those a table holding ``rows`` of records
+    has, as lists with each row's approach id spelled out and None for NaN;
+    a table keeps no red time."""
+    if isinstance(rows, CycleTable):
+        return _table_columns(rows)
+    return _record_columns(rows)
+
+
+def _table_columns(table: CycleTable) -> dict[str, list]:
+    ids, numbers = table.approach_column()
+    return {
+        "approach_ids": list(ids),
+        "approach_id": [ids[n] for n in numbers],
+        "cycle_length": list(table.cycle_length),
+        "green_time": list(table.green_time),
+        "counts": list(table.counts),
+        "effective_green": list(map(_none_for_nan, table.effective_green)),
+        "exited_pcu": list(map(_none_for_nan, table.exited_pcu)),
+        "timestamp": list(map(_none_for_nan, table.timestamp)),
+    }
+
+
+def _record_columns(records: Sequence[CycleRecord]) -> dict[str, list]:
+    return {
+        "approach_ids": list(dict.fromkeys(r.approach_id for r in records)),
+        "approach_id": [r.approach_id for r in records],
+        "cycle_length": [r.cycle_length for r in records],
+        "green_time": [r.green_time for r in records],
+        "counts": [r.counts.get(cls, 0) for r in records for cls in VEHICLE_CLASSES],
+        "effective_green": [r.effective_green for r in records],
+        "exited_pcu": [r.exited_pcu for r in records],
+        "timestamp": [r.timestamp for r in records],
+    }
 
 
 def _header(row: Sequence[str], allowed: Sequence[str], required: Sequence[str]) -> list[str]:
@@ -197,9 +266,9 @@ def ingest_approaches(source: TextIO | Iterable[str]) -> dict[str, ApproachConfi
 def scan_cycles(
     source: Iterable[str],
     configs: Mapping[str, ApproachConfig] | None = None,
-) -> tuple[list[SignalCycleRecord], list[InputError]]:
+) -> tuple[list[CycleRecord], list[InputError]]:
     reader = csv.reader(source)
-    records: list[SignalCycleRecord] = []
+    records: list[CycleRecord] = []
     errors: list[InputError] = []
 
     try:
@@ -230,7 +299,7 @@ def _parse_cycle_row(
     row: Sequence[str],
     line: int,
     configs: Mapping[str, ApproachConfig] | None,
-) -> SignalCycleRecord:
+) -> CycleRecord:
     if len(row) != len(names):
         raise SchemaViolation(
             f"expected {len(names)} fields, got {len(row)}", row=line)
@@ -261,19 +330,11 @@ def _parse_cycle_row(
 
     try:
         _check_cycle(cycle, red, green, effective_green, exited_pcu)
-        classified = ClassifiedCount(approach_id, counts, timestamp)
-        return SignalCycleRecord(
-            approach_id=approach_id,
-            cycle_length=cycle,
-            red_time=red,
-            green_time=green,
-            counts=classified,
-            effective_green=effective_green,
-            exited_pcu=exited_pcu,
-        )
     except InputError as err:
         err.row = line
         raise
+    return CycleRecord(approach_id, cycle, red, green, counts, effective_green, exited_pcu,
+                       timestamp)
 
 
 def _check_cycle(
@@ -323,7 +384,7 @@ def _matches_day(timestamp: float, day_filter: DayFilter) -> bool:
 
 
 def window_cycle_lengths(
-    records: Sequence[SignalCycleRecord],
+    records: Sequence[CycleRecord],
     window: float = 1800.0,
     day_filter: DayFilter = DayFilter.ALL,
 ) -> list[WindowedAverage]:
@@ -370,7 +431,7 @@ def _format_number(value: float) -> str:
     return repr(float(value))
 
 
-def cycles_to_csv(records: Iterable[SignalCycleRecord]) -> str:
+def cycles_to_csv(records: Iterable[CycleRecord]) -> str:
     """Serialize records to the cycle CSV schema; re-ingesting yields equal records."""
     records = list(records)
     with_optional = {
@@ -391,7 +452,7 @@ def cycles_to_csv(records: Iterable[SignalCycleRecord]) -> str:
             _format_number(r.red_time),
             _format_number(r.green_time),
         ]
-        cells += [str(r.counts.counts[cls]) for cls in VehicleClass]
+        cells += [str(r.counts[cls]) for cls in VehicleClass]
         optional_values = {
             "effective_green_s": r.effective_green,
             "exited_pcu": r.exited_pcu,
@@ -459,6 +520,45 @@ def replace(record, **changes):
     return type(record)(**(fields | changes))
 
 
+def green_shares(mean_greens: Mapping[str, float]) -> dict[str, float]:
+    """Each approach's share of the intersection's summed mean greens."""
+    if not mean_greens:
+        raise InputError("no approaches with records")
+    ordered = {approach_id: mean_greens[approach_id] for approach_id in sorted(mean_greens)}
+    total = math.fsum(ordered.values())
+    if total <= 0:
+        raise InputError("total green time across the intersection is zero")
+    return {approach_id: mean / total for approach_id, mean in ordered.items()}
+
+
+@dataclass(frozen=True)
+class FlowReport:
+    """Volume, capacity and saturation-flow figures for one approach."""
+
+    approach_id: str
+    hourly_volume: float
+    capacity: float
+    vc_ratio: float
+    sf_width: float
+    sf_discharge: float | None = None
+
+    @property
+    def sf_difference(self) -> float | None:
+        """Discharge-model minus width-model saturation flow."""
+        return None if self.sf_discharge is None else self.sf_discharge - self.sf_width
+
+
+@dataclass(frozen=True)
+class GreenReport:
+    """Green-time allocation and utilization figures for one approach."""
+
+    approach_id: str
+    pcu_per_cycle: float
+    green_share: float | None = None
+    green_to_pcu_ratio: float | None = None
+    wastage: float | None = None
+
+
 @dataclass(frozen=True)
 class ApproachReport:
     """Computed bundle for one approach."""
@@ -503,6 +603,52 @@ class AnalysisResult:
     city: CityEstimate
 
 
+def _approach_entry(result: pipeline.AnalysisResult, k: int) -> ApproachReport:
+    """Entry ``k`` of ``result.by_approach`` as an oracle report."""
+    a, standards = result.by_approach, result.los_standards
+    return ApproachReport(
+        a.approach_id[k], a.intersection_id[k], a.lane_count[k], a.directionality[k],
+        a.width[k], a.mean_cycle_length[k], a.mean_green[k],
+        _none_for_nan(a.mean_effective_green[k]), _none_for_nan(a.mean_exited_pcu[k]),
+        {cls: shares[k] for cls, shares in a.composition.items()},
+        FlowReport(a.approach_id[k], a.hourly_volume[k], a.capacity[k], a.vc_ratio[k],
+                   a.sf_width[k], _none_for_nan(a.sf_discharge[k])),
+        GreenReport(a.approach_id[k], a.pcu_per_cycle[k], a.green_share[k],
+                    _none_for_nan(a.green_to_pcu_ratio[k]), _none_for_nan(a.wastage[k])),
+        a.platoon_ratio[k], a.delay_s[k], a.delay_clamped[k],
+        {name: LosResult(grades[k], standards[name]) for name, grades in a.los.items()},
+    )
+
+
+def _intersection_entry(result: pipeline.AnalysisResult, j: int) -> IntersectionReport:
+    """Entry ``j`` of ``result.by_intersection`` as an oracle report."""
+    i, a, standards = result.by_intersection, result.by_approach, result.los_standards
+    span, major = i.span[j], _none_for_nan(i.mean_delay_major[j])
+    return IntersectionReport(
+        i.intersection_id[j], tuple(a.approach_id[span]),
+        tuple(compress(a.approach_id[span], a.is_major[span])),
+        i.mean_delay_all[j], major,
+        {name: LosResult(grades[j], standards[name]) for name, grades in i.los_all.items()},
+        None if major is None else {
+            name: LosResult(grades[j], standards[name]) for name, grades in i.los_major.items()},
+        EmissionReport(
+            fuel_per_hour=MappingProxyType({f: c[j] for f, c in i.fuel_per_hour.items()}),
+            co2_per_hour=MappingProxyType({f: c[j] for f, c in i.co2_per_hour.items()}),
+            total_co2_per_hour=i.total_co2_per_hour[j]),
+        i.emission_delay_s[j], i.notes[j],
+    )
+
+
+def as_reports(result: pipeline.AnalysisResult) -> AnalysisResult:
+    """A package ``AnalysisResult``'s columns as the oracle's reports, each
+    field read from its column entry, NaN as None."""
+    return AnalysisResult(
+        tuple(_approach_entry(result, k) for k in range(len(result.by_approach.approach_id))),
+        tuple(_intersection_entry(result, j)
+              for j in range(len(result.by_intersection.intersection_id))),
+        result.study_total_co2_kg_per_hour, result.city)
+
+
 @dataclass(frozen=True)
 class _ApproachFold:
     """What one pass over an approach's rows collects, in file order.
@@ -515,12 +661,12 @@ class _ApproachFold:
     greens: Sequence[float]
     effective_greens: list[float]
     exited: list[float]
-    totals: ClassifiedCount
+    totals: dict[VehicleClass, int]
     record_totals: list[int]
 
     def hourly_class_counts(self) -> dict[VehicleClass, float]:
         cycle_time = math.fsum(self.cycles)
-        return {cls: n * 3600.0 / cycle_time for cls, n in self.totals.counts.items()}
+        return {cls: n * 3600.0 / cycle_time for cls, n in self.totals.items()}
 
 
 def _taker(rows: Sequence[int]) -> Callable[[Sequence], Sequence]:
@@ -532,7 +678,6 @@ def _taker(rows: Sequence[int]) -> Callable[[Sequence], Sequence]:
 
 
 def _fold_approach(
-    approach_id: str,
     table: CycleTable,
     class_columns: Sequence[Sequence[int]],
     rows: Sequence[int],
@@ -544,7 +689,7 @@ def _fold_approach(
         greens=take(table.green_time),
         effective_greens=list(filterfalse(math.isnan, take(table.effective_green))),
         exited=list(filterfalse(math.isnan, take(table.exited_pcu))),
-        totals=ClassifiedCount(approach_id, dict(zip(VEHICLE_CLASSES, map(sum, class_counts)))),
+        totals=dict(zip(VEHICLE_CLASSES, map(sum, class_counts))),
         record_totals=list(map(sum, zip(*class_counts))),
     )
 
@@ -564,16 +709,14 @@ def _fmean_or_none(values: Sequence[float]) -> float | None:
 
 
 def analyze_records(
-    records: Sequence[SignalCycleRecord],
+    cycle_table: CycleTable,
     approaches: Mapping[str, ApproachConfig],
     config: AnalysisConfig,
     emission_policy: DelayPolicy = DelayPolicy.ALL_APPROACHES,
 ) -> AnalysisResult:
-    """Run the full pipeline over validated records: a ``CycleTable`` or
-    any sequence of records."""
-    if not records:
+    """Run the full pipeline over a validated cycle table."""
+    if not len(cycle_table):
         raise InputError("no cycle records to analyze")
-    cycle_table = CycleTable.from_records(records)
 
     by_approach = _row_numbers_by_approach(cycle_table)
     for approach_id in by_approach:
@@ -592,7 +735,7 @@ def analyze_records(
     for intersection_id in sorted(by_intersection):
         approach_ids = by_intersection[intersection_id]
         folds = {
-            a: _fold_approach(a, cycle_table, class_columns, by_approach[a])
+            a: _fold_approach(cycle_table, class_columns, by_approach[a])
             for a in approach_ids
         }
 
@@ -623,7 +766,7 @@ def analyze_records(
                 composition = {cls: 0.0 for cls in VEHICLE_CLASSES}
 
             if config.counts_unit == COUNTS_VEHICLES:
-                class_totals = (fold.totals.counts[cls] for cls in VEHICLE_CLASSES)
+                class_totals = (fold.totals[cls] for cls in VEHICLE_CLASSES)
                 pcu_per_cycle = math.fsum(map(mul, class_totals, factors)) / len(fold.cycles)
             else:
                 pcu_per_cycle = statistics.fmean(fold.record_totals)
@@ -641,7 +784,7 @@ def analyze_records(
             if mean_ge is not None and mean_green > 0:
                 wastage = (mean_green - mean_ge) / mean_green
 
-            r_p = config.platoon_ratio_for(approach_id)
+            r_p = config.platoon_ratios.get(approach_id, config.default_platoon_ratio)
             estimate = control_delay(
                 DelayInputs(mean_cycle, mean_green, x, platoon_ratio=r_p))
 

@@ -21,12 +21,11 @@ import mpmath
 import pytest
 
 from intersection_analyzer import (
-    ClassifiedCount,
+    CycleTable,
     DayFilter,
     DelayInputs,
     EmissionFactorTable,
     FuelType,
-    SignalCycleRecord,
     VehicleClass,
     analyze_records,
     classify_los,
@@ -187,23 +186,25 @@ def test_criterion_4_level_of_service(default_config, analysis):
         assert classify_los(0.80, vc_bands).grade == "D"
         assert classify_los(0.84, vc_bands).grade == "D"
         # the single-grade-by-V/C claim is surfaced as a note, never forced
-        for report in analysis.intersections:
-            assert "vc_ratio" not in report.los_all
-            assert any("no intersection-level V/C grade" in note
-                       for note in report.notes)
-        thc = next(i for i in analysis.intersections if i.intersection_id == "THC")
-        assert any("V/C grades differ" in note for note in thc.notes)
+        intersections = analysis.by_intersection
+        assert "vc_ratio" not in intersections.los_all
+        for notes in intersections.notes:
+            assert any("no intersection-level V/C grade" in note for note in notes)
+        thc = intersections.intersection_id.index("THC")
+        assert any("V/C grades differ" in note for note in intersections.notes[thc])
 
 
 def test_criterion_5_green_metrics(analysis):
     with criterion(5, "green splits, green-per-PCU and wastage"):
-        by_id = {r.approach_id: r for r in analysis.approaches}
-        combined = by_id["TR2"].green.green_share + by_id["TR4"].green.green_share
+        a = analysis.by_approach
+        share = dict(zip(a.approach_id, a.green_share))
+        combined = share["TR2"] + share["TR4"]
         assert combined * 100 == pytest.approx(71.43, abs=0.01)
-        over_one = {rid for rid, r in by_id.items()
-                    if r.green.green_to_pcu_ratio > 1.0}
+        over_one = {rid for rid, ratio in zip(a.approach_id, a.green_to_pcu_ratio)
+                    if ratio > 1.0}
         assert over_one == {"SR3", "SR5"}
-        mean_wastage = (by_id["SR3"].green.wastage + by_id["SR5"].green.wastage) / 2
+        wastage = dict(zip(a.approach_id, a.wastage))
+        mean_wastage = (wastage["SR3"] + wastage["SR5"]) / 2
         assert mean_wastage * 100 == pytest.approx(29.8, abs=0.5)
 
 
@@ -288,18 +289,14 @@ def test_criterion_7_property_suite(default_config):
             counts_b = {cls: rng.randint(0, 400) for cls in VehicleClass}
             shares = {cls: rng.random() for cls in VehicleClass}
             merged = {cls: counts_a[cls] + counts_b[cls] for cls in VehicleClass}
-            whole = to_pcu(ClassifiedCount("A", merged), shares,
-                           default_config.pcu_factors)
-            parts = (to_pcu(ClassifiedCount("A", counts_a), shares,
-                            default_config.pcu_factors)
-                     + to_pcu(ClassifiedCount("A", counts_b), shares,
-                              default_config.pcu_factors))
+            whole = to_pcu(merged, shares, default_config.pcu_factors)
+            parts = (to_pcu(counts_a, shares, default_config.pcu_factors)
+                     + to_pcu(counts_b, shares, default_config.pcu_factors))
             assert whole == pytest.approx(parts, rel=1e-9, abs=1e-9)
             if sum(counts_a.values()) > 0:
                 k = rng.randint(2, 9)
-                original = composition_shares([ClassifiedCount("A", counts_a)])
-                scaled = composition_shares([ClassifiedCount(
-                    "A", {cls: k * v for cls, v in counts_a.items()})])
+                original = composition_shares([counts_a])
+                scaled = composition_shares([{cls: k * v for cls, v in counts_a.items()}])
                 for cls in VehicleClass:
                     assert scaled[cls] == pytest.approx(original[cls], abs=1e-12)
                 assert sum(original.values()) == pytest.approx(1.0, abs=1e-9)
@@ -309,11 +306,11 @@ def test_criterion_7_property_suite(default_config):
 
 
 def _random_week(rng):
-    """Five weekdays of half-hour records, some slots randomly absent."""
+    """Five weekdays of half-hour rows, some slots randomly absent."""
     from calendar import timegm
     from datetime import datetime
 
-    records = []
+    records = CycleTable()
     for day in range(5):  # 2022-03-07 is a Monday
         base = timegm(datetime(2022, 3, 7 + day, 0, 0).timetuple())
         for slot in range(26):
@@ -321,12 +318,10 @@ def _random_week(rng):
                 continue
             tod = 8 * 3600 + slot * 1800
             cycle = float(rng.randint(80, 200))
-            counts = ClassifiedCount("A1", {}, float(base + tod))
-            records.append(SignalCycleRecord("A1", cycle, 0.0, 0.0, counts))
+            records.append("A1", cycle, 0.0, 0.0, (0,) * 5, timestamp=float(base + tod))
     if not records:  # ensure at least one window has data
         base = timegm(datetime(2022, 3, 7, 0, 0).timetuple())
-        counts = ClassifiedCount("A1", {}, float(base + 8 * 3600))
-        records.append(SignalCycleRecord("A1", 100.0, 0.0, 0.0, counts))
+        records.append("A1", 100.0, 0.0, 0.0, (0,) * 5, timestamp=float(base + 8 * 3600))
     return records
 
 

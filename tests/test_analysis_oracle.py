@@ -1,6 +1,7 @@
 """The column-at-a-time analysis against the approach-by-approach one it
 replaced (kept in ``tests/oracles.py``): the same artifact bytes, the same
-report fields and, on failing inputs, the same first error.  The oracle's
+column entry for every report field and, on failing inputs, the same first
+error.  The oracle's
 artifacts are written by ``csv.writer``, so the ids, which hold every
 character it quotes, also pin the package's own CSV writer."""
 
@@ -69,7 +70,7 @@ def settle(analyze, table, approaches, config, policy):
 
 
 def assert_same_analysis(table, approaches, config, policy):
-    """Same error, or the same views and artifact bytes, as the oracle."""
+    """Same error, or the same report fields and artifact bytes, as the oracle."""
     result = settle(analyze_records, table, approaches, config, policy)
     expected = settle(oracles.analyze_records, table, approaches, config, policy)
     if isinstance(expected, tuple):
@@ -78,8 +79,14 @@ def assert_same_analysis(table, approaches, config, policy):
     assert not isinstance(result, tuple), result
     # The oracle's Decimal rounding needs the digits of the largest figures.
     with decimal.localcontext(decimal.Context(prec=400)):
-        assert repr(result.approaches) == repr(expected.approaches)
-        assert repr(result.intersections) == repr(expected.intersections)
+        # Compared by repr: a float prints as itself, so every bit counts.
+        reports = oracles.as_reports(result)
+        assert len(reports.approaches) == len(expected.approaches)
+        for report, oracle_report in zip(reports.approaches, expected.approaches):
+            assert repr(report) == repr(oracle_report)
+        assert len(reports.intersections) == len(expected.intersections)
+        for report, oracle_report in zip(reports.intersections, expected.intersections):
+            assert repr(report) == repr(oracle_report)
         assert result.study_total_co2_kg_per_hour == expected.study_total_co2_kg_per_hour
         assert result.city == expected.city
         hours = config.city.active_hours_per_day

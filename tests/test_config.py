@@ -15,8 +15,8 @@ def test_defaults_load(default_config):
     assert set(cfg.los_tables) == {"delay_heterogeneous", "delay_hcm", "vc_ratio"}
     assert cfg.emission_factors.factors[FuelType.DIESEL] == 2.640
     assert len(cfg.idle_rates.rates) == 6
-    assert cfg.platoon_ratio_for("SR1") != 1.0
-    assert cfg.platoon_ratio_for("unknown") == 1.0
+    assert cfg.platoon_ratios["SR1"] != 1.0
+    assert "unknown" not in cfg.platoon_ratios and cfg.default_platoon_ratio == 1.0
     assert cfg.city.intersection_count == 6
     assert cfg.city.active_hours_per_day == 13.0
 

@@ -14,13 +14,7 @@ import oracles
 from intersection_analyzer import ingest, scan_cycles
 from intersection_analyzer.errors import SchemaViolation
 from intersection_analyzer.ingest import CYCLE_COUNT_COLUMNS, CYCLE_OPTIONAL, CYCLE_REQUIRED
-from intersection_analyzer.model import (
-    ApproachConfig,
-    ClassifiedCount,
-    DayFilter,
-    Directionality,
-    SignalCycleRecord,
-)
+from intersection_analyzer.model import ApproachConfig, DayFilter, Directionality
 from intersection_analyzer.stats import _day_and_time, _weekdays, window_cycle_lengths
 
 CONFIGS = {
@@ -118,8 +112,9 @@ def cycle_csv(draw):
 
 
 def outcome(scan, text, configs):
-    records, errors = scan(io.StringIO(text), configs)
-    return records, [(type(e), str(e), e.row) for e in errors]
+    """The rows ``scan`` keeps, as columns, and its errors."""
+    rows, errors = scan(io.StringIO(text), configs)
+    return oracles.columns(rows), [(type(e), str(e), e.row) for e in errors]
 
 
 @settings(max_examples=200, deadline=None)
@@ -165,7 +160,7 @@ def reference_outcome(header, chunks, unsplittable, configs):
             row = header.count("\n") + offset
             errors.append((SchemaViolation,
                            f"row {row}: unreadable CSV row: {csv_error(bad_line)}", row))
-    return records, errors
+    return oracles.columns(records), errors
 
 
 @st.composite
@@ -244,7 +239,7 @@ def stream_reference(items, configs):
         errors.append((SchemaViolation, f"row {line}: unreadable CSV row: {message}", line))
         run, offset = [], line - 1
     read_run()
-    return records, errors
+    return oracles.columns(records), errors
 
 
 @st.composite
@@ -302,9 +297,9 @@ def test_plain_blocks_match_reference(stream, configs):
     limit = csv.field_size_limit(FIELD_LIMIT)
     try:
         with mock.patch.object(ingest, "_BATCH_ROWS", batch):
-            records, errors = scan_cycles(items, configs)
-        assert (records, [(type(e), str(e), e.row) for e in errors]) == stream_reference(
-            items, configs)
+            table, errors = scan_cycles(items, configs)
+        assert (oracles.columns(table), [(type(e), str(e), e.row) for e in errors]) == (
+            stream_reference(items, configs))
         # A text stream splits at line feeds only, as a file opened with
         # newline="" does when the text holds no bare carriage return.
         text = "".join(items)
@@ -395,11 +390,9 @@ def test_windows_match_reference(samples, day_filter, window):
 
 
 def _check_windows(samples, day_filter, window):
-    records = [
-        SignalCycleRecord("A", cycle, 0.0, 0.0, ClassifiedCount("A", {}, timestamp))
-        for timestamp, cycle in samples
-    ]
-    assert (window_cycle_lengths(records, window, day_filter)
+    records = [oracles.CycleRecord("A", cycle, 0.0, 0.0, {}, timestamp=timestamp)
+               for timestamp, cycle in samples]
+    assert (window_cycle_lengths(oracles.cycle_table(records), window, day_filter)
             == oracles.window_cycle_lengths(records, window, day_filter))
 
 

@@ -15,19 +15,18 @@ EXPORTS = {
     "CityEstimate", "EmissionFactorTable", "EmissionReport", "FuelType",
     "IdleRate", "IdleRateTable", "co2_from_fuel", "idle_fuel", "scale_emissions",
     # flow
-    "CapacityTable", "FlowReport", "GreenReport", "hourly_volume",
+    "CapacityTable", "hourly_volume",
     "saturation_flow_discharge", "saturation_flow_width", "vc_ratio",
     # ingest
     "ingest_approaches", "ingest_cycles", "scan_cycles",
     # los
     "LosBandTable", "LosResult", "classify_los",
     # model
-    "ApproachConfig", "ClassifiedCount", "CycleTable", "DayFilter",
-    "Directionality", "SignalCycleRecord", "VehicleClass",
+    "ApproachConfig", "CycleTable", "DayFilter", "Directionality", "VehicleClass",
     # pcu
     "PcuFactorTable", "composition_shares", "to_pcu",
     # pipeline
-    "AnalysisResult", "ApproachReport", "IntersectionReport", "analyze_records",
+    "AnalysisResult", "analyze_records",
     # stats
     "FiveNumberSummary", "SampleSummary", "WindowedAverage", "ZTestResult",
     "five_number", "pairwise_z_matrix", "peak_window", "summarize",

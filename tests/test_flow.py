@@ -1,12 +1,13 @@
+import math
+from types import SimpleNamespace
+
 import pytest
 from hypothesis import given, strategies as st
 
 from intersection_analyzer import (
     ApproachConfig,
-    ClassifiedCount,
+    CycleTable,
     Directionality,
-    SignalCycleRecord,
-    VehicleClass,
     analyze_records,
     hourly_volume,
     load_config,
@@ -15,7 +16,6 @@ from intersection_analyzer import (
     vc_ratio,
 )
 from intersection_analyzer.errors import InputError
-from intersection_analyzer.flow import green_shares
 from intersection_analyzer.report import round_half_up
 
 CONFIG = load_config()
@@ -26,22 +26,28 @@ def approach(lanes, directionality=Directionality.ONE_WAY):
     return ApproachConfig("A1", "X", lanes, directionality, 7.0)
 
 
-def cycle(approach_id, green, cycle_length=152.0, effective_green=None, pcu=0):
-    counts = ClassifiedCount(approach_id, {VehicleClass.CAR: pcu})
-    return SignalCycleRecord(
-        approach_id, cycle_length, cycle_length - green, green, counts,
-        effective_green=effective_green)
+def cycle(approach_id, green, cycle_length=152.0, effective_green=math.nan, pcu=0):
+    """A ``CycleTable.append`` row of ``pcu`` cars."""
+    return approach_id, cycle_length, cycle_length - green, green, (0, 0, pcu, 0, 0), \
+        effective_green
 
 
-def green_reports(*records):
-    """Each approach's ``GreenReport`` from analyzing ``records`` as one
-    intersection of three-lane one-way approaches."""
-    approaches = {
-        r.approach_id: ApproachConfig(r.approach_id, "X", 3, Directionality.ONE_WAY, 7.0)
-        for r in records
+def green_reports(*rows):
+    """Each approach's green figures, in approach order, from analyzing
+    ``rows`` as one intersection of three-lane one-way approaches; an absent
+    figure is None."""
+    table = CycleTable()
+    for row in rows:
+        table.append(*row)
+    approaches = {approach_id: ApproachConfig(approach_id, "X", 3, Directionality.ONE_WAY, 7.0)
+                  for approach_id, *_ in rows}
+    a = analyze_records(table, approaches, CONFIG).by_approach
+    names = ("pcu_per_cycle", "green_share", "green_to_pcu_ratio", "wastage")
+    return {
+        approach_id: SimpleNamespace(**{
+            name: None if math.isnan(value) else value for name, value in zip(names, values)})
+        for approach_id, *values in zip(a.approach_id, *(getattr(a, name) for name in names))
     }
-    result = analyze_records(records, approaches, CONFIG)
-    return {r.approach_id: r.green for r in result.approaches}
 
 
 def test_hourly_volume_values():
@@ -106,14 +112,16 @@ def test_saturation_flow_width_rejects_nonpositive():
 
 
 def test_green_splits_shares():
-    shares = green_shares({"TR1": 25.0, "TR2": 40.0, "TR3": 9.0, "TR4": 45.0})
+    greens = green_reports(*(cycle(approach_id, green, 119.0) for approach_id, green in (
+        ("TR4", 45.0), ("TR2", 40.0), ("TR1", 25.0), ("TR3", 9.0))))
+    shares = {approach_id: figures.green_share for approach_id, figures in greens.items()}
     assert sum(shares.values()) == pytest.approx(1.0)
     assert shares["TR2"] + shares["TR4"] == pytest.approx(85 / 119)
     assert list(shares) == ["TR1", "TR2", "TR3", "TR4"]
 
 
 def test_green_splits_single_approach():
-    assert green_shares({"A1": 30.0}) == {"A1": 1.0}
+    assert green_reports(cycle("A1", 30.0))["A1"].green_share == 1.0
 
 
 def test_green_splits_uses_mean_green():
@@ -123,10 +131,10 @@ def test_green_splits_uses_mean_green():
 
 
 def test_green_splits_empty():
-    with pytest.raises(InputError, match="no approaches with records"):
-        green_shares({})
+    with pytest.raises(InputError, match="no cycle records to analyze"):
+        green_reports()
     with pytest.raises(InputError, match="total green time across the intersection is zero"):
-        green_shares({"A1": 0.0, "A2": 0.0})
+        green_reports(cycle("A1", 0.0), cycle("A2", 0.0))
 
 
 def test_green_utilization_ratio_and_wastage():

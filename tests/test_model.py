@@ -9,11 +9,8 @@ import pytest
 import oracles
 from intersection_analyzer import (
     ApproachConfig,
-    ClassifiedCount,
     CycleTable,
     Directionality,
-    SignalCycleRecord,
-    VehicleClass,
     scan_cycles,
 )
 from intersection_analyzer.errors import InvariantViolation
@@ -21,55 +18,29 @@ from intersection_analyzer.model import _frozen, timing_faults
 from intersection_analyzer.stats import SampleSummary
 
 
-def make_counts(**kwargs):
-    counts = {VehicleClass(k): v for k, v in kwargs.items()}
-    return ClassifiedCount("A1", counts)
-
-
-def test_missing_classes_default_to_zero():
-    c = make_counts(car=3)
-    assert c.counts[VehicleClass.BUS] == 0
-    assert c.total() == 3
-    assert len(c.counts) == 5
-
-
-def test_negative_count_rejected():
-    with pytest.raises(InvariantViolation):
-        make_counts(car=-1)
-    with pytest.raises(InvariantViolation, match="exceeds"):
-        make_counts(car=2**63)
-
-
-def test_non_integer_count_rejected():
-    with pytest.raises(InvariantViolation):
-        make_counts(car=1.5)
-
-
-def test_counts_mapping_is_read_only():
-    c = make_counts(car=3)
-    with pytest.raises(TypeError):
-        c.counts[VehicleClass.CAR] = 9
+NO_COUNTS = (0,) * 5
 
 
 def test_cycle_timing_invariant():
-    counts = ClassifiedCount("A1", {})
-    SignalCycleRecord("A1", 152.0, 120.0, 32.0, counts)  # red + green == cycle is fine
+    table = CycleTable()
+    table.append("A1", 152.0, 120.0, 32.0, NO_COUNTS)  # red + green == cycle is fine
     with pytest.raises(InvariantViolation):
-        SignalCycleRecord("A1", 152.0, 140.0, 30.0, counts)
+        table.append("A1", 152.0, 140.0, 30.0, NO_COUNTS)
+    assert len(table) == 1  # a refused row is not added
 
 
 def test_effective_green_bounded_by_green():
-    counts = ClassifiedCount("A1", {})
-    record = SignalCycleRecord("A1", 152.0, 120.0, 32.0, counts, effective_green=24.0)
-    assert record.effective_green == 24.0
+    table = CycleTable()
+    table.append("A1", 152.0, 120.0, 32.0, NO_COUNTS, effective_green=24.0)
+    assert table.effective_green[0] == 24.0
     with pytest.raises(InvariantViolation):
-        SignalCycleRecord("A1", 152.0, 120.0, 32.0, counts, effective_green=33.0)
+        table.append("A1", 152.0, 120.0, 32.0, NO_COUNTS, effective_green=33.0)
+    assert len(table) == 1
 
 
 def test_nonpositive_cycle_rejected():
-    counts = ClassifiedCount("A1", {})
     with pytest.raises(InvariantViolation):
-        SignalCycleRecord("A1", 0.0, 0.0, 0.0, counts)
+        CycleTable().append("A1", 0.0, 0.0, 0.0, NO_COUNTS)
 
 
 # (cycle, red, green, effective green, exited PCU; NaN is absent) -> the
@@ -103,16 +74,11 @@ def scan_row(*values):
 
 
 def append_row(cycle, red, green, effective, exited):
-    CycleTable().append("A1", cycle, red, green, (0,) * 5, effective, exited)
+    CycleTable().append("A1", cycle, red, green, NO_COUNTS, effective, exited)
 
 
-def make_record(cycle, red, green, *optional):
-    SignalCycleRecord("A1", cycle, red, green, ClassifiedCount("A1", {}),
-                      *(None if math.isnan(value) else value for value in optional))
-
-
-@pytest.mark.parametrize("entry", [scan_row, append_row, make_record],
-                         ids=["scan_cycles", "CycleTable.append", "SignalCycleRecord"])
+@pytest.mark.parametrize("entry", [scan_row, append_row],
+                         ids=["scan_cycles", "CycleTable.append"])
 @pytest.mark.parametrize("fault", TIMING_FAULTS)
 def test_each_timing_fault_has_its_message(entry, fault):
     values, message = TIMING_FAULTS[fault]
@@ -169,12 +135,6 @@ def test_timing_faults_match_the_row_by_row_checks(name):
     assert timing_faults(*zip(*rows)) == expected
     # only a value past bound + slack fails
     assert bool(expected) != name.startswith(("at", "within"))
-
-
-def test_counts_approach_must_match_record():
-    counts = ClassifiedCount("B9", {})
-    with pytest.raises(InvariantViolation):
-        SignalCycleRecord("A1", 100.0, 50.0, 40.0, counts)
 
 
 def test_approach_config_invariants():
@@ -246,13 +206,12 @@ def test_a_record_refuses_assignment_and_deletion(record, change):
 
 
 @pytest.mark.parametrize("record", [Pair(1), Checked(1.0), SampleSummary(2, 1.0, 0.5),
-                                    ClassifiedCount("A1", {})],
+                                    ApproachConfig("A1", "X", 2, Directionality.ONE_WAY, 7.0)],
                          ids=lambda record: type(record).__name__)
 def test_a_record_copies_and_pickles(record):
     assert copy.copy(record) == record
-    if type(record) is not ClassifiedCount:  # its counts are a mappingproxy, which never pickles
-        assert copy.deepcopy(record) == record
-        assert pickle.loads(pickle.dumps(record)) == record
+    assert copy.deepcopy(record) == record
+    assert pickle.loads(pickle.dumps(record)) == record
 
 
 @pytest.mark.parametrize("make", [
@@ -291,8 +250,6 @@ def test_a_record_matches_by_position():
 
 @pytest.mark.parametrize("record", [
     Checked(1.0),
-    ClassifiedCount("A1", {}),
-    SignalCycleRecord("A1", 100.0, 50.0, 40.0, ClassifiedCount("A1", {})),
     SampleSummary(2, 1.0, 0.5),
 ], ids=lambda record: type(record).__name__)
 def test_slotted_records_have_no_dict(record):

@@ -2,7 +2,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from intersection_analyzer import (
-    ClassifiedCount,
     PcuFactorTable,
     VehicleClass,
     composition_shares,
@@ -15,7 +14,7 @@ FACTORS = load_config().pcu_factors
 
 
 def counts(**kwargs):
-    return ClassifiedCount("A1", {VehicleClass(k): v for k, v in kwargs.items()})
+    return {VehicleClass(k): v for k, v in kwargs.items()}
 
 
 def test_default_factor_selection():
@@ -64,6 +63,33 @@ def test_empty_traffic():
         composition_shares([counts()])
 
 
+def test_missing_classes_default_to_zero():
+    shares = composition_shares([counts(car=3), counts(bus=1)])
+    assert shares == {cls: 0.0 for cls in VehicleClass} | {
+        VehicleClass.CAR: 0.75, VehicleClass.BUS: 0.25}
+    assert to_pcu(counts(car=3), shares, FACTORS) == 3.0
+    assert to_pcu({}, shares, FACTORS) == 0.0
+
+
+def assert_refused(value, message):
+    """Both scalar functions refuse a car count of ``value`` with ``message``."""
+    for call in (lambda: to_pcu(counts(car=value), {}, FACTORS),
+                 lambda: composition_shares([counts(bus=1), counts(car=value)])):
+        with pytest.raises(InvariantViolation) as caught:
+            call()
+        assert caught.value.args == (message,)
+
+
+def test_negative_count_rejected():
+    assert_refused(-1, "negative count for car: -1")
+    assert_refused(2**63, f"count for car exceeds {2**63 - 1}: {2**63}")
+
+
+def test_non_integer_count_rejected():
+    assert_refused(1.5, "count for car must be an integer, got 1.5")
+    assert_refused(True, "count for car must be an integer, got True")
+
+
 def test_factor_table_validation():
     bad = dict(FACTORS.factors)
     bad[VehicleClass.CAR] = (0.0, 1.0)
@@ -82,30 +108,27 @@ share_maps = st.fixed_dictionaries(
 @given(count_maps, count_maps, share_maps)
 def test_pcu_linear_in_counts(a, b, shares):
     combined = {cls: a[cls] + b[cls] for cls in VehicleClass}
-    total = to_pcu(ClassifiedCount("A1", combined), shares, FACTORS)
-    parts = (to_pcu(ClassifiedCount("A1", a), shares, FACTORS)
-             + to_pcu(ClassifiedCount("A1", b), shares, FACTORS))
+    total = to_pcu(combined, shares, FACTORS)
+    parts = to_pcu(a, shares, FACTORS) + to_pcu(b, shares, FACTORS)
     assert total == pytest.approx(parts, rel=1e-9, abs=1e-9)
 
 
 @given(count_maps, share_maps)
 def test_pcu_nonnegative_and_zero_iff_empty(a, shares):
-    value = to_pcu(ClassifiedCount("A1", a), shares, FACTORS)
+    value = to_pcu(a, shares, FACTORS)
     assert value >= 0.0
     assert (value == 0.0) == all(v == 0 for v in a.values())
 
 
 @given(st.lists(count_maps, min_size=1, max_size=6), st.integers(min_value=2, max_value=9))
 def test_shares_sum_to_one_and_scale_invariant(maps, k):
-    records = [ClassifiedCount("A1", m) for m in maps]
     try:
-        shares = composition_shares(records)
+        shares = composition_shares(maps)
     except InputError:
         assert all(v == 0 for m in maps for v in m.values())
         return
     assert sum(shares.values()) == pytest.approx(1.0, abs=1e-9)
-    scaled = [ClassifiedCount("A1", {cls: k * m[cls] for cls in VehicleClass})
-              for m in maps]
+    scaled = [{cls: k * m[cls] for cls in VehicleClass} for m in maps]
     rescaled = composition_shares(scaled)
     for cls in VehicleClass:
         assert rescaled[cls] == pytest.approx(shares[cls], abs=1e-12)

@@ -1,9 +1,12 @@
 import io
 import json
+from itertools import compress
 
 import pytest
 
+import oracles
 from intersection_analyzer import (
+    CycleTable,
     DelayPolicy,
     FuelType,
     VehicleClass,
@@ -11,6 +14,7 @@ from intersection_analyzer import (
     ingest_cycles,
     load_config,
 )
+from intersection_analyzer.cli import ARTIFACTS
 from intersection_analyzer.errors import InputError, SaturatedRegime
 
 from conftest import FIXTURES
@@ -37,70 +41,79 @@ def result(study_records, study_approaches, default_config):
     return analyze_records(study_records, study_approaches, default_config)
 
 
-def report_for(result, approach_id):
-    return next(r for r in result.approaches if r.approach_id == approach_id)
+def at(result, approach_id):
+    """The place of ``approach_id`` in ``result.by_approach``."""
+    return result.by_approach.approach_id.index(approach_id)
+
+
+def at_intersection(result, intersection_id):
+    """The place of ``intersection_id`` in ``result.by_intersection``."""
+    return result.by_intersection.intersection_id.index(intersection_id)
 
 
 def test_every_approach_reported_in_sorted_order(result):
-    assert [r.approach_id for r in result.approaches] == sorted(EXPECTED)
+    assert result.by_approach.approach_id == sorted(EXPECTED)
 
 
 def test_volumes_and_vc(result):
     from intersection_analyzer.report import round_half_up
 
+    a = result.by_approach
     for approach_id, (volume, vc, *_rest) in EXPECTED.items():
-        r = report_for(result, approach_id)
-        assert r.flow.hourly_volume == pytest.approx(volume, abs=0.005)
-        assert round_half_up(r.flow.vc_ratio, 2) == vc
+        k = at(result, approach_id)
+        assert a.hourly_volume[k] == pytest.approx(volume, abs=0.005)
+        assert round_half_up(a.vc_ratio[k], 2) == vc
 
 
 def test_delays_match_recorded_averages(result):
+    a = result.by_approach
     for approach_id, (_v, _x, delay, *_rest) in EXPECTED.items():
-        r = report_for(result, approach_id)
-        assert r.delay_s == pytest.approx(delay, abs=0.01)
-        assert not r.delay_clamped
+        k = at(result, approach_id)
+        assert a.delay_s[k] == pytest.approx(delay, abs=0.01)
+        assert not a.delay_clamped[k]
 
 
 def test_green_shares_and_wastage(result):
+    a = result.by_approach
     for approach_id, (*_head, share, wastage) in EXPECTED.items():
-        r = report_for(result, approach_id)
-        assert r.green.green_share == pytest.approx(share, abs=1e-12)
-        assert r.green.wastage == pytest.approx(wastage, abs=1e-12)
+        k = at(result, approach_id)
+        assert a.green_share[k] == pytest.approx(share, abs=1e-12)
+        assert a.wastage[k] == pytest.approx(wastage, abs=1e-12)
 
 
 def test_saturation_flows(result):
-    sr2 = report_for(result, "SR2")
-    assert sr2.flow.sf_discharge == pytest.approx(77 / 31 * 3600)
-    assert sr2.flow.sf_width == 3675.0
-    assert sr2.flow.sf_difference == pytest.approx(
-        sr2.flow.sf_discharge - sr2.flow.sf_width)
+    a, sr2 = result.by_approach, at(result, "SR2")
+    assert a.sf_discharge[sr2] == pytest.approx(77 / 31 * 3600)
+    assert a.sf_width[sr2] == 3675.0
 
 
 def test_intersection_means_and_grades(result):
-    ssc = next(i for i in result.intersections if i.intersection_id == "SSC")
-    assert ssc.mean_delay_all == pytest.approx(56.078, abs=0.005)
-    assert ssc.mean_delay_major == pytest.approx(54.59, abs=0.005)
-    assert ssc.major_approach_ids == ("SR2", "SR4")
-    assert ssc.los_all["delay_heterogeneous"].grade == "C"
-    assert ssc.los_all["delay_hcm"].grade == "E"
+    i, a = result.by_intersection, result.by_approach
+    ssc = at_intersection(result, "SSC")
+    assert i.mean_delay_all[ssc] == pytest.approx(56.078, abs=0.005)
+    assert i.mean_delay_major[ssc] == pytest.approx(54.59, abs=0.005)
+    span = i.span[ssc]
+    assert list(compress(a.approach_id[span], a.is_major[span])) == ["SR2", "SR4"]
+    assert i.los_all["delay_heterogeneous"][ssc] == "C"
+    assert i.los_all["delay_hcm"][ssc] == "E"
 
-    thc = next(i for i in result.intersections if i.intersection_id == "THC")
-    assert thc.mean_delay_all == pytest.approx(39.825, abs=0.005)
-    assert thc.mean_delay_major == pytest.approx(35.77, abs=0.005)
-    assert thc.los_major["delay_heterogeneous"].grade == "B"
-    assert thc.los_major["delay_hcm"].grade == "D"
+    thc = at_intersection(result, "THC")
+    assert i.mean_delay_all[thc] == pytest.approx(39.825, abs=0.005)
+    assert i.mean_delay_major[thc] == pytest.approx(35.77, abs=0.005)
+    assert i.los_major["delay_heterogeneous"][thc] == "B"
+    assert i.los_major["delay_hcm"][thc] == "D"
 
 
 def test_emissions_reproduce_observed_rows(result):
-    ssc = next(i for i in result.intersections if i.intersection_id == "SSC")
-    fuel = ssc.emissions.fuel_per_hour
-    assert fuel[FuelType.CNG] == pytest.approx(9.42, abs=1e-6)
-    assert fuel[FuelType.DIESEL] == pytest.approx(6.56, abs=1e-6)
-    assert fuel[FuelType.PETROL] == pytest.approx(24.63, abs=1e-6)
-    assert ssc.emissions.total_co2_per_hour == pytest.approx(97.4472, abs=0.005)
+    i = result.by_intersection
+    ssc = at_intersection(result, "SSC")
+    assert i.fuel_per_hour[FuelType.CNG][ssc] == pytest.approx(9.42, abs=1e-6)
+    assert i.fuel_per_hour[FuelType.DIESEL][ssc] == pytest.approx(6.56, abs=1e-6)
+    assert i.fuel_per_hour[FuelType.PETROL][ssc] == pytest.approx(24.63, abs=1e-6)
+    assert i.total_co2_per_hour[ssc] == pytest.approx(97.4472, abs=0.005)
 
-    thc = next(i for i in result.intersections if i.intersection_id == "THC")
-    assert thc.emissions.total_co2_per_hour == pytest.approx(64.2147, abs=0.005)
+    thc = at_intersection(result, "THC")
+    assert i.total_co2_per_hour[thc] == pytest.approx(64.2147, abs=0.005)
 
     assert result.study_total_co2_kg_per_hour == pytest.approx(161.66, abs=0.01)
     assert result.city.city_kg_per_hour == 370.0
@@ -109,20 +122,20 @@ def test_emissions_reproduce_observed_rows(result):
 
 
 def test_vc_discrepancy_notes_present(result):
-    thc = next(i for i in result.intersections if i.intersection_id == "THC")
-    assert any("no intersection-level V/C grade" in note for note in thc.notes)
-    assert any("V/C grades differ" in note for note in thc.notes)
-    assert "vc_ratio" not in thc.los_all
+    notes = result.by_intersection.notes[at_intersection(result, "THC")]
+    assert any("no intersection-level V/C grade" in note for note in notes)
+    assert any("V/C grades differ" in note for note in notes)
+    assert "vc_ratio" not in result.by_intersection.los_all
 
 
 def test_composition_uses_count_columns(result):
-    sr1 = report_for(result, "SR1")
-    assert sr1.composition[VehicleClass.TWO_WHEELER] == pytest.approx(23 / 51)
+    shares = result.by_approach.composition[VehicleClass.TWO_WHEELER]
+    assert shares[at(result, "SR1")] == pytest.approx(23 / 51)
 
 
 def test_no_records_raises():
     with pytest.raises(InputError, match="no cycle records to analyze"):
-        analyze_records([], {}, load_config())
+        analyze_records(CycleTable(), {}, load_config())
 
 
 def test_emission_policy_major_without_majors(study_records, study_approaches, tmp_path):
@@ -155,8 +168,8 @@ def test_vehicles_mode_converts_counts(tmp_path, study_approaches):
     override.write_text(json.dumps({"counts_unit": "vehicles"}))
     config = load_config(override)
     result = analyze_records(records, study_approaches, config)
-    r = result.approaches[0]
-    assert r.green.pcu_per_cycle == pytest.approx(75.0)  # 100 two-wheelers at 0.75
+    # 100 two-wheelers at 0.75
+    assert result.by_approach.pcu_per_cycle == [pytest.approx(75.0)]
 
 
 def test_saturated_regime_propagates(study_approaches, tmp_path):
@@ -185,5 +198,9 @@ def test_rows_in_report_order_and_reversed_give_the_same_analysis(study_approach
         analyze_records(ingest_cycles(io.StringIO(header + "".join(lines)), study_approaches),
                         study_approaches, config)
         for lines in (rows, rows[::-1]))
-    assert repr(forward) == repr(backward)
-    assert [r.approach_id for r in forward.approaches] == ["SR1", "SR2", "SR4"]
+    hours = config.city.active_hours_per_day
+    for name, build in ARTIFACTS.items():
+        assert build(forward, hours) == build(backward, hours), name
+    # and every bit of every figure, which the artifacts round
+    assert repr(oracles.as_reports(forward)) == repr(oracles.as_reports(backward))
+    assert forward.by_approach.approach_id == ["SR1", "SR2", "SR4"]

@@ -39,7 +39,7 @@ def table(rows_per_approach: int, approach_ids, grouped: bool) -> CycleTable:
     n = len(keys)
     result = CycleTable()
     result.extend(
-        [a for a, _ in keys], [150.0 + k % 5 for _, k in keys], [100.0] * n, [40.0] * n,
+        [a for a, _ in keys], [150.0 + k % 5 for _, k in keys], [40.0] * n,
         [count for _, k in keys for count in (k % 7, 2, 3, 1, k % 2)],
         [30.0 + k % 3 for _, k in keys], [20.0] * n,
         [MONDAY + k % 7 * 86400 + 28800 + k % 26 * 1800 + k % 97 for _, k in keys])

@@ -11,9 +11,8 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from intersection_analyzer import (
-    ClassifiedCount,
+    CycleTable,
     DayFilter,
-    SignalCycleRecord,
     WindowedAverage,
     five_number,
     pairwise_z_matrix,
@@ -32,9 +31,17 @@ def ts(day: str, hh: int, mm: int) -> float:
     return stamp.timestamp()
 
 
-def record(cycle: float, timestamp: float | None = None) -> SignalCycleRecord:
-    counts = ClassifiedCount("A1", {}, timestamp)
-    return SignalCycleRecord("A1", cycle, 0.0, 0.0, counts)
+def record(cycle: float, timestamp: float | None = None) -> tuple[float, float | None]:
+    """One row for ``table``: a cycle length and its timestamp, None if absent."""
+    return cycle, timestamp
+
+
+def table(records) -> CycleTable:
+    rows = CycleTable()
+    for cycle, timestamp in records:
+        rows.append("A1", cycle, 0.0, 0.0, (0,) * 5,
+                    timestamp=math.nan if timestamp is None else timestamp)
+    return rows
 
 
 def two_tailed_oracle(z: float) -> float:
@@ -51,7 +58,7 @@ SAT, SUN = "2022-03-12", "2022-03-13"
 
 def test_window_mean_of_two_records():
     records = [record(150.0, ts(TUE, 11, 5)), record(154.0, ts(TUE, 11, 20))]
-    windows = window_cycle_lengths(records, 1800.0)
+    windows = window_cycle_lengths(table(records), 1800.0)
     assert len(windows) == 26  # 08:00..21:00 in half hours
     eleven = [w for w in windows if w.window_start == 11 * 3600][0]
     assert eleven.mean_cycle_length == pytest.approx(152.0)
@@ -61,12 +68,12 @@ def test_window_mean_of_two_records():
 
 
 def test_empty_records_empty_output():
-    assert window_cycle_lengths([], 1800.0) == []
+    assert window_cycle_lengths(table([]), 1800.0) == []
 
 
 def test_missing_timestamps_raise():
     with pytest.raises(InputError, match="1 of 1 records carry no timestamp"):
-        window_cycle_lengths([record(150.0, None)], 1800.0)
+        window_cycle_lengths(table([record(150.0, None)]), 1800.0)
 
 
 @pytest.mark.parametrize("window, message", [
@@ -81,12 +88,12 @@ def test_window_must_be_finite_seconds_of_at_least_one(window, message):
     # checked before the records, so an empty list still fails
     for records in ([], [record(150.0, ts(TUE, 11, 5))]):
         with pytest.raises(InputError) as err:
-            window_cycle_lengths(records, window)
+            window_cycle_lengths(table(records), window)
         assert str(err.value) == message
 
 
 def test_one_second_windows_tile_the_operating_day():
-    windows = window_cycle_lengths([record(150.0, ts(TUE, 20, 59) + 59)], 1.0)
+    windows = window_cycle_lengths(table([record(150.0, ts(TUE, 20, 59) + 59)]), 1.0)
     assert len(windows) == 13 * 3600
     assert windows[-1].window_start == 21 * 3600 - 1 and windows[-1].sample_count == 1
 
@@ -100,18 +107,18 @@ def test_day_filter():
     for day, expected in ((DayFilter.WEEKDAY, 140.0),
                           (DayFilter.SATURDAY, 100.0),
                           (DayFilter.SUNDAY, 80.0)):
-        windows = window_cycle_lengths(records, 1800.0, day)
+        windows = window_cycle_lengths(table(records), 1800.0, day)
         nine = [w for w in windows if w.window_start == 9 * 3600][0]
         assert nine.mean_cycle_length == expected
         assert nine.sample_count == 1
-    nine_all = [w for w in window_cycle_lengths(records, 1800.0)
+    nine_all = [w for w in window_cycle_lengths(table(records), 1800.0)
                 if w.window_start == 9 * 3600][0]
     assert nine_all.sample_count == 3
 
 
 def test_records_outside_operating_span_ignored():
     records = [record(150.0, ts(TUE, 7, 30)), record(90.0, ts(TUE, 9, 0))]
-    windows = window_cycle_lengths(records, 1800.0)
+    windows = window_cycle_lengths(table(records), 1800.0)
     assert sum(w.sample_count for w in windows) == 1
 
 
@@ -121,7 +128,7 @@ def test_elevated_midday_block_lands_in_exactly_four_windows():
         for mm in (0, 30):
             elevated = 11 * 3600 <= hh * 3600 + mm * 60 < 13 * 3600
             records.append(record(160.0 if elevated else 100.0, ts(TUE, hh, mm)))
-    windows = window_cycle_lengths(records, 1800.0)
+    windows = window_cycle_lengths(table(records), 1800.0)
     elevated_starts = [w.window_start for w in windows
                        if w.mean_cycle_length == 160.0]
     assert elevated_starts == [39600.0, 41400.0, 43200.0, 45000.0]

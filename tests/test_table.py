@@ -1,5 +1,5 @@
-"""The columnar ``CycleTable``: records on demand, and the same results as the
-record-list entry points and the reference parser."""
+"""The columnar ``CycleTable``: its columns, and the same results as the
+reference parser and the scalar PCU functions."""
 
 import io
 import math
@@ -12,12 +12,9 @@ from hypothesis import assume, given, settings, strategies as st
 import oracles
 from intersection_analyzer import (
     ApproachConfig,
-    ClassifiedCount,
     CycleTable,
     Directionality,
-    SignalCycleRecord,
     analyze_records,
-    cli,
     composition_shares,
     ingest_cycles,
     load_config,
@@ -27,6 +24,7 @@ from intersection_analyzer import (
 )
 from intersection_analyzer.errors import AnalyzerError, InputError
 from intersection_analyzer.ingest import CYCLE_COLUMNS
+from intersection_analyzer.model import VEHICLE_CLASSES
 
 FIXTURES = Path(__file__).parent / "fixtures"
 CONFIGS = (load_config(), load_config(FIXTURES / "vehicles_config.json"))
@@ -68,20 +66,6 @@ def settle(fn, *args):
         return type(err), str(err)
 
 
-@settings(max_examples=150, deadline=None)
-@given(text=analyzable_csv())
-def test_table_and_record_list_give_equal_results(text):
-    table = ingest_cycles(io.StringIO(text))
-    records = list(table)
-    assert all(type(r) is SignalCycleRecord for r in records)
-    for config in CONFIGS:
-        assert (settle(analyze_records, table, APPROACHES, config)
-                == settle(analyze_records, records, APPROACHES, config))
-    for window in (600.0, 1800.0):
-        assert (settle(window_cycle_lengths, table, window)
-                == settle(window_cycle_lengths, records, window))
-
-
 @settings(max_examples=50, deadline=None)
 @given(text=analyzable_csv())
 def test_vehicles_mode_pcu_is_to_pcu_of_the_summed_counts_per_cycle(text):
@@ -89,16 +73,19 @@ def test_vehicles_mode_pcu_is_to_pcu_of_the_summed_counts_per_cycle(text):
     config = CONFIGS[1]
     result = settle(analyze_records, table, APPROACHES, config)
     assume(not isinstance(result, tuple))
-    records = list(table)
-    for report in result.approaches:
+    ids, numbers = table.approach_column()
+    width = len(VEHICLE_CLASSES)
+    rows = [(ids[n], dict(zip(VEHICLE_CLASSES, table.counts[j * width:(j + 1) * width])))
+            for j, n in enumerate(numbers)]
+    a = result.by_approach
+    for approach_id, intersection_id, pcu in zip(a.approach_id, a.intersection_id,
+                                                 a.pcu_per_cycle):
         shares = composition_shares(
-            r.counts for r in records
-            if APPROACHES[r.approach_id].intersection_id == report.intersection_id)
-        own = [r for r in records if r.approach_id == report.approach_id]
-        summed = ClassifiedCount(report.approach_id, {
-            cls: sum(r.counts.counts[cls] for r in own) for cls in own[0].counts.counts})
-        expected = to_pcu(summed, shares, config.pcu_factors) / len(own)
-        assert report.green.pcu_per_cycle == expected
+            counts for row_id, counts in rows
+            if APPROACHES[row_id].intersection_id == intersection_id)
+        own = [counts for row_id, counts in rows if row_id == approach_id]
+        summed = {cls: sum(counts[cls] for counts in own) for cls in VEHICLE_CLASSES}
+        assert pcu == to_pcu(summed, shares, config.pcu_factors) / len(own)
 
 
 @st.composite
@@ -128,7 +115,8 @@ def test_row_order_changes_no_figure(rows, data):
         for row in order:
             table.append(*row)
     for config in CONFIGS:
-        first, second = (repr(settle(analyze_records, t, APPROACHES, config)) for t in tables)
+        first, second = (repr(settle(lambda *args: oracles.as_reports(analyze_records(*args)),
+                                     t, APPROACHES, config)) for t in tables)
         assert first == second
     for window in (600.0, 1800.0):
         first, second = (repr(settle(window_cycle_lengths, t, window)) for t in tables)
@@ -145,73 +133,30 @@ def test_dirty_fixture_errors_match_reference(study_approaches):
                 == [(type(e), str(e), e.row) for e in expected])
 
 
-def test_indexing_builds_the_reference_records():
-    for name in ("study_cycles.csv", "synthetic_week_cycles.csv", "dirty_cycles.csv"):
-        text = (FIXTURES / name).read_text()
-        table, _ = scan_cycles(io.StringIO(text))
-        records, _ = oracles.scan_cycles(io.StringIO(text))
-        assert len(table) == len(records) > 0
-        for i, record in enumerate(records):
-            assert table[i] == record
-            assert table[i - len(records)] == record
-        assert table[1:3] == records[1:3]
-        assert list(table) == records and table == records and records == table
-        with pytest.raises(IndexError):
-            table[len(records)]
-
-
-def test_from_records_round_trips_and_keeps_a_table():
-    counts = ClassifiedCount("A1", {}, 1646640000.0)
-    records = [
-        SignalCycleRecord("A1", 100.0, 40.0, 50.0, counts, effective_green=45.0),
-        SignalCycleRecord("B2", 90.0, 30.0, 40.0, ClassifiedCount("B2", {}), exited_pcu=3.0),
-        SignalCycleRecord("A1", 110.0, 40.0, 60.0, counts),
-    ]
-    table = CycleTable.from_records(records)
-    assert table == records and table != records[:2] and table != records[::-1]
-    assert CycleTable.from_records(table) is table
-    assert table.approach_column() == (["A1", "B2"], array("q", [0, 1, 0]))
-    assert table.untimed() == 1
-    assert table.row_totals() == [0, 0, 0]
-
-
 def test_no_timestamps_message_is_unchanged():
     text = ("approach_id,cycle_length_s,red_s,green_s,car,timestamp\n"
             "SR1,100,50,40,3,1646640000\nSR1,100,50,40,3,\nSR2,100,50,40,3,\n")
     table = ingest_cycles(io.StringIO(text))
-    for records in (table, list(table)):
-        with pytest.raises(InputError) as exc:
-            window_cycle_lengths(records)
-        assert str(exc.value) == "2 of 3 records carry no timestamp"
+    with pytest.raises(InputError) as exc:
+        window_cycle_lengths(table)
+    assert str(exc.value) == "2 of 3 records carry no timestamp"
 
 
-WEEK = ["--cycles", str(FIXTURES / "synthetic_week_cycles.csv"),
-        "--approaches", str(FIXTURES / "synthetic_week_approaches.csv")]
-STUDY = ["--cycles", str(FIXTURES / "study_cycles.csv"),
-         "--approaches", str(FIXTURES / "study_approaches.csv")]
+def test_append_keeps_each_column():
+    table = CycleTable()
+    table.append("A1", 100.0, 40.0, 50.0, (1, 2, 3, 4, 5), 45.0, math.nan, 1646640000.0)
+    table.append("B2", 90.0, 30.0, 40.0, (0,) * 5, exited_pcu=3.0)
+    table.append("A1", 110.0, 40.0, 60.0, (0, 0, 7, 0, 0))
+    assert len(table) == 3 and table
+    assert not CycleTable()
+    assert table.approach_column() == (["A1", "B2"], array("q", [0, 1, 0]))
+    assert table.cycle_length == array("d", [100.0, 90.0, 110.0])
+    assert table.green_time == array("d", [50.0, 40.0, 60.0])
+    assert table.counts == array("q", [1, 2, 3, 4, 5] + [0] * 5 + [0, 0, 7, 0, 0])
+    assert list(table.class_columns())[2] == array("q", [3, 0, 7])
+    assert [list(map(math.isnan, column)) for column in (
+        table.effective_green, table.exited_pcu, table.timestamp)] == [
+        [False, True, True], [True, False, True], [False, True, True]]
+    assert table.untimed() == 2
+    assert table.row_totals() == [15, 0, 7]
 
-
-def test_cli_builds_no_record_per_row(monkeypatch, tmp_path):
-    built = {SignalCycleRecord: 0, ClassifiedCount: 0}
-    for cls in built:
-        def counting(self, post_init=cls.__post_init__, cls=cls):
-            built[cls] += 1
-            post_init(self)
-        monkeypatch.setattr(cls, "__post_init__", counting)
-
-    def run(*argv):
-        for cls in built:
-            built[cls] = 0
-        assert cli.main(list(argv)) == 0
-        return built[SignalCycleRecord], built[ClassifiedCount]
-
-    out = ["--out", str(tmp_path)]
-    # 364 rows over 2 approaches, and 9 rows over 9 approaches
-    assert run("validate", *WEEK) == (0, 0)
-    assert run("peak-hours", *WEEK, *out) == (0, 0)
-    assert run("variability", *WEEK, *out) == (0, 0)
-    # the report sums class counts as columns, in pcu and in vehicles mode
-    assert run("report", *WEEK, *out) == (0, 0)
-    assert run("report", *STUDY, *out) == (0, 0)
-    vehicles = ["--config", str(FIXTURES / "vehicles_config.json")]
-    assert run("report", *STUDY, *vehicles, *out) == (0, 0)
