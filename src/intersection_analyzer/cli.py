@@ -22,7 +22,7 @@ from . import report as rpt
 from .config import load_config
 from .delay import DelayPolicy
 from .errors import AnalyzerError, InputError, IoFailure
-from .ingest import ingest_approaches, ingest_cycles, scan_cycles
+from .ingest import RowCount, ingest_approaches, ingest_cycles, scan_cycles
 from .model import ApproachConfig, CycleTable, DayFilter, _frozen, _row_groups
 from .pipeline import analyze_records
 from .stats import (
@@ -103,14 +103,14 @@ def _emit(out: Path | None, artifacts: Iterable[tuple[str, Callable[[], str]]]) 
 def cmd_validate(args) -> int:
     approaches = _load_approaches(args)
     with _read_text(args.cycles) as handle:
-        table, errors = scan_cycles(handle, approaches)
+        valid, errors = scan_cycles(handle, approaches, RowCount())
     for err in errors:
         print(f"{type(err).__name__}: {err}")
     if errors:
-        print(f"{len(table)} valid record(s), {len(errors)} problem(s)")
+        print(f"{len(valid)} valid record(s), {len(errors)} problem(s)")
         _print_error("validate", errors[0])
         return errors[0].exit_code
-    print(f"OK: {len(table)} record(s)")
+    print(f"OK: {len(valid)} record(s)")
     return 0
 
 

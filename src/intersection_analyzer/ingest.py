@@ -19,7 +19,6 @@ import itertools
 import math
 import operator
 import re
-from array import array
 from typing import Callable, Iterable, Iterator, Mapping, Sequence, TextIO
 
 from .errors import (
@@ -260,14 +259,13 @@ def _negative(values: Sequence[int]) -> Iterable[int]:
 def _column(
     cells: Sequence[str],
     convert: Callable[[str], object],
-    values: array | list,
     fill: object,
     suspects: Callable[[Sequence], Iterable[int]],
     redo: Callable[[str, int], object],
     lines: Sequence[int],
     bad: dict[int, InputError | None],
-) -> array | list:
-    """``values`` extended by ``convert`` of each cell, at C level.
+) -> list:
+    """``convert`` of each cell, as a list built at C level.
 
     A cell that ``convert`` rejects reads as ``fill``.  Each value at an
     index ``suspects`` yields, ``fill`` among them, is replaced by ``redo``
@@ -275,6 +273,7 @@ def _column(
     and the error for the line goes into ``bad`` (unless the line already
     has one).
     """
+    values: list = []
     converted = map(convert, cells)
     while True:
         try:
@@ -298,11 +297,11 @@ def _float_column(
     optional: bool,
     lines: Sequence[int],
     bad: dict[int, InputError | None],
-) -> array:
+) -> list[float]:
     """One batch's cells of a float column: an empty cell of an optional
     column reads as NaN, which marks an absent value, and any other cell
     that is not a finite number gets ``_float_cell``'s error."""
-    return _column(cells, float, array("d"), math.nan, _not_finite, lambda raw, line: (
+    return _column(cells, float, math.nan, _not_finite, lambda raw, line: (
         _float_cell(raw, column, line) if raw or not optional else math.nan), lines, bad)
 
 
@@ -311,14 +310,14 @@ def _count_column(
     column: str,
     lines: Sequence[int],
     bad: dict[int, InputError | None],
-) -> array:
+) -> list[int]:
     """One batch's cells of a count column: a blank cell reads as 0, and
     any other cell that is not an integer in [0, ``COUNT_MAX``] gets
     ``_int_cell``'s error.  Cells are read from ``_COUNTS`` in one pass;
     only where that raises ``KeyError`` is each cell it lacks, stripped, read
     by ``_int_cell``."""
     try:
-        return array("q", list(map(_COUNTS.__getitem__, cells)))
+        return list(map(_COUNTS.__getitem__, cells))
     except KeyError:
         pass
     counts = list(map(_COUNTS.get, cells))
@@ -330,60 +329,81 @@ def _count_column(
         except SchemaViolation as err:
             counts[i] = 0  # a placeholder: the row is dropped
             bad.setdefault(lines[i], _detached(err))
-    return array("q", counts)
+    return counts
+
+
+class RowCount:
+    """A ``scan_cycles`` sink that keeps only how many rows it was given,
+    as its ``len()``: for a run that reads no column of them."""
+
+    __slots__ = ("rows",)
+
+    def __init__(self) -> None:
+        self.rows = 0
+
+    def extend(self, approach_ids: Sequence[str], *columns: Sequence) -> None:
+        self.rows += len(approach_ids)
+
+    def __len__(self) -> int:
+        return self.rows
 
 
 def scan_cycles(
     source: TextIO | Iterable[str],
     configs: Mapping[str, ApproachConfig] | None = None,
-) -> tuple[CycleTable, list[InputError]]:
+    sink: CycleTable | RowCount | None = None,
+) -> tuple[CycleTable | RowCount, list[InputError]]:
     """Parse a cycle CSV stream, collecting every row-level problem.
 
-    Returns the rows that parsed cleanly, as one ``CycleTable``, and the
-    full list of errors.  With ``configs`` given, approach ids must
-    resolve; without, that check is skipped.
+    Returns the rows that parsed cleanly and the full list of errors.  The
+    rows go to ``sink.extend`` a batch at a time, as the lists of the
+    columns that ``CycleTable.extend`` takes, and ``sink`` is returned: a
+    new ``CycleTable`` unless one is given.  With ``configs`` given,
+    approach ids must resolve; without, that check is skipped.
     """
-    table = CycleTable()
+    if sink is None:
+        sink = CycleTable()
     errors: list[InputError] = []
     batches = _batches(source)
     try:
         header = next(batches, None)
         if header is None:
-            return table, errors
+            return sink, errors
         names = _header(header, CYCLE_COLUMNS, CYCLE_REQUIRED)
     except SchemaViolation as err:
-        return table, [err]
-    parse = _cycle_batch_parser(names, configs, table, errors)
+        return sink, [err]
+    parse = _cycle_batch_parser(names, configs, sink, errors)
     for batch in batches:
         if isinstance(batch, InputError):
             errors.append(batch)
         else:
             parse(*batch)
         del batch  # so that no two batches of rows are held at once
-    return table, errors
+    return sink, errors
 
 
 def _cycle_batch_parser(
     names: Sequence[str],
     configs: Mapping[str, ApproachConfig] | None,
-    table: CycleTable,
+    sink: CycleTable | RowCount,
     errors: list[InputError],
 ) -> Callable[[list[list[str]], Sequence[int]], None]:
     """Resolve a validated cycle header into one batch parser.
 
     ``parse(rows, lines)`` takes rows and the lines they start on.  It
-    appends the rows passing every check to ``table`` and each other row's
-    error to ``errors``, in file order; blank rows are skipped.  A row with
-    several problems always reports the first in this order: field count,
-    approach id (empty, then unknown), cycle, red and green, the counts in
-    ``VEHICLE_CLASSES`` order, the optional columns in ``CYCLE_OPTIONAL``
-    order, then the timing checks (``timing_faults``).
+    hands the rows passing every check to ``sink.extend`` and appends each
+    other row's error to ``errors``, in file order; blank rows are skipped.
+    A row with several problems always reports the first in this order:
+    field count, approach id (empty, then unknown), cycle, red and green,
+    the counts in ``VEHICLE_CLASSES`` order, the optional columns in
+    ``CYCLE_OPTIONAL`` order, then the timing checks (``timing_faults``).
 
     Each check runs over a whole column of the batch at C level, with
-    cells converted unstripped.  Only where it fails does the parser go
-    cell by cell: each failing cell, stripped, through ``_float_cell`` or
-    ``_int_cell``, so every message is the one those per-cell checks give.
-    ``timing_faults`` gives each failing row's message itself.
+    cells converted unstripped into a list.  Only where it fails does the
+    parser go cell by cell: each failing cell, stripped, through
+    ``_float_cell`` or ``_int_cell``, so every message is the one those
+    per-cell checks give.  ``timing_faults`` gives each failing row's
+    message itself.
     """
     width = len(names)
     index = {name: i for i, name in enumerate(names)}
@@ -404,11 +424,10 @@ def _cycle_batch_parser(
         cycle, red, green = (
             _float_column(columns[at], name, False, lines, bad) for name, at in timing_at)
         counts = [
-            array("q", [0]) * len(ids) if at is None
-            else _count_column(columns[at], name, lines, bad)
+            [0] * len(ids) if at is None else _count_column(columns[at], name, lines, bad)
             for name, at in count_at]
         effective_green, exited_pcu, timestamp = (
-            array("d", [math.nan]) * len(ids) if at is None
+            [math.nan] * len(ids) if at is None
             else _float_column(columns[at], name, True, lines, bad)
             for name, at in optional_at)
 
@@ -421,10 +440,10 @@ def _cycle_batch_parser(
                 for j in reversed(dropped):
                     del values[j]
             errors.extend(err for _, err in sorted(bad.items()) if err is not None)
-        flat = array("q", [0]) * (len(ids) * classes)
+        flat = [0] * (len(ids) * classes)
         for slot, values in enumerate(counts):
             flat[slot::classes] = values
-        table.extend(ids, cycle, green, flat, effective_green, exited_pcu, timestamp)
+        sink.extend(ids, cycle, green, flat, effective_green, exited_pcu, timestamp)
 
     return parse
 
@@ -507,7 +526,7 @@ def _add_approaches(
     directionality = list(map(_DIRECTIONALITY.get, directions))
     _flag(map(operator.is_, directionality, itertools.repeat(None)), lines, bad,
           lambda j: f"directionality must be 'oneway' or 'twoway', got {directions[j]!r}")
-    lanes = _column(lane_cells, int, [], -1, _negative, _lanes_cell, lines, bad)
+    lanes = _column(lane_cells, int, -1, _negative, _lanes_cell, lines, bad)
     widths = _float_column(width_cells, "width_m", False, lines, bad)
     flags = []
     for name, cells in (("free_left", free_cells), ("is_major", major_cells)):

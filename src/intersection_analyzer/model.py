@@ -241,20 +241,40 @@ class CycleTable:
         must flag no row, and every count must lie in [0, ``COUNT_MAX``].
 
         ``counts`` holds each row's five class counts in ``VEHICLE_CLASSES``
-        order, row after row; NaN marks an absent optional value.
+        order, row after row; NaN marks an absent optional value.  Each
+        column is packed to its array's bytes before any is added, so a
+        column of the wrong length raises ``ValueError``, a value an array
+        rejects raises the ``TypeError`` or ``OverflowError`` the array
+        gives, and either leaves the table as it was.
         """
+        # Imported here, so that a run which builds no table never loads it.
+        # One pack per column beats the array's own per-item conversion.
+        import struct
+
+        rows = len(approach_ids)
+        names = ("cycle_length", "green_time", "effective_green", "exited_pcu",
+                 "timestamp", "counts")
+        packed = []
+        for name, values in zip(names, (cycle_length, green_time, effective_green,
+                                        exited_pcu, timestamp, counts)):
+            if not isinstance(values, (list, tuple)):
+                values = list(values)
+            size = rows * len(VEHICLE_CLASSES) if name == "counts" else rows
+            if len(values) != size:
+                raise ValueError(f"{name} holds {len(values)} values, not {size}")
+            typecode = getattr(self, name).typecode
+            try:
+                packed.append(struct.pack(f"{size}{typecode}", *values))
+            except struct.error:
+                array(typecode, values)  # raises the array's own error
+                raise
         numbers = self._number
-        for approach_id in dict.fromkeys(approach_ids):
-            if approach_id not in numbers:
-                numbers[approach_id] = len(self._ids)
-                self._ids.append(approach_id)
-        self._approach.extend(map(numbers.__getitem__, approach_ids))
-        self.cycle_length.extend(cycle_length)
-        self.green_time.extend(green_time)
-        self.effective_green.extend(effective_green)
-        self.exited_pcu.extend(exited_pcu)
-        self.timestamp.extend(timestamp)
-        self.counts.extend(counts)
+        new = dict.fromkeys(itertools.filterfalse(numbers.__contains__, approach_ids))
+        numbers.update(zip(new, itertools.count(len(self._ids))))
+        self._ids.extend(new)
+        packed.append(struct.pack(f"{rows}q", *map(numbers.__getitem__, approach_ids)))
+        for name, data in zip((*names, "_approach"), packed):
+            getattr(self, name).frombytes(data)
 
     def approach_column(self) -> tuple[list[str], array]:
         """The approach ids in the order they first appear, and each row's

@@ -6,12 +6,13 @@ from pathlib import Path
 
 import pytest
 
-from intersection_analyzer import cli, stats
+from intersection_analyzer import CycleTable, cli, ingest_approaches, scan_cycles, stats
 from intersection_analyzer.cli import main
 from intersection_analyzer.errors import InvariantViolation
 from intersection_analyzer.stats import z_test
 
 from conftest import (
+    FIXTURES,
     SPREAD_APPROACHES,
     SPREAD_CYCLES,
     STUDY_APPROACHES,
@@ -57,6 +58,26 @@ def test_validate_reports_every_bad_row(tmp_path, capsys):
     record = json.loads(captured.err)
     assert record["exit_code"] == 2
     assert record["subcommand"] == "validate"
+
+
+def test_validate_counts_rows_without_building_a_table(monkeypatch, capsys):
+    dirty = FIXTURES / "dirty_cycles.csv"
+    with open(STUDY_APPROACHES, newline="") as handle:
+        approaches = ingest_approaches(handle)
+    with open(dirty, newline="") as handle:
+        table, errors = scan_cycles(handle, approaches)
+    expected = [f"{type(err).__name__}: {err}" for err in errors]
+    expected.append(f"{len(table)} valid record(s), {len(errors)} problem(s)")
+
+    def refuse(*args):
+        raise AssertionError("validate built a table")
+
+    monkeypatch.setattr(CycleTable, "extend", refuse)
+    code = main(["validate", "--cycles", str(dirty), "--approaches", str(STUDY_APPROACHES)])
+    captured = capsys.readouterr()
+    assert code == 2 and len(table) == 2
+    assert captured.out.splitlines() == expected
+    assert json.loads(captured.err)["message"] == str(errors[0])
 
 
 def test_peak_hours_finds_midday_window(capsys):
@@ -697,13 +718,14 @@ def test_the_cli_imports_no_stdlib_module_it_does_not_need():
     # dataclasses (with inspect), statistics (with fractions) and decimal
     # cost more to import than the whole package; decimal is imported only
     # to round values too large for a float's fixed-point format.  The
-    # shipped config is read without importlib.resources, and tempfile (with
-    # random) is imported only to stage an artifact, which `los` never does.
+    # shipped config is read without importlib.resources, tempfile (with
+    # random) is imported only to stage an artifact and struct only to add
+    # rows to a table, neither of which `los` does.
     script = (
         "import sys\n"
         "from intersection_analyzer.cli import main\n"
         "unused = {'dataclasses', 'inspect', 'statistics', 'fractions', 'decimal',\n"
-        "          'importlib.resources', 'tempfile'}\n"
+        "          'importlib.resources', 'tempfile', 'struct'}\n"
         "print(sorted(unused & set(sys.modules)))\n"
         "main(['los', '--delay', '1'])\n"
         "print(sorted(unused & set(sys.modules)))\n")

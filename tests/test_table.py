@@ -160,3 +160,75 @@ def test_append_keeps_each_column():
     assert table.untimed() == 2
     assert table.row_totals() == [15, 0, 7]
 
+
+# Three rows, column by column in ``CycleTable.extend``'s argument order: NaN,
+# -0.0 and both infinities, and counts from 0 up to the largest array('q') holds.
+ROWS_BY_COLUMN = {
+    "cycle_length": ("d", [100.0, -0.0, math.inf]),
+    "green_time": ("d", [-math.inf, 0.0, 1e-300]),
+    "counts": ("q", [0, 1, 2, 3, 2**63 - 1, 0, 0, 0, 0, 0, 2**63 - 1, 7, 0, 5, 1]),
+    "effective_green": ("d", [math.nan, -0.0, 5e-324]),
+    "exited_pcu": ("d", [math.nan, math.inf, 1.5]),
+    "timestamp": ("d", [1646640000.0, math.nan, -math.inf]),
+}
+INPUT_KINDS = ("list", "tuple", "array", "generator")
+
+
+def as_kind(kind, typecode, values):
+    if kind == "array":
+        return array(typecode, values)
+    if kind == "generator":
+        return (value for value in values)
+    return {"list": list, "tuple": tuple}[kind](values)
+
+
+def column_bytes(table):
+    ids, numbers = table.approach_column()
+    return list(ids), numbers.tobytes(), {
+        name: getattr(table, name).tobytes() for name in ROWS_BY_COLUMN}
+
+
+@pytest.mark.parametrize("kind", INPUT_KINDS)
+def test_extend_stores_the_bytes_an_array_stores_from_every_input_kind(kind):
+    table = CycleTable()
+    table.extend(["N1", "S1", "N1"], *(
+        as_kind(kind, typecode, values) for typecode, values in ROWS_BY_COLUMN.values()))
+    assert column_bytes(table) == (["N1", "S1"], array("q", [0, 1, 0]).tobytes(), {
+        name: array(typecode, values).tobytes()
+        for name, (typecode, values) in ROWS_BY_COLUMN.items()})
+
+
+@pytest.mark.parametrize("kind", ["list", "tuple", "generator"])
+@pytest.mark.parametrize("column, value, error", [
+    ("cycle_length", "100", TypeError),
+    ("green_time", None, TypeError),
+    ("timestamp", 10**400, OverflowError),
+    ("counts", 2**63, OverflowError),
+    ("counts", "3", TypeError),
+    ("counts", None, TypeError),
+    ("counts", 1.0, TypeError),
+])
+def test_a_value_an_array_rejects_raises_its_error_and_adds_nothing(kind, column, value, error):
+    table = CycleTable()
+    table.append("N1", 100.0, 50.0, 40.0, (1, 2, 3, 4, 5), 35.0, 10.0, 1646640000.0)
+    before = column_bytes(table)
+    columns = {name: list(values) for name, (_, values) in ROWS_BY_COLUMN.items()}
+    columns[column][-1] = value
+    with pytest.raises(error) as exc:
+        table.extend(["Q9", "S1", "N1"], *(
+            as_kind(kind, None, values) for values in columns.values()))
+    assert type(exc.value) is error
+    assert column_bytes(table) == before and len(table) == 1
+
+
+@pytest.mark.parametrize("column, size", [
+    ("cycle_length", 2), ("timestamp", 4), ("counts", 14), ("counts", 3)])
+def test_a_column_of_the_wrong_length_raises_and_adds_nothing(column, size):
+    table = CycleTable()
+    table.append("N1", 100.0, 50.0, 40.0, (1, 2, 3, 4, 5), 35.0, 10.0, 1646640000.0)
+    before = column_bytes(table)
+    columns = {name: values for name, (_, values) in ROWS_BY_COLUMN.items()}
+    columns[column] = (columns[column] * 2)[:size]
+    with pytest.raises(ValueError, match=f"^{column} holds {size} values, not "):
+        table.extend(["Q9", "S1", "N1"], *columns.values())
+    assert column_bytes(table) == before and len(table) == 1
