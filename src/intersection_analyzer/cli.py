@@ -14,7 +14,6 @@ import itertools
 import json
 import math
 import sys
-from operator import itemgetter
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence, TextIO
 
@@ -23,8 +22,8 @@ from .config import load_config
 from .delay import DelayPolicy
 from .errors import AnalyzerError, InputError, IoFailure
 from .ingest import RowCount, ingest_approaches, ingest_cycles, scan_cycles
-from .model import ApproachConfig, CycleTable, DayFilter, _frozen, _row_groups
-from .pipeline import analyze_records
+from .model import ApproachConfig, CycleTable, DayFilter, _frozen
+from .pipeline import VC_STANDARD, analyze_records
 from .stats import (
     check_window, five_number, pairwise_z_matrix, summarize, window_cycle_lengths,
     peak_window, z_test,
@@ -128,14 +127,13 @@ def cmd_variability(args) -> int:
     approaches = _load_approaches(args)
     table = _load_records(args, approaches)
 
-    # Each approach's row totals, in file order: the rows grouped by
-    # approach, gathered only if they are not already, as floats.
+    # Each approach's row totals as floats, in file order: one pass files
+    # each row's total into its approach's list (list.append returns None,
+    # so any() runs to the end).
     ids, numbers = table.approach_column()
-    order, starts = _row_groups(numbers, len(ids))
-    totals = table.row_totals()
-    values = list(map(float, totals if order is None else itemgetter(*order)(totals)))
-    del totals
-    samples = dict(zip(ids, map(values.__getitem__, map(slice, starts, starts[1:]))))
+    lists: list[list[float]] = [[] for _ in ids]
+    any(map(list.append, map(lists.__getitem__, numbers), map(float, table.row_totals())))
+    samples = dict(zip(ids, lists))
 
     by_intersection: dict[str, dict[str, list[float]]] = {}
     for approach_id, values in samples.items():
@@ -185,10 +183,10 @@ def cmd_los(args) -> int:
         if value < 0:
             raise InputError(f"classified values must be >= 0, got {value:g}")
     config = load_config(args.config)
-    vc_table = config.los_tables.get("vc_ratio")
+    vc_table = config.los_tables.get(VC_STANDARD)
     delay_tables = {
         name: table for name, table in sorted(config.los_tables.items())
-        if name != "vc_ratio"
+        if name != VC_STANDARD
     }
     for value in args.delay or []:
         grades = " ".join(

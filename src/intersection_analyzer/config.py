@@ -61,6 +61,8 @@ def _strip_notes(value: Any) -> Any:
 
 
 def _finite(value: Any, label: str) -> float:
+    if isinstance(value, bool):  # float() would read true as 1.0
+        raise TypeError(f"{label} must be a number, got {value!r}")
     try:
         number = float(value)
     except OverflowError:
@@ -68,6 +70,14 @@ def _finite(value: Any, label: str) -> float:
     if not math.isfinite(number):
         raise ConfigError(f"{label} must be finite, got {value!r}")
     return number
+
+
+def _whole(value: Any, label: str) -> int:
+    """``value`` as an int: an integer, or a float with no fraction; int()
+    alone would truncate 2.7 to 2 and read true as 1."""
+    if isinstance(value, bool) or not (isinstance(value, int) or float(value).is_integer()):
+        raise ValueError(f"{label} must be a whole number, got {value!r}")
+    return int(value)
 
 
 def _build_pcu(section: Mapping[str, Any]) -> PcuFactorTable:
@@ -84,7 +94,7 @@ def _build_pcu(section: Mapping[str, Any]) -> PcuFactorTable:
 def _build_capacity(entries: list[Mapping[str, Any]]) -> CapacityTable:
     capacities = {}
     for entry in entries:
-        key = (int(entry["lanes"]), Directionality(entry["directionality"]))
+        key = (_whole(entry["lanes"], "lanes"), Directionality(entry["directionality"]))
         if key in capacities:
             raise ConfigError(f"duplicate capacity entry for {key}")
         capacities[key] = _finite(entry["pcu_per_hour"], f"capacity for {key}")
@@ -116,7 +126,7 @@ def _build_idle_rates(section: Mapping[str, Any]) -> IdleRateTable:
 
 
 def _build_city(section: Mapping[str, Any]) -> CityScaling:
-    intersection_count = int(section["intersection_count"])
+    intersection_count = _whole(section["intersection_count"], "city.intersection_count")
     _finite(intersection_count, "city.intersection_count")
     if intersection_count < 1:
         raise ConfigError(
@@ -151,7 +161,7 @@ def _build(config: Mapping[str, Any]) -> AnalysisConfig:
         raise ConfigError(
             f"counts_unit must be {COUNTS_PCU!r} or {COUNTS_VEHICLES!r}, got {counts_unit!r}")
     return AnalysisConfig(
-        version=section("version", int),
+        version=section("version", lambda version: _whole(version, "version")),
         counts_unit=counts_unit,
         pcu_factors=section("pcu_factors", _build_pcu),
         capacity_table=section("capacity_table", _build_capacity),

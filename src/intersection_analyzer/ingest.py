@@ -412,7 +412,6 @@ def _cycle_batch_parser(
     count_at = tuple((cls.value, index.get(cls.value)) for cls in VEHICLE_CLASSES)
     optional_at = tuple((name, index.get(name)) for name in CYCLE_OPTIONAL)
     known = None if configs is None else configs.__contains__
-    classes = len(VEHICLE_CLASSES)
 
     def parse(rows: list[list[str]], lines: Sequence[int]) -> None:
         bad: dict[int, InputError | None] = {}  # line -> its first error; None if blank
@@ -440,10 +439,7 @@ def _cycle_batch_parser(
                 for j in reversed(dropped):
                     del values[j]
             errors.extend(err for _, err in sorted(bad.items()) if err is not None)
-        flat = [0] * (len(ids) * classes)
-        for slot, values in enumerate(counts):
-            flat[slot::classes] = values
-        sink.extend(ids, cycle, green, flat, effective_green, exited_pcu, timestamp)
+        sink.extend(ids, cycle, green, counts, effective_green, exited_pcu, timestamp)
 
     return parse
 

@@ -8,14 +8,12 @@ share across threads; a table only grows, by ``CycleTable.append`` or
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import operator
 from array import array
-from bisect import bisect_left
 from enum import Enum
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from .errors import InvariantViolation
 
@@ -31,20 +29,14 @@ def _refuse_change(self, name, value=None):
     raise AttributeError(f"cannot assign to or delete field {name!r}")
 
 
-def _frozen(cls=None, /, *, slots=False):
-    """``dataclasses.dataclass(frozen=True, slots=slots)`` over the fields
-    ``cls`` annotates, built from closures instead of generated code:
-    importing ``dataclasses`` (with ``inspect``) costs more than the package.
+def _frozen(cls):
+    """``dataclasses.dataclass(frozen=True)`` over the fields ``cls``
+    annotates, built from closures instead of generated code: importing
+    ``dataclasses`` (with ``inspect``) costs more than the package.
     """
-    if cls is None:
-        return functools.partial(_frozen, slots=slots)
     names = tuple(cls.__annotations__)
     defaults = {name: cls.__dict__[name] for name in names if name in cls.__dict__}
     post_init = cls.__dict__.get("__post_init__")
-    if slots:
-        body = {key: value for key, value in cls.__dict__.items()
-                if key not in names and key not in ("__dict__", "__weakref__")}
-        cls = type(cls)(cls.__name__, cls.__bases__, {**body, "__slots__": names})
 
     def __init__(self, *args, **kwargs):
         if kwargs or len(args) != len(names):
@@ -54,11 +46,7 @@ def _frozen(cls=None, /, *, slots=False):
                 raise TypeError(f"{cls.__name__}() takes {', '.join(names)}; got "
                                 f"{len(args)} positional and {sorted(kwargs)} by keyword")
             args = map(given.__getitem__, names)
-        if slots:
-            for name, value in zip(names, args):
-                object.__setattr__(self, name, value)
-        else:
-            self.__dict__.update(zip(names, args))
+        self.__dict__.update(zip(names, args))
         if post_init is not None:
             post_init(self)
 
@@ -162,18 +150,6 @@ def timing_faults(
     return faults
 
 
-def _row_groups(keys: Sequence[int], count: int) -> tuple[list[int] | None, list[int]]:
-    """Group rows by their ``keys``, each in ``range(count)``: a stable order
-    of the rows by key, or None when the keys never decrease and the rows
-    are grouped already, and where each key's run of the rows in that order
-    starts (``count + 1`` bounds)."""
-    if all(map(operator.le, keys, itertools.islice(keys, 1, None))):
-        order, ordered = None, keys
-    else:
-        order, ordered = sorted(range(len(keys)), key=keys.__getitem__), sorted(keys)
-    return order, list(map(bisect_left, itertools.repeat(ordered), range(count + 1)))
-
-
 class CycleTable:
     """Signal-cycle rows stored column by column, in file order; ``len()``
     is the number of rows.
@@ -181,11 +157,11 @@ class CycleTable:
     ``cycle_length``, ``green_time``, ``effective_green``, ``exited_pcu``
     and ``timestamp`` are ``array('d')`` columns with one entry per row; NaN
     marks an absent optional value.  Every accepted value is finite, so NaN
-    is never a real one.  ``counts`` is an ``array('q')`` holding each row's
-    class counts in ``VEHICLE_CLASSES`` order, row after row.
-    ``approach_column()`` gives each row's approach, as an index into the
-    approach ids in the order they first appear.  A row's red time is
-    checked (``timing_faults``) but not kept: no figure reads it.
+    is never a real one.  ``counts`` is a tuple of ``array('q')`` columns,
+    one per class in ``VEHICLE_CLASSES`` order, each with the class's count
+    in each row.  ``approach_column()`` gives each row's approach, as an
+    index into the approach ids in the order they first appear.  A row's
+    red time is checked (``timing_faults``) but not kept: no figure reads it.
     """
 
     __slots__ = (
@@ -193,13 +169,17 @@ class CycleTable:
         "timestamp", "counts", "_approach", "_ids", "_number",
     )
 
+    # What ``extend`` calls each column it packs, in the order it packs them.
+    _NAMES = ("cycle_length", "green_time", "effective_green", "exited_pcu", "timestamp",
+              *(f"{cls.value} counts" for cls in VEHICLE_CLASSES))
+
     def __init__(self) -> None:
         self.cycle_length = array("d")
         self.green_time = array("d")
         self.effective_green = array("d")
         self.exited_pcu = array("d")
         self.timestamp = array("d")
-        self.counts = array("q")
+        self.counts = tuple(array("q") for _ in VEHICLE_CLASSES)
         self._approach = array("q")  # each row's index into _ids
         self._ids: list[str] = []  # approach ids, first seen first
         self._number: dict[str, int] = {}  # approach id -> its index in _ids
@@ -224,7 +204,8 @@ class CycleTable:
         for message in timing_faults((cycle_length,), (red_time,), (green_time,),
                                      (effective_green,), (exited_pcu,)).values():
             raise InvariantViolation(message)
-        self.extend((approach_id,), (cycle_length,), (green_time,), counts,
+        # zip(counts) gives each count as a one-entry column.
+        self.extend((approach_id,), (cycle_length,), (green_time,), tuple(zip(counts)),
                     (effective_green,), (exited_pcu,), (timestamp,))
 
     def extend(
@@ -232,7 +213,7 @@ class CycleTable:
         approach_ids: Sequence[str],
         cycle_length: Iterable[float],
         green_time: Iterable[float],
-        counts: Iterable[int],
+        counts: Sequence[Iterable[int]],
         effective_green: Iterable[float],
         exited_pcu: Iterable[float],
         timestamp: Iterable[float],
@@ -240,58 +221,50 @@ class CycleTable:
         """Add rows given column by column, with no check: ``timing_faults``
         must flag no row, and every count must lie in [0, ``COUNT_MAX``].
 
-        ``counts`` holds each row's five class counts in ``VEHICLE_CLASSES``
-        order, row after row; NaN marks an absent optional value.  Each
-        column is packed to its array's bytes before any is added, so a
-        column of the wrong length raises ``ValueError``, a value an array
-        rejects raises the ``TypeError`` or ``OverflowError`` the array
-        gives, and either leaves the table as it was.
+        NaN marks an absent optional value, and ``counts`` holds one column
+        per class in ``VEHICLE_CLASSES`` order.  Each column is packed to its
+        array's bytes before any is added, so a wrong number of count
+        columns or a column of the wrong length raises ``ValueError``, a
+        value an array rejects raises the ``TypeError`` or ``OverflowError``
+        the array gives, and each leaves the table as it was.
         """
         # Imported here, so that a run which builds no table never loads it.
         # One pack per column beats the array's own per-item conversion.
         import struct
 
+        if len(counts) != len(VEHICLE_CLASSES):
+            raise ValueError(f"counts holds {len(counts)} columns, not {len(VEHICLE_CLASSES)}")
         rows = len(approach_ids)
-        names = ("cycle_length", "green_time", "effective_green", "exited_pcu",
-                 "timestamp", "counts")
+        columns = (self.cycle_length, self.green_time, self.effective_green,
+                   self.exited_pcu, self.timestamp, *self.counts)
         packed = []
-        for name, values in zip(names, (cycle_length, green_time, effective_green,
-                                        exited_pcu, timestamp, counts)):
+        for name, column, values in zip(self._NAMES, columns, (
+                cycle_length, green_time, effective_green, exited_pcu, timestamp, *counts)):
             if not isinstance(values, (list, tuple)):
                 values = list(values)
-            size = rows * len(VEHICLE_CLASSES) if name == "counts" else rows
-            if len(values) != size:
-                raise ValueError(f"{name} holds {len(values)} values, not {size}")
-            typecode = getattr(self, name).typecode
+            if len(values) != rows:
+                raise ValueError(f"{name} holds {len(values)} values, not {rows}")
             try:
-                packed.append(struct.pack(f"{size}{typecode}", *values))
+                packed.append(struct.pack(f"{rows}{column.typecode}", *values))
             except struct.error:
-                array(typecode, values)  # raises the array's own error
+                array(column.typecode, values)  # raises the array's own error
                 raise
         numbers = self._number
         new = dict.fromkeys(itertools.filterfalse(numbers.__contains__, approach_ids))
         numbers.update(zip(new, itertools.count(len(self._ids))))
         self._ids.extend(new)
         packed.append(struct.pack(f"{rows}q", *map(numbers.__getitem__, approach_ids)))
-        for name, data in zip((*names, "_approach"), packed):
-            getattr(self, name).frombytes(data)
+        for column, data in zip((*columns, self._approach), packed):
+            column.frombytes(data)
 
     def approach_column(self) -> tuple[list[str], array]:
         """The approach ids in the order they first appear, and each row's
         approach as an index into them."""
         return self._ids, self._approach
 
-    def class_columns(self) -> Iterator[array]:
-        """One column per class in ``VEHICLE_CLASSES`` order: its count in
-        each row.  Each is sliced when it is reached, so a caller that takes
-        them one at a time holds one."""
-        width = len(VEHICLE_CLASSES)
-        return map(self.counts.__getitem__, map(
-            slice, range(width), itertools.repeat(None), itertools.repeat(width)))
-
     def row_totals(self) -> list[int]:
         """Each row's vehicle total, in file order."""
-        return list(map(sum, zip(*self.class_columns())))
+        return list(map(sum, zip(*self.counts)))
 
     def untimed(self) -> int:
         """How many rows carry no timestamp."""

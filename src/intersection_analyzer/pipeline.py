@@ -25,9 +25,10 @@ times the factors its intersection's composition picks, over its cycles.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
-from itertools import chain, compress, count, repeat
+from bisect import bisect_left, bisect_right
+from itertools import chain, compress, count, islice, repeat
 from operator import and_, attrgetter, ge, itemgetter, le, lt, mul, ne, not_, sub, truediv
+from types import SimpleNamespace
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .config import COUNTS_VEHICLES, AnalysisConfig
@@ -35,7 +36,7 @@ from .delay import SATURATION_GUARD, DelayPolicy, unclamped_delays
 from .emissions import CityEstimate, idle_fuel_columns, scale_emissions
 from .errors import AnalyzerError, InputError, InvariantViolation, SaturatedRegime, UnknownApproach
 from .flow import WIDTH_FLOW_RATE, discharge_flows, hourly_volumes
-from .model import VEHICLE_CLASSES, ApproachConfig, CycleTable, _row_groups
+from .model import VEHICLE_CLASSES, ApproachConfig, CycleTable
 from .report import fmt_column
 from .stats import group_totals, require_finite
 
@@ -72,11 +73,16 @@ def _first_failure(checks: Iterable[tuple], end: int) -> tuple[int, AnalyzerErro
     return place, error and error(k)
 
 
-class _Columns:
-    """Named columns of equal length: ``columns.name[i]`` is entry ``i``."""
-
-    def __init__(self, **columns):
-        self.__dict__.update(columns)
+def _row_groups(keys: Sequence[int], groups: int) -> tuple[list[int] | None, list[int]]:
+    """Group rows by their ``keys``, each in ``range(groups)``: a stable
+    order of the rows by key, or None when the keys never decrease and the
+    rows are grouped already, and where each key's run of the rows in that
+    order starts (``groups + 1`` bounds)."""
+    if all(map(le, keys, islice(keys, 1, None))):
+        order, ordered = None, keys
+    else:
+        order, ordered = sorted(range(len(keys)), key=keys.__getitem__), sorted(keys)
+    return order, list(map(bisect_left, repeat(ordered), range(groups + 1)))
 
 
 class AnalysisResult:
@@ -93,7 +99,7 @@ class AnalysisResult:
     __slots__ = ("by_approach", "by_intersection", "los_standards",
                  "study_total_co2_kg_per_hour", "city", "formatted")
 
-    def __init__(self, by_approach: _Columns, by_intersection: _Columns,
+    def __init__(self, by_approach: SimpleNamespace, by_intersection: SimpleNamespace,
                  los_standards: Mapping[str, str], study_total_co2_kg_per_hour: float,
                  city: CityEstimate):
         self.by_approach = by_approach
@@ -130,7 +136,7 @@ def analyze_records(
     sizes = list(map(sub, row_start[1:], row_start))
 
     geometry = list(map(approaches.__getitem__, output))
-    a = _Columns(
+    a = SimpleNamespace(
         approach_id=output,
         intersection_id=list(map(attrgetter("intersection_id"), geometry)),
         lane_count=list(map(attrgetter("lane_count"), geometry)),
@@ -166,7 +172,7 @@ def analyze_records(
     a.mean_exited_pcu = _present_means(take(table.exited_pcu), rows, output, sizes, "exited_pcu")
 
     # A class column at a time: all five at once take 40 bytes a row.
-    class_totals = list(map(per_approach, map(take, table.class_columns()), repeat(sum)))
+    class_totals = list(map(per_approach, map(take, table.counts), repeat(sum)))
     # Shares of at least one vehicle: an approach with none has shares of 0.
     vehicles = list(map(max, map(sum, zip(*class_totals)), repeat(1)))
     a.composition = dict(zip(VEHICLE_CLASSES, (
@@ -246,7 +252,7 @@ def analyze_records(
     del seconds, green_ratio
     clean = spans[:failing]
     n = counts[:failing]
-    i = _Columns(
+    i = SimpleNamespace(
         intersection_id=intersection_ids,
         span=spans,
         mean_delay_all=list(map(truediv, per_intersection(

@@ -45,7 +45,7 @@ class ZTestResult:
     p_value: float
 
 
-@_frozen(slots=True)
+@_frozen
 class SampleSummary:
     """Size, mean and sample variance of one sample, for reuse across z-tests.
 

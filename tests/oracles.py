@@ -137,7 +137,7 @@ def _table_columns(table: CycleTable) -> dict[str, list]:
         "approach_id": [ids[n] for n in numbers],
         "cycle_length": list(table.cycle_length),
         "green_time": list(table.green_time),
-        "counts": list(table.counts),
+        "counts": list(map(list, table.counts)),
         "effective_green": list(map(_none_for_nan, table.effective_green)),
         "exited_pcu": list(map(_none_for_nan, table.exited_pcu)),
         "timestamp": list(map(_none_for_nan, table.timestamp)),
@@ -150,7 +150,7 @@ def _record_columns(records: Sequence[CycleRecord]) -> dict[str, list]:
         "approach_id": [r.approach_id for r in records],
         "cycle_length": [r.cycle_length for r in records],
         "green_time": [r.green_time for r in records],
-        "counts": [r.counts.get(cls, 0) for r in records for cls in VEHICLE_CLASSES],
+        "counts": [[r.counts.get(cls, 0) for r in records] for cls in VEHICLE_CLASSES],
         "effective_green": [r.effective_green for r in records],
         "exited_pcu": [r.exited_pcu for r in records],
         "timestamp": [r.timestamp for r in records],
@@ -677,13 +677,9 @@ def _taker(rows: Sequence[int]) -> Callable[[Sequence], Sequence]:
     return itemgetter(*rows)
 
 
-def _fold_approach(
-    table: CycleTable,
-    class_columns: Sequence[Sequence[int]],
-    rows: Sequence[int],
-) -> _ApproachFold:
+def _fold_approach(table: CycleTable, rows: Sequence[int]) -> _ApproachFold:
     take = _taker(rows)
-    class_counts = [take(column) for column in class_columns]
+    class_counts = [take(column) for column in table.counts]
     return _ApproachFold(
         cycles=take(table.cycle_length),
         greens=take(table.green_time),
@@ -722,7 +718,6 @@ def analyze_records(
     for approach_id in by_approach:
         if approach_id not in approaches:
             raise UnknownApproach(f"approach {approach_id!r} has no configuration")
-    class_columns = list(cycle_table.class_columns())
 
     by_intersection: dict[str, list[str]] = {}
     for approach_id in sorted(by_approach):
@@ -735,7 +730,7 @@ def analyze_records(
     for intersection_id in sorted(by_intersection):
         approach_ids = by_intersection[intersection_id]
         folds = {
-            a: _fold_approach(cycle_table, class_columns, by_approach[a])
+            a: _fold_approach(cycle_table, by_approach[a])
             for a in approach_ids
         }
 

@@ -549,8 +549,16 @@ def test_a_negative_city_co2_rate_is_a_config_error(tmp_path, capsys, rate, code
     {"emission_factors": []},
     {"pcu_factors": {"factors": []}},
     {"city": {"intersection_count": float("inf"), "active_hours_per_day": 13}},
+    {"city": {"intersection_count": 2.7, "active_hours_per_day": 13, "co2_kg_per_hour": None}},
+    {"city": {"intersection_count": True, "active_hours_per_day": 13}},
+    {"capacity_table": [{"lanes": 3.9, "directionality": "oneway", "pcu_per_hour": 1800}]},
+    {"capacity_table": [{"lanes": True, "directionality": "oneway", "pcu_per_hour": 1800}]},
+    {"version": 1.5},
+    {"version": False},
+    {"default_platoon_ratio": True},
 ], ids=["platoon_ratios", "idle_rates", "los_bands", "emission_factors", "pcu_factors",
-        "infinite_count"])
+        "infinite_count", "fractional_count", "bool_count", "fractional_lanes", "bool_lanes",
+        "fractional_version", "bool_version", "bool_platoon_ratio"])
 def test_a_config_section_of_the_wrong_type_is_a_config_error(tmp_path, capsys, section):
     config = tmp_path / "config.json"
     config.write_text(json.dumps(section))

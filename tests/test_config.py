@@ -24,14 +24,15 @@ def test_defaults_load(default_config):
 def test_section_override(tmp_path):
     override = {
         "counts_unit": "vehicles",
-        "city": {"intersection_count": 9, "active_hours_per_day": 10,
+        # A whole float reads as its integer.
+        "city": {"intersection_count": 9.0, "active_hours_per_day": 10,
                  "co2_kg_per_hour": None},
     }
     path = tmp_path / "override.json"
     path.write_text(json.dumps(override))
     cfg = load_config(path)
     assert cfg.counts_unit == "vehicles"
-    assert cfg.city.intersection_count == 9
+    assert cfg.city.intersection_count == 9 and type(cfg.city.intersection_count) is int
     assert cfg.city.co2_kg_per_hour is None
     # untouched sections keep their defaults
     assert cfg.capacity_table.capacities[(1, Directionality.ONE_WAY)] == 1500.0

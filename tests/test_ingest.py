@@ -43,7 +43,7 @@ def ingest(text, configs=CONFIGS):
 
 def class_column(table, cls):
     """Each row's count of ``cls``."""
-    return list(dict(zip(VehicleClass, table.class_columns()))[cls])
+    return list(dict(zip(VehicleClass, table.counts))[cls])
 
 
 def test_single_row():

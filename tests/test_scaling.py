@@ -40,7 +40,7 @@ def table(rows_per_approach: int, approach_ids, grouped: bool) -> CycleTable:
     result = CycleTable()
     result.extend(
         [a for a, _ in keys], [150.0 + k % 5 for _, k in keys], [40.0] * n,
-        [count for _, k in keys for count in (k % 7, 2, 3, 1, k % 2)],
+        [[k % 7 for _, k in keys], [2] * n, [3] * n, [1] * n, [k % 2 for _, k in keys]],
         [30.0 + k % 3 for _, k in keys], [20.0] * n,
         [MONDAY + k % 7 * 86400 + 28800 + k % 26 * 1800 + k % 97 for _, k in keys])
     return result

@@ -74,9 +74,8 @@ def test_vehicles_mode_pcu_is_to_pcu_of_the_summed_counts_per_cycle(text):
     result = settle(analyze_records, table, APPROACHES, config)
     assume(not isinstance(result, tuple))
     ids, numbers = table.approach_column()
-    width = len(VEHICLE_CLASSES)
-    rows = [(ids[n], dict(zip(VEHICLE_CLASSES, table.counts[j * width:(j + 1) * width])))
-            for j, n in enumerate(numbers)]
+    rows = [(ids[n], dict(zip(VEHICLE_CLASSES, counts)))
+            for n, counts in zip(numbers, zip(*table.counts))]
     a = result.by_approach
     for approach_id, intersection_id, pcu in zip(a.approach_id, a.intersection_id,
                                                  a.pcu_per_cycle):
@@ -152,8 +151,8 @@ def test_append_keeps_each_column():
     assert table.approach_column() == (["A1", "B2"], array("q", [0, 1, 0]))
     assert table.cycle_length == array("d", [100.0, 90.0, 110.0])
     assert table.green_time == array("d", [50.0, 40.0, 60.0])
-    assert table.counts == array("q", [1, 2, 3, 4, 5] + [0] * 5 + [0, 0, 7, 0, 0])
-    assert list(table.class_columns())[2] == array("q", [3, 0, 7])
+    assert table.counts == tuple(array("q", column) for column in (
+        [1, 0, 0], [2, 0, 0], [3, 0, 7], [4, 0, 0], [5, 0, 0]))
     assert [list(map(math.isnan, column)) for column in (
         table.effective_green, table.exited_pcu, table.timestamp)] == [
         [False, True, True], [True, False, True], [False, True, True]]
@@ -161,16 +160,22 @@ def test_append_keeps_each_column():
     assert table.row_totals() == [15, 0, 7]
 
 
-# Three rows, column by column in ``CycleTable.extend``'s argument order: NaN,
-# -0.0 and both infinities, and counts from 0 up to the largest array('q') holds.
+# Three rows, column by column in ``CycleTable.extend``'s argument order,
+# with one entry per class column in place of its ``counts``: NaN, -0.0 and
+# both infinities, and counts from 0 up to the largest array('q') holds.
 ROWS_BY_COLUMN = {
     "cycle_length": ("d", [100.0, -0.0, math.inf]),
     "green_time": ("d", [-math.inf, 0.0, 1e-300]),
-    "counts": ("q", [0, 1, 2, 3, 2**63 - 1, 0, 0, 0, 0, 0, 2**63 - 1, 7, 0, 5, 1]),
+    "two_wheeler": ("q", [0, 0, 2**63 - 1]),
+    "auto_rickshaw": ("q", [1, 0, 7]),
+    "car": ("q", [2, 0, 0]),
+    "lcv": ("q", [3, 0, 5]),
+    "bus": ("q", [2**63 - 1, 0, 1]),
     "effective_green": ("d", [math.nan, -0.0, 5e-324]),
     "exited_pcu": ("d", [math.nan, math.inf, 1.5]),
     "timestamp": ("d", [1646640000.0, math.nan, -math.inf]),
 }
+CLASS_NAMES = [cls.value for cls in VEHICLE_CLASSES]
 INPUT_KINDS = ("list", "tuple", "array", "generator")
 
 
@@ -182,17 +187,27 @@ def as_kind(kind, typecode, values):
     return {"list": list, "tuple": tuple}[kind](values)
 
 
+def extend(table, approach_ids, columns):
+    """``table.extend`` with ``columns`` keyed as ``ROWS_BY_COLUMN``, the
+    class columns given together as its ``counts``."""
+    values = list(columns.values())
+    table.extend(approach_ids, *values[:2], values[2:7], *values[7:])
+
+
 def column_bytes(table):
     ids, numbers = table.approach_column()
+    columns = dict(zip(CLASS_NAMES, table.counts))
     return list(ids), numbers.tobytes(), {
-        name: getattr(table, name).tobytes() for name in ROWS_BY_COLUMN}
+        name: (columns[name] if name in columns else getattr(table, name)).tobytes()
+        for name in ROWS_BY_COLUMN}
 
 
 @pytest.mark.parametrize("kind", INPUT_KINDS)
 def test_extend_stores_the_bytes_an_array_stores_from_every_input_kind(kind):
     table = CycleTable()
-    table.extend(["N1", "S1", "N1"], *(
-        as_kind(kind, typecode, values) for typecode, values in ROWS_BY_COLUMN.values()))
+    extend(table, ["N1", "S1", "N1"], {
+        name: as_kind(kind, typecode, values)
+        for name, (typecode, values) in ROWS_BY_COLUMN.items()})
     assert column_bytes(table) == (["N1", "S1"], array("q", [0, 1, 0]).tobytes(), {
         name: array(typecode, values).tobytes()
         for name, (typecode, values) in ROWS_BY_COLUMN.items()})
@@ -203,10 +218,10 @@ def test_extend_stores_the_bytes_an_array_stores_from_every_input_kind(kind):
     ("cycle_length", "100", TypeError),
     ("green_time", None, TypeError),
     ("timestamp", 10**400, OverflowError),
-    ("counts", 2**63, OverflowError),
-    ("counts", "3", TypeError),
-    ("counts", None, TypeError),
-    ("counts", 1.0, TypeError),
+    ("bus", 2**63, OverflowError),
+    ("car", "3", TypeError),
+    ("two_wheeler", None, TypeError),
+    ("lcv", 1.0, TypeError),
 ])
 def test_a_value_an_array_rejects_raises_its_error_and_adds_nothing(kind, column, value, error):
     table = CycleTable()
@@ -215,20 +230,30 @@ def test_a_value_an_array_rejects_raises_its_error_and_adds_nothing(kind, column
     columns = {name: list(values) for name, (_, values) in ROWS_BY_COLUMN.items()}
     columns[column][-1] = value
     with pytest.raises(error) as exc:
-        table.extend(["Q9", "S1", "N1"], *(
-            as_kind(kind, None, values) for values in columns.values()))
+        extend(table, ["Q9", "S1", "N1"], {
+            name: as_kind(kind, None, values) for name, values in columns.items()})
     assert type(exc.value) is error
     assert column_bytes(table) == before and len(table) == 1
 
 
-@pytest.mark.parametrize("column, size", [
-    ("cycle_length", 2), ("timestamp", 4), ("counts", 14), ("counts", 3)])
-def test_a_column_of_the_wrong_length_raises_and_adds_nothing(column, size):
+@pytest.mark.parametrize("column, size, message", [
+    ("cycle_length", 2, "cycle_length holds 2 values, not 3"),
+    ("timestamp", 4, "timestamp holds 4 values, not 3"),
+    ("car", 2, "car counts holds 2 values, not 3"),
+    ("counts", 4, "counts holds 4 columns, not 5"),
+    ("counts", 6, "counts holds 6 columns, not 5"),
+], ids=["cycle_length-2", "timestamp-4", "car-2", "counts-4", "counts-6"])
+def test_a_column_of_the_wrong_length_raises_and_adds_nothing(column, size, message):
     table = CycleTable()
     table.append("N1", 100.0, 50.0, 40.0, (1, 2, 3, 4, 5), 35.0, 10.0, 1646640000.0)
     before = column_bytes(table)
     columns = {name: values for name, (_, values) in ROWS_BY_COLUMN.items()}
-    columns[column] = (columns[column] * 2)[:size]
-    with pytest.raises(ValueError, match=f"^{column} holds {size} values, not "):
-        table.extend(["Q9", "S1", "N1"], *columns.values())
+    if column in columns:
+        columns[column] = (columns[column] * 2)[:size]
+    counts = [columns.pop(name) for name in CLASS_NAMES]
+    if column == "counts":
+        counts = (counts * 2)[:size]
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        table.extend(["Q9", "S1", "N1"], columns["cycle_length"], columns["green_time"], counts,
+                     columns["effective_green"], columns["exited_pcu"], columns["timestamp"])
     assert column_bytes(table) == before and len(table) == 1
