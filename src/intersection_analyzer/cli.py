@@ -14,14 +14,15 @@ import itertools
 import json
 import math
 import sys
+from collections import defaultdict
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Sequence, TextIO
+from typing import Callable, Iterable, Iterator, Mapping, Sequence, TextIO
 
 from . import report as rpt
 from .config import load_config
 from .delay import DelayPolicy
 from .errors import AnalyzerError, InputError, IoFailure
-from .ingest import RowCount, ingest_approaches, ingest_cycles, scan_cycles
+from .ingest import RowCount, RowTotals, ingest_approaches, ingest_cycles, scan_cycles
 from .model import ApproachConfig, CycleTable, DayFilter, _frozen
 from .pipeline import VC_STANDARD, analyze_records
 from .stats import (
@@ -123,17 +124,26 @@ def cmd_peak_hours(args) -> int:
     return 0
 
 
+def _sample(tally: Mapping[int, int]) -> list[float]:
+    """The row totals a tally counts, as floats in ascending order; the rows
+    with one total share one float."""
+    totals = sorted(tally)
+    return list(itertools.chain.from_iterable(
+        map(itertools.repeat, map(float, totals), map(tally.__getitem__, totals))))
+
+
 def cmd_variability(args) -> int:
     approaches = _load_approaches(args)
-    table = _load_records(args, approaches)
+    with _read_text(args.cycles) as handle:
+        totals, errors = scan_cycles(handle, approaches, RowTotals())
+    if errors:
+        raise errors[0]
 
-    # Each approach's row totals as floats, in file order: one pass files
-    # each row's total into its approach's list (list.append returns None,
-    # so any() runs to the end).
-    ids, numbers = table.approach_column()
-    lists: list[list[float]] = [[] for _ in ids]
-    any(map(list.append, map(lists.__getitem__, numbers), map(float, table.row_totals())))
-    samples = dict(zip(ids, lists))
+    # Each approach's row totals, tallied; its sample is the tally expanded.
+    tallies: dict[str, dict[int, int]] = defaultdict(dict)
+    for (approach_id, total), rows in totals.tally.items():
+        tallies[approach_id][total] = rows
+    samples = {approach_id: _sample(tally) for approach_id, tally in tallies.items()}
 
     by_intersection: dict[str, dict[str, list[float]]] = {}
     for approach_id, values in samples.items():

@@ -108,7 +108,11 @@ def _build_los(section: Mapping[str, Any]) -> dict[str, LosBandTable]:
             (None if bound is None else _finite(bound, f"{name} band bound"), str(grade))
             for bound, grade in spec["bands"]
         )
-        tables[name] = LosBandTable(name, bands, bool(spec.get("upper_inclusive", True)))
+        upper_inclusive = spec.get("upper_inclusive", True)
+        if not isinstance(upper_inclusive, bool):  # bool() would read "false" as true
+            raise TypeError(f"{name}: upper_inclusive must be true or false, "
+                            f"got {upper_inclusive!r}")
+        tables[name] = LosBandTable(name, bands, upper_inclusive)
     return tables
 
 

@@ -19,6 +19,7 @@ import itertools
 import math
 import operator
 import re
+from collections import Counter
 from typing import Callable, Iterable, Iterator, Mapping, Sequence, TextIO
 
 from .errors import (
@@ -348,11 +349,34 @@ class RowCount:
         return self.rows
 
 
+class RowTotals:
+    """A ``scan_cycles`` sink that keeps each row's vehicle total, tallied
+    by approach: ``tally[(approach_id, total)]`` is how many of the
+    approach's rows have that total, and ``len()`` is how many rows there
+    were.  A tally does not depend on the order of the rows, and tallies of
+    two parts of a file add up to the tally of the whole."""
+
+    __slots__ = ("tally", "rows")
+
+    def __init__(self) -> None:
+        self.tally: Counter[tuple[str, int]] = Counter()
+        self.rows = 0
+
+    def extend(self, approach_ids: Sequence[str], cycle_length: Sequence[float],
+               green_time: Sequence[float], counts: Sequence[Sequence[int]],
+               *optional: Sequence[float]) -> None:
+        self.tally.update(zip(approach_ids, map(sum, zip(*counts))))
+        self.rows += len(approach_ids)
+
+    def __len__(self) -> int:
+        return self.rows
+
+
 def scan_cycles(
     source: TextIO | Iterable[str],
     configs: Mapping[str, ApproachConfig] | None = None,
-    sink: CycleTable | RowCount | None = None,
-) -> tuple[CycleTable | RowCount, list[InputError]]:
+    sink: CycleTable | RowCount | RowTotals | None = None,
+) -> tuple[CycleTable | RowCount | RowTotals, list[InputError]]:
     """Parse a cycle CSV stream, collecting every row-level problem.
 
     Returns the rows that parsed cleanly and the full list of errors.  The
@@ -385,7 +409,7 @@ def scan_cycles(
 def _cycle_batch_parser(
     names: Sequence[str],
     configs: Mapping[str, ApproachConfig] | None,
-    sink: CycleTable | RowCount,
+    sink: CycleTable | RowCount | RowTotals,
     errors: list[InputError],
 ) -> Callable[[list[list[str]], Sequence[int]], None]:
     """Resolve a validated cycle header into one batch parser.

@@ -262,10 +262,6 @@ class CycleTable:
         approach as an index into them."""
         return self._ids, self._approach
 
-    def row_totals(self) -> list[int]:
-        """Each row's vehicle total, in file order."""
-        return list(map(sum, zip(*self.counts)))
-
     def untimed(self) -> int:
         """How many rows carry no timestamp."""
         return sum(map(math.isnan, self.timestamp))

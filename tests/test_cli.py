@@ -20,6 +20,7 @@ from conftest import (
     WEEK_APPROACHES,
     WEEK_CYCLES,
 )
+from golden_cases import read_golden, run_case
 
 STUDY = ["--cycles", str(STUDY_CYCLES), "--approaches", str(STUDY_APPROACHES)]
 WEEK = ["--cycles", str(WEEK_CYCLES), "--approaches", str(WEEK_APPROACHES)]
@@ -78,6 +79,27 @@ def test_validate_counts_rows_without_building_a_table(monkeypatch, capsys):
     assert code == 2 and len(table) == 2
     assert captured.out.splitlines() == expected
     assert json.loads(captured.err)["message"] == str(errors[0])
+
+
+def test_variability_tallies_rows_without_building_a_table(tmp_path, monkeypatch, capsys):
+    dirty = FIXTURES / "dirty_cycles.csv"
+    with open(STUDY_APPROACHES, newline="") as handle:
+        approaches = ingest_approaches(handle)
+    with open(dirty, newline="") as handle:
+        first = scan_cycles(handle, approaches)[1][0]
+
+    def refuse(*args):
+        raise AssertionError("variability built a table")
+
+    monkeypatch.setattr(CycleTable, "extend", refuse)
+    assert run_case("variability_week") == read_golden("variability_week")
+    code = main(["variability", "--cycles", str(dirty), "--approaches", str(STUDY_APPROACHES),
+                 "--out", str(tmp_path / "out")])
+    assert code == first.exit_code == 2
+    assert json.loads(capsys.readouterr().err) == {
+        "subcommand": "variability", "error": type(first).__name__, "message": str(first),
+        "row": first.row, "exit_code": 2}
+    assert not (tmp_path / "out").exists()
 
 
 def test_peak_hours_finds_midday_window(capsys):
@@ -556,9 +578,11 @@ def test_a_negative_city_co2_rate_is_a_config_error(tmp_path, capsys, rate, code
     {"version": 1.5},
     {"version": False},
     {"default_platoon_ratio": True},
+    {"los_bands": {"delay_heterogeneous": {"upper_inclusive": "false", "bands": [
+        [10, "A"], [45, "B"], [65, "C"], [100, "D"], [135, "E"], [None, "F"]]}}},
 ], ids=["platoon_ratios", "idle_rates", "los_bands", "emission_factors", "pcu_factors",
         "infinite_count", "fractional_count", "bool_count", "fractional_lanes", "bool_lanes",
-        "fractional_version", "bool_version", "bool_platoon_ratio"])
+        "fractional_version", "bool_version", "bool_platoon_ratio", "string_upper_inclusive"])
 def test_a_config_section_of_the_wrong_type_is_a_config_error(tmp_path, capsys, section):
     config = tmp_path / "config.json"
     config.write_text(json.dumps(section))

@@ -6,6 +6,7 @@ import random
 import tracemalloc
 
 from array import array
+from collections import Counter
 from unittest import mock
 
 import pytest
@@ -28,7 +29,7 @@ from intersection_analyzer.errors import (
     SchemaViolation,
     UnknownApproach,
 )
-from intersection_analyzer.ingest import APPROACH_COLUMNS, _ENDS_QUOTED
+from intersection_analyzer.ingest import APPROACH_COLUMNS, _ENDS_QUOTED, RowTotals
 
 HEADER = "approach_id,cycle_length_s,red_s,green_s,two_wheeler,auto_rickshaw,car,lcv,bus"
 
@@ -53,7 +54,7 @@ def test_single_row():
     assert table.cycle_length == array("d", [152.0])
     assert table.green_time == array("d", [32.0])
     assert class_column(table, VehicleClass.TWO_WHEELER) == [23]
-    assert table.row_totals() == [51]
+    assert list(map(sum, zip(*table.counts))) == [51]
     assert math.isnan(table.effective_green[0]) and math.isnan(table.exited_pcu[0])
 
 
@@ -82,7 +83,7 @@ def test_negative_count_is_schema_violation():
 
 def test_count_beyond_the_int64_column_is_schema_violation():
     largest = ingest(HEADER + f"\nSR1,152,120,32,{2**63 - 1},0,0,0,0\n")
-    assert largest.row_totals() == [2**63 - 1]
+    assert list(map(sum, zip(*largest.counts))) == [2**63 - 1]
     with pytest.raises(SchemaViolation, match="count exceeds") as exc:
         ingest(HEADER + f"\nSR1,152,120,32,1,0,0,0,0\nSR1,152,120,32,0,{2**63},0,0,0\n")
     assert exc.value.row == 3
@@ -284,6 +285,16 @@ def test_a_long_dirty_file_matches_the_reference_parser(configs):
     assert oracles.columns(table) == oracles.columns(expected_records)
     assert ([(type(e), str(e), e.row) for e in errors]
             == [(type(e), str(e), e.row) for e in expected_errors])
+
+
+def test_row_totals_tally_each_valid_row_by_approach():
+    text = dirty_cycle_file(5000, seed=12)
+    totals, errors = scan_cycles(io.StringIO(text), None, RowTotals())
+    records, expected_errors = oracles.scan_cycles(io.StringIO(text))
+    assert len(totals) == len(records) > 4500 and len(errors) == len(expected_errors)
+    assert totals.tally == Counter(
+        (record.approach_id, sum(record.counts.values())) for record in records)
+    assert max(totals.tally.values()) > 1
 
 
 def test_kept_errors_do_not_keep_the_rows_alive():

@@ -1,5 +1,6 @@
-"""Row-scaling guard: the work that groups a table's rows after ingest runs
-at C level, so the Python and C calls it makes do not grow with the rows.
+"""Row-scaling guard: the work that groups rows, over a table after ingest
+or in a ``scan_cycles`` sink during it, runs at C level, so the Python and C
+calls it makes do not grow with the rows.
 
 Each check counts the ``call`` and ``c_call`` events ``sys.setprofile``
 sees while one step runs over a table of R rows per approach and over one
@@ -82,14 +83,25 @@ def test_analysis_calls_do_not_grow_with_the_rows(tables, study_approaches, defa
 
 def test_variability_calls_do_not_grow_with_the_rows(tables, study_approaches, tmp_path,
                                                      monkeypatch, capsys):
-    # Everything after ingest: the samples, their tests and summaries, and
-    # the artifacts, which hold one line per approach or pair.
+    # Everything after the parse: the sink's tally of the rows, the samples,
+    # their tests and summaries, and the artifacts, which hold one line per
+    # approach or pair.  The patched scan hands the sink a table's columns
+    # as one batch.
     monkeypatch.setattr(cli, "_load_approaches", lambda args: study_approaches)
+    argv = ["variability", "--cycles", str(STUDY_CYCLES), "--approaches", str(STUDY_APPROACHES),
+            "--out", str(tmp_path)]
     counts = []
     for t in tables:
-        monkeypatch.setattr(cli, "_load_records", lambda args, approaches, t=t: t)
-        counts.append(calls(main, ["variability", "--cycles", str(STUDY_CYCLES),
-                                   "--approaches", str(STUDY_APPROACHES),
-                                   "--out", str(tmp_path)]))
+        ids, numbers = t.approach_column()
+        columns = ([ids[k] for k in numbers], t.cycle_length, t.green_time, t.counts,
+                   t.effective_green, t.exited_pcu, t.timestamp)
+
+        def scan(source, configs, sink, columns=columns):
+            sink.extend(*columns)
+            return sink, []
+
+        monkeypatch.setattr(cli, "scan_cycles", scan)
+        assert main(argv) == 0
+        counts.append(calls(main, argv))
     small, large = counts
     assert abs(large - small) <= SLACK, (small, large)

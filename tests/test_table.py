@@ -157,7 +157,7 @@ def test_append_keeps_each_column():
         table.effective_green, table.exited_pcu, table.timestamp)] == [
         [False, True, True], [True, False, True], [False, True, True]]
     assert table.untimed() == 2
-    assert table.row_totals() == [15, 0, 7]
+    assert list(map(sum, zip(*table.counts))) == [15, 0, 7]
 
 
 # Three rows, column by column in ``CycleTable.extend``'s argument order,
