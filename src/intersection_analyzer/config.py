@@ -13,12 +13,12 @@ import json
 import math
 import os
 from pathlib import Path
-from typing import Any, Callable, Mapping
+from typing import Any, Mapping
 
 from .errors import AnalyzerError, ConfigError
 from .flow import CapacityTable
 from .emissions import EmissionFactorTable, FuelType, IdleRate, IdleRateTable
-from .los import LosBandTable
+from .los import GRADES, LosBandTable
 from .model import Directionality, VehicleClass, _frozen
 from .pcu import PcuFactorTable
 
@@ -33,7 +33,16 @@ COUNTS_VEHICLES = "vehicles"
 class CityScaling:
     intersection_count: int
     active_hours_per_day: float
-    co2_kg_per_hour: float | None
+    co2_kg_per_hour: float | None = None
+
+    def __post_init__(self):
+        count, hours = self.intersection_count, self.active_hours_per_day
+        if count < 1:
+            raise ConfigError(f"city.intersection_count must be >= 1, got {count}")
+        if hours <= 0:
+            raise ConfigError(f"city.active_hours_per_day must be > 0, got {hours:g}")
+        if self.co2_kg_per_hour is not None and self.co2_kg_per_hour < 0:
+            raise ConfigError(f"city.co2_kg_per_hour must be >= 0, got {self.co2_kg_per_hour:g}")
 
 
 @_frozen
@@ -52,142 +61,134 @@ class AnalysisConfig:
     city: CityScaling
 
 
-def _strip_notes(value: Any) -> Any:
-    if isinstance(value, dict):
-        return {k: _strip_notes(v) for k, v in value.items() if not k.startswith("_")}
-    if isinstance(value, list):
-        return [_strip_notes(v) for v in value]
-    return value
+def _label(path: tuple) -> str:
+    """``("capacity_table", 0, "lanes")`` as ``capacity_table[0].lanes``."""
+    return "".join(f"[{key}]" if type(key) is int else f".{key}" for key in path)[1:]
 
 
-def _finite(value: Any, label: str) -> float:
-    if isinstance(value, bool):  # float() would read true as 1.0
-        raise TypeError(f"{label} must be a number, got {value!r}")
+def _read(shape: Any, value: Any, path: tuple) -> Any:
+    """``value``, found at ``path``, read against ``shape`` (see ``_SECTIONS``)."""
+    if type(shape) is dict:
+        if type(value) is not dict:
+            raise TypeError(f"{_label(path)} must be an object, got {value!r}")
+        if str in shape:
+            return {key: _read(shape[str], item, (*path, key)) for key, item in value.items()}
+        read = {}
+        for declared, field in shape.items():
+            key = declared.rstrip("?")
+            if key in value:
+                read[key] = _read(field, value[key], (*path, key))
+            elif key == declared:
+                raise ValueError(f"missing key {_label((*path, key))!r}")
+        for key in value:
+            if key not in read and key[:1] != "_":
+                raise ValueError(f"unknown key {_label((*path, key))!r}")
+        return read
+    if type(shape) is list or type(shape) is tuple:
+        if type(value) is not list or type(shape) is tuple and len(value) != len(shape):
+            raise TypeError(f"{_label(path)} must be a list of "
+                            f"{len(shape) if type(shape) is tuple else 'entries'}, got {value!r}")
+        shapes = shape * len(value) if type(shape) is list else shape
+        return type(shape)(map(_read, shapes, value, [(*path, at) for at in range(len(value))]))
+    if type(shape) is set:  # of one type: 1 == true, and bool() reads "false" as true
+        if type(value) is not type(next(iter(shape))) or value not in shape:
+            raise ValueError(f"{_label(path)} must be "
+                             f"{' or '.join(map(json.dumps, sorted(shape)))}, got {value!r}")
+        return value
+    if value is None and shape == float | None:
+        return None
+    # A number: float reads one that is finite, int one with no fraction.
+    if type(value) is not int and (type(value) is not float  # true or "1" too
+                                   or shape is int and not value.is_integer()):
+        raise TypeError(f"{_label(path)} must be a {'whole ' if shape is int else ''}number, "
+                        f"got {value!r}")
     try:
         number = float(value)
     except OverflowError:
-        raise ConfigError(f"{label} is an integer past the largest float") from None
+        raise ConfigError(f"{_label(path)} is an integer past the largest float") from None
     if not math.isfinite(number):
-        raise ConfigError(f"{label} must be finite, got {value!r}")
-    return number
+        raise ConfigError(f"{_label(path)} must be finite, got {value!r}")
+    return int(value) if shape is int else number + 0.0  # so -0.0 prints as 0.00
 
 
-def _whole(value: Any, label: str) -> int:
-    """``value`` as an int: an integer, or a float with no fraction; int()
-    alone would truncate 2.7 to 2 and read true as 1."""
-    if isinstance(value, bool) or not (isinstance(value, int) or float(value).is_integer()):
-        raise ValueError(f"{label} must be a whole number, got {value!r}")
-    return int(value)
-
-
-def _build_pcu(section: Mapping[str, Any]) -> PcuFactorTable:
-    factors = {}
-    for key, pair in section["factors"].items():
-        factors[VehicleClass(key)] = (
-            _finite(pair[0], f"pcu factor for {key}"),
-            _finite(pair[1], f"pcu factor for {key}"),
-        )
-    return PcuFactorTable(
-        factors, _finite(section["composition_threshold"], "composition_threshold"))
-
-
-def _build_capacity(entries: list[Mapping[str, Any]]) -> CapacityTable:
+def _capacity_table(entries: list) -> CapacityTable:
     capacities = {}
     for entry in entries:
-        key = (_whole(entry["lanes"], "lanes"), Directionality(entry["directionality"]))
+        key = (entry["lanes"], Directionality(entry["directionality"]))
         if key in capacities:
             raise ConfigError(f"duplicate capacity entry for {key}")
-        capacities[key] = _finite(entry["pcu_per_hour"], f"capacity for {key}")
+        capacities[key] = entry["pcu_per_hour"]
     return CapacityTable(capacities)
 
 
-def _build_los(section: Mapping[str, Any]) -> dict[str, LosBandTable]:
-    tables = {}
-    for name, spec in section.items():
-        bands = tuple(
-            (None if bound is None else _finite(bound, f"{name} band bound"), str(grade))
-            for bound, grade in spec["bands"]
-        )
-        upper_inclusive = spec.get("upper_inclusive", True)
-        if not isinstance(upper_inclusive, bool):  # bool() would read "false" as true
-            raise TypeError(f"{name}: upper_inclusive must be true or false, "
-                            f"got {upper_inclusive!r}")
-        tables[name] = LosBandTable(name, bands, upper_inclusive)
-    return tables
-
-
-def _build_idle_rates(section: Mapping[str, Any]) -> IdleRateTable:
+def _idle_rates(section: dict) -> IdleRateTable:
     rates = {}
-    for entry in section.get("entries", []):
+    for entry in section.get("entries", ()):
         key = (VehicleClass(entry["vehicle_class"]), FuelType(entry["fuel"]))
         if key in rates:
-            raise ConfigError(
-                f"duplicate idle-rate entry for {key[0].value}/{key[1].value}")
-        rates[key] = IdleRate(
-            _finite(entry["fleet_fraction"], "fleet_fraction"),
-            _finite(entry["rate_per_hour"], "rate_per_hour"))
+            raise ConfigError(f"duplicate idle-rate entry for {key[0].value}/{key[1].value}")
+        rates[key] = IdleRate(entry["fleet_fraction"], entry["rate_per_hour"])
     return IdleRateTable(rates)
 
 
-def _build_city(section: Mapping[str, Any]) -> CityScaling:
-    intersection_count = _whole(section["intersection_count"], "city.intersection_count")
-    _finite(intersection_count, "city.intersection_count")
-    if intersection_count < 1:
-        raise ConfigError(
-            f"city.intersection_count must be >= 1, got {intersection_count}")
-    active_hours = _finite(section["active_hours_per_day"], "active_hours_per_day")
-    if active_hours <= 0:
-        raise ConfigError(f"city.active_hours_per_day must be > 0, got {active_hours:g}")
-    rate = section.get("co2_kg_per_hour")
-    if rate is not None:
-        rate = _finite(rate, "co2_kg_per_hour") + 0.0  # so -0.0 prints as 0.00
-        if rate < 0:
-            raise ConfigError(f"city.co2_kg_per_hour must be >= 0, got {rate:g}")
-    return CityScaling(
-        intersection_count=intersection_count,
-        active_hours_per_day=active_hours,
-        co2_kg_per_hour=rate,
-    )
+# The config's shape: each section's, in the order they are checked, and
+# what builds its value from the reading.  A dict is an object whose keys
+# ending in "?" may be left out and whose other keys must be "_" notes, or,
+# as {str: shape}, one whose every key is data; [shape] is a list of entries,
+# a tuple of shapes a list of that length, a set the values a leaf may take;
+# float reads a finite number, int a whole one, and float | None also null.
+_SECTIONS = {
+    "counts_unit": ({COUNTS_PCU, COUNTS_VEHICLES}, None),
+    "version": (int, None),
+    "pcu_factors": (
+        {"factors": {f"{cls.value}?": (float, float) for cls in VehicleClass},
+         "composition_threshold": float},
+        lambda section: PcuFactorTable(
+            {VehicleClass(name): pair for name, pair in section["factors"].items()},
+            section["composition_threshold"])),
+    "capacity_table": ([{"lanes": int, "directionality": {way.value for way in Directionality},
+                         "pcu_per_hour": float}], _capacity_table),
+    "los_bands": (
+        {str: {"upper_inclusive?": {True, False}, "bands": [(float | None, set(GRADES))]}},
+        lambda tables: {name: LosBandTable(name, tuple(spec["bands"]),
+                                           spec.get("upper_inclusive", True))
+                        for name, spec in tables.items()}),
+    "emission_factors": ({f"{fuel.value}?": float for fuel in FuelType}, lambda factors:
+                         EmissionFactorTable({FuelType(k): v for k, v in factors.items()})),
+    "idle_rates": ({"entries?": [{
+        "vehicle_class": {cls.value for cls in VehicleClass},
+        "fuel": {fuel.value for fuel in FuelType},
+        "fleet_fraction": float, "rate_per_hour": float}]}, _idle_rates),
+    "platoon_ratios": ({"values?": {str: float}}, lambda section: section.get("values", {})),
+    "default_platoon_ratio": (float, None),
+    "city": ({"intersection_count": int, "active_hours_per_day": float,
+              "co2_kg_per_hour?": float | None}, lambda section: CityScaling(**section)),
+}
 
 
 def _build(config: Mapping[str, Any]) -> AnalysisConfig:
-    def section(name: str, build: Callable[[Any], Any]) -> Any:
+    for name in config:
+        if name not in _SECTIONS and name[:1] != "_":
+            raise ConfigError(f"invalid configuration: section {name!r}: unknown key {name!r}")
+    read = {}
+    for name, (shape, build) in _SECTIONS.items():
         try:
-            return build(config[name])
+            value = _read(shape, config[name], (name,))
+            read[name] = value if build is None else build(value)
         except ConfigError:
             raise
-        except (AttributeError, KeyError, OverflowError, TypeError, ValueError,
-                AnalyzerError) as err:
+        except (TypeError, ValueError, AnalyzerError) as err:
             raise ConfigError(f"invalid configuration: section {name!r}: {err}") from None
-
-    counts_unit = config["counts_unit"]
-    if counts_unit not in (COUNTS_PCU, COUNTS_VEHICLES):
-        raise ConfigError(
-            f"counts_unit must be {COUNTS_PCU!r} or {COUNTS_VEHICLES!r}, got {counts_unit!r}")
-    return AnalysisConfig(
-        version=section("version", lambda version: _whole(version, "version")),
-        counts_unit=counts_unit,
-        pcu_factors=section("pcu_factors", _build_pcu),
-        capacity_table=section("capacity_table", _build_capacity),
-        los_tables=section("los_bands", _build_los),
-        emission_factors=section("emission_factors", lambda factors: EmissionFactorTable(
-            {FuelType(k): _finite(v, f"emission factor {k}") for k, v in factors.items()})),
-        idle_rates=section("idle_rates", _build_idle_rates),
-        platoon_ratios=section("platoon_ratios", lambda ratios: {
-            str(k): _finite(v, f"platoon ratio for {k}")
-            for k, v in ratios.get("values", {}).items()}),
-        default_platoon_ratio=section(
-            "default_platoon_ratio", lambda ratio: _finite(ratio, "default_platoon_ratio")),
-        city=section("city", _build_city),
-    )
+    return AnalysisConfig(los_tables=read.pop("los_bands"), **read)
 
 
-def _default_dict() -> dict[str, Any]:
-    # Through the package's own loader, which reads from a directory or a
-    # zip archive alike: importlib.resources costs more than the package.
-    data = __spec__.loader.get_data(
-        os.path.join(os.path.dirname(__file__), "data", "default_config.json"))
-    return _strip_notes(json.loads(data.decode("utf-8")))
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object as a dict, which alone would keep the last of a repeated key."""
+    if len(value := dict(pairs)) < len(pairs):
+        keys = [key for key, _ in pairs]
+        raise ConfigError(f"key {next(key for key in keys if keys.count(key) > 1)!r} "
+                          "appears twice in one object of the config file")
+    return value
 
 
 def load_config(path: str | Path | None = None) -> AnalysisConfig:
@@ -196,26 +197,24 @@ def load_config(path: str | Path | None = None) -> AnalysisConfig:
     ``path`` overrides sections of the shipped defaults; with no path, a
     ``config.json`` inside $ANALYZER_CONFIG_DIR is used when present.
     """
-    merged = _default_dict()
-    if path is None:
-        config_dir = os.environ.get(ENV_CONFIG_DIR)
-        if config_dir:
-            candidate = Path(config_dir) / _FALLBACK_NAME
-            if candidate.is_file():
-                path = candidate
+    # Through the package's own loader, which reads from a directory or a
+    # zip archive alike: importlib.resources costs more than the package.
+    merged = json.loads(__spec__.loader.get_data(
+        os.path.join(os.path.dirname(__file__), "data", "default_config.json")).decode("utf-8"))
+    if path is None and os.environ.get(ENV_CONFIG_DIR):
+        candidate = Path(os.environ[ENV_CONFIG_DIR]) / _FALLBACK_NAME
+        path = candidate if candidate.is_file() else None
     if path is not None:
         try:
             with open(path, encoding="utf-8-sig") as handle:
-                overrides = json.load(handle)
+                overrides = json.load(handle, object_pairs_hook=_unique_keys)
         except FileNotFoundError:
             raise ConfigError(f"config file not found: {path}") from None
         except ValueError as err:  # also bad UTF-8, or an integer int() will not read
             raise ConfigError(f"config file {path} is not valid JSON: {err}") from None
         if not isinstance(overrides, dict):
             raise ConfigError(f"config file {path} must hold a JSON object")
-        overrides = _strip_notes(overrides)
-        pcu_factors = overrides.get("pcu_factors")
-        if isinstance(pcu_factors, dict):
+        if isinstance(pcu_factors := overrides.get("pcu_factors"), dict):
             pcu_factors.setdefault(
                 "composition_threshold", merged["pcu_factors"]["composition_threshold"])
         merged.update(overrides)

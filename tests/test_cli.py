@@ -471,8 +471,12 @@ def test_a_present_mean_past_the_largest_float_names_the_first_approach(tmp_path
     assert not (tmp_path / "out").exists()
 
 
+SHIPPED_CONFIG = json.loads(
+    (Path(cli.__file__).parent / "data" / "default_config.json").read_text())
+
+
 def _idle_rate_past_the_largest_float() -> dict:
-    config = json.loads((Path(cli.__file__).parent / "data" / "default_config.json").read_text())
+    config = json.loads(json.dumps(SHIPPED_CONFIG))
     config["idle_rates"]["entries"][0]["rate_per_hour"] = 1e308  # auto-rickshaws on CNG
     return {"idle_rates": config["idle_rates"]}
 
@@ -580,9 +584,21 @@ def test_a_negative_city_co2_rate_is_a_config_error(tmp_path, capsys, rate, code
     {"default_platoon_ratio": True},
     {"los_bands": {"delay_heterogeneous": {"upper_inclusive": "false", "bands": [
         [10, "A"], [45, "B"], [65, "C"], [100, "D"], [135, "E"], [None, "F"]]}}},
+    # Each below read as a valid config, with different figures, before the
+    # config was read against its declared shape.
+    {"idle_rates": {"entry": SHIPPED_CONFIG["idle_rates"]["entries"]}},
+    {"platoon_ratios": {"value": SHIPPED_CONFIG["platoon_ratios"]["values"]}},
+    {"default_platoon_ratios": 0.5},
+    {"city": {"intersection_count": 6, "active_hours_per_day": 13, "co2_kg_per_hr": 100.0}},
+    {"default_platoon_ratio": "0.5"},
+    {"capacity_table": [{"lanes": "3", "directionality": "oneway", "pcu_per_hour": 3600}]},
+    {"pcu_factors": {"factors": {**SHIPPED_CONFIG["pcu_factors"]["factors"],
+                                 "bus": [2.2, 3.7, 9]}}},
 ], ids=["platoon_ratios", "idle_rates", "los_bands", "emission_factors", "pcu_factors",
         "infinite_count", "fractional_count", "bool_count", "fractional_lanes", "bool_lanes",
-        "fractional_version", "bool_version", "bool_platoon_ratio", "string_upper_inclusive"])
+        "fractional_version", "bool_version", "bool_platoon_ratio", "string_upper_inclusive",
+        "misspelt_idle_entries", "misspelt_platoon_values", "unknown_section",
+        "misspelt_city_rate", "string_platoon_ratio", "string_lanes", "three_pcu_factors"])
 def test_a_config_section_of_the_wrong_type_is_a_config_error(tmp_path, capsys, section):
     config = tmp_path / "config.json"
     config.write_text(json.dumps(section))
@@ -591,6 +607,34 @@ def test_a_config_section_of_the_wrong_type_is_a_config_error(tmp_path, capsys, 
     assert record["error"] == "ConfigError"
     name = next(iter(section))
     assert record["message"].startswith(f"invalid configuration: section {name!r}: ")
+
+
+def test_an_approach_id_starting_with_an_underscore_keeps_its_platoon_ratio(tmp_path, capsys):
+    # A "_" key is a note where notes may stand, but among approach ids it is data.
+    paths = {}
+    for name, source in (("cycles", STUDY_CYCLES), ("approaches", STUDY_APPROACHES)):
+        paths[name] = tmp_path / source.name
+        paths[name].write_text(source.read_text().replace("\nSR1,", "\n_SR1,"))
+    ratio = SHIPPED_CONFIG["platoon_ratios"]["values"]["SR1"]
+    (tmp_path / "config.json").write_text(
+        json.dumps({"platoon_ratios": {"values": {"_SR1": ratio}}}))
+    assert main(["delay", "--cycles", str(paths["cycles"]), "--approaches",
+                 str(paths["approaches"]), "--config", str(tmp_path / "config.json"),
+                 "--out", str(tmp_path / "out")]) == 0
+    assert "_SR1,SSC,152,32,0.34,0.4533,50.24,0,D,C,A" in read(tmp_path / "out" / "delay_los.csv")
+
+
+@pytest.mark.parametrize("text, key", [
+    ('{"city": {"intersection_count": 6, "active_hours_per_day": 13}, "city": {}}', "city"),
+    ('{"platoon_ratios": {"values": {"SR1": 0.4, "SR2": 0.5, "SR1": 0.6}}}', "SR1"),
+], ids=["section", "approach_id"])
+def test_a_key_twice_in_one_config_object_is_a_config_error(tmp_path, capsys, text, key):
+    config = tmp_path / "config.json"
+    config.write_text(text)
+    assert main(["los", "--delay", "5", "--config", str(config)]) == 2
+    record = json.loads(capsys.readouterr().err)
+    assert (record["error"], record["message"]) == (
+        "ConfigError", f"key {key!r} appears twice in one object of the config file")
 
 
 def test_peak_hours_on_a_far_future_timestamp_exits_cleanly(tmp_path, capsys):

@@ -7,10 +7,11 @@ import contextlib
 import io
 import json
 import math
+import string
 import tempfile
 from pathlib import Path
 
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from intersection_analyzer import cli, ingest_approaches
 from intersection_analyzer.cli import main
@@ -25,6 +26,7 @@ from conftest import (
     WEEK_APPROACHES,
     WEEK_CYCLES,
 )
+from test_config import declared_objects
 from test_errors import EXIT_CODES
 
 INPUTS = [(STUDY_CYCLES, STUDY_APPROACHES), (SPREAD_CYCLES, SPREAD_APPROACHES),
@@ -223,3 +225,31 @@ def test_an_extreme_config_leaf_ends_in_finite_figures_or_a_typed_error(leaf, va
                 except ValueError:
                     continue
                 assert math.isfinite(number), (artifact.name, cell)
+
+
+DECLARED_OBJECTS = [path for path, _ in declared_objects(SHIPPED_CONFIG)]
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.sampled_from(DECLARED_OBJECTS),
+       st.text(string.ascii_letters + string.digits + "_ .-", min_size=1, max_size=8),
+       json_values)
+def test_an_undeclared_key_in_a_declared_object_is_a_config_error_naming_it(at, key, value):
+    config = json.loads(json.dumps(SHIPPED_CONFIG))
+    parent = config
+    for step in at:
+        parent = parent[step]
+    assume(key not in parent and not key.startswith("_"))  # a "_" key is a note
+    parent[key] = value
+    with tempfile.TemporaryDirectory() as work:
+        path = Path(work) / "config.json"
+        path.write_text(json.dumps(config))
+        stderr = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+            code = main(["los", "--delay", "5", "--config", str(path)])
+    record = json.loads(stderr.getvalue())
+    assert (code, record["error"], record["exit_code"]) == (2, "ConfigError", 2)
+    steps = (*at, key)
+    label = "".join(f"[{step}]" if type(step) is int else f".{step}" for step in steps)[1:]
+    assert record["message"] == (
+        f"invalid configuration: section {steps[0]!r}: unknown key {label!r}")

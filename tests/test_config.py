@@ -1,10 +1,28 @@
 import json
+from pathlib import Path
 
 import pytest
 
-from intersection_analyzer import Directionality, FuelType, VehicleClass, load_config
+from intersection_analyzer import Directionality, FuelType, VehicleClass, config, load_config
 from intersection_analyzer.config import ENV_CONFIG_DIR
 from intersection_analyzer.errors import ConfigError
+
+SHIPPED = json.loads((Path(config.__file__).parent / "data" / "default_config.json").read_text())
+# The objects whose keys are data, not declared: los_bands' table names and
+# platoon_ratios' approach ids.
+OPEN_MAPS = {("los_bands",), ("platoon_ratios", "values")}
+
+
+def declared_objects(value, path=()):
+    """Each declared object in ``value``: the object and its path."""
+    if isinstance(value, dict):
+        if path not in OPEN_MAPS:
+            yield path, value
+        for key, item in value.items():
+            yield from declared_objects(item, (*path, key))
+    elif isinstance(value, list):
+        for index, item in enumerate(value):
+            yield from declared_objects(item, (*path, index))
 
 
 def test_defaults_load(default_config):
@@ -106,3 +124,16 @@ def test_bad_band_table_errors(tmp_path):
     }))
     with pytest.raises(ConfigError):
         load_config(path)
+
+
+def test_notes_load_at_the_top_level_and_in_every_declared_object(tmp_path):
+    noted = json.loads(json.dumps(SHIPPED))
+    paths = []
+    for path, obj in declared_objects(noted):
+        obj["_test_note"] = f"a note at {path}"
+        paths.append(path)
+    assert {(), ("emission_factors",), ("pcu_factors", "factors"), ("capacity_table", 0),
+            ("idle_rates", "entries", 5), ("city",)} <= set(paths)
+    path = tmp_path / "noted.json"
+    path.write_text(json.dumps(noted))
+    assert load_config(path) == load_config()

@@ -3,14 +3,16 @@ or in a ``scan_cycles`` sink during it, runs at C level, so the Python and C
 calls it makes do not grow with the rows.
 
 Each check counts the ``call`` and ``c_call`` events ``sys.setprofile``
-sees while one step runs over a table of R rows per approach and over one
-of 4R, with the same approaches and the same time-of-day windows.  A
-per-row Python loop, or a builtin called once per row from Python, makes
-the counts differ by at least one call for each of the 2,700 extra rows;
+sees and the ``line`` events ``sys.settrace`` sees while one step runs over
+a table of R rows per approach and over one of 4R, with the same approaches
+and the same time-of-day windows.  A per-row Python loop, even one that
+calls nothing, or a builtin called once per row from Python, makes the
+counts differ by at least one event for each of the 2,700 extra rows;
 C-level passes (``map``, ``sorted``, ``math.fsum``) count as one call each,
 whatever their length.
 """
 
+import gc
 import sys
 
 import pytest
@@ -24,7 +26,7 @@ from intersection_analyzer.stats import window_cycle_lengths
 from conftest import STUDY_APPROACHES, STUDY_CYCLES
 
 ROWS = 100  # R rows per approach; the larger table has 4R
-# Calls the two counts may differ by: none is known to, but a call made once
+# Events the two counts may differ by: none is known to, but a call made once
 # per window or per approach depends on nothing else, and this leaves room.
 SLACK = 10
 MONDAY = 1704067200  # 2024-01-01 00:00 UTC
@@ -48,8 +50,11 @@ def table(rows_per_approach: int, approach_ids, grouped: bool) -> CycleTable:
 
 
 def calls(function, *args) -> int:
-    """How many Python and C calls ``function(*args)`` makes, after a first
-    call has filled caches (such as ``re``'s) and made lazy imports."""
+    """How many Python and C calls ``function(*args)`` makes and Python lines
+    it runs, after a first call has filled caches (such as ``re``'s) and made
+    lazy imports.  The garbage collector is off meanwhile: a collection runs
+    the Python callbacks in ``gc.callbacks`` (Hypothesis installs one) at
+    points that have nothing to do with the rows."""
     function(*args)
     count = 0
 
@@ -57,11 +62,21 @@ def calls(function, *args) -> int:
         nonlocal count
         count += event in ("call", "c_call")
 
+    def trace(frame, event, arg):
+        nonlocal count
+        count += event == "line"
+        return trace
+
+    gc.collect()
+    gc.disable()
     sys.setprofile(profile)
+    sys.settrace(trace)
     try:
         function(*args)
     finally:
+        sys.settrace(None)
         sys.setprofile(None)
+        gc.enable()
     return count
 
 
