@@ -2,11 +2,13 @@
 
 Both files are read by one front end, ``_batches``, which splits plain
 blocks of lines (``_plain_end``) with ``str.split`` and the rest of a file,
-from its first other block, with ``csv.reader``.  An error's row is the
-physical line of the file that its record starts on (header = line 1), also
-after a quoted field that spans lines.  A row the csv module cannot split is
-a ``SchemaViolation`` in either file; when it leaves a quoted field open,
-the lines up to the end of that field are skipped, so none of them becomes a
+from its first other block, with ``csv.reader``, one record at a time.  An
+error's row is the physical line of the file that its record starts on
+(header = line 1), also after a quoted field that spans lines: the reader's
+own line count before the record, plus the lines it was not given.  A row
+the csv module cannot split is a ``SchemaViolation`` in either file; only
+then is its quoting looked at, and when it leaves a quoted field open, the
+lines up to the end of that field are skipped, so none of them becomes a
 row.  Missing count columns read as zero; a negative count is a schema
 violation, not an invariant violation, so it is caught before a row is
 stored.
@@ -43,8 +45,10 @@ CYCLE_COUNT_COLUMNS = tuple(cls.value for cls in VehicleClass)
 CYCLE_OPTIONAL = ("effective_green_s", "exited_pcu", "timestamp")
 CYCLE_COLUMNS = CYCLE_REQUIRED + CYCLE_COUNT_COLUMNS + CYCLE_OPTIONAL
 
-# A line that csv's default dialect ends inside a quoted field: whole fields,
+# Text that csv's default dialect ends inside a quoted field: whole fields,
 # then an opening quote that no single quote closes ("" is a literal quote).
+# Matched only after an unsplittable row: against the lines of its record,
+# then against '"' and each line after them while the field stays open.
 _ENDS_QUOTED = re.compile(
     r'(?:(?:"[^"]*(?:""[^"]*)*"(?!")[^,]*|[^",][^,]*)?,)*"[^"]*(?:""[^"]*)*')
 
@@ -120,26 +124,11 @@ def _batches(source: TextIO | Iterable[str]) -> Iterator:
     Lines are counted by the reader, plus those before it (the plain blocks)
     and those skipped after an unsplittable row: the rest of any quoted
     field it leaves open, so that no line inside that field becomes a row.
-    ``feed`` notes the lines that continue a quoted field, so a batch's
-    lines stay a ``range`` unless one of its rows spans lines.
+    After the plain blocks the reader reads one record at a time, and
+    ``feed`` keeps the lines of the record being read.
     """
     source = iter(source)
-    quoted = False  # whether the lines fed to the reader end inside a quoted field
-    continued: list[int] = []  # lines read for this batch that continue a quoted field
-    skipped = 0
-
-    def feed(texts: Iterator[str]) -> Iterator[str]:
-        nonlocal quoted
-        for text in texts:
-            if quoted:
-                continued.append(reader.line_num + skipped + 1)
-                quoted = bool(_ENDS_QUOTED.fullmatch('"' + text))
-            elif '"' in text:
-                quoted = bool(_ENDS_QUOTED.fullmatch(text))
-            yield text
-
-    lines = feed(source)
-    reader = csv.reader(lines)
+    reader = csv.reader(source)
     try:
         header = next(reader)
     except StopIteration:
@@ -158,26 +147,41 @@ def _batches(source: TextIO | Iterable[str]) -> Iterator:
         skipped += len(block)
     else:
         return  # every block was plain
-    lines = feed(itertools.chain(block, source))
-    reader = csv.reader(lines)
+    source = itertools.chain(block, source)
+    record: list[str] = []  # the lines fed to the reader for the record being read
+
+    def feed(texts: Iterator[str]) -> Iterator[str]:
+        for text in texts:
+            record.append(text)
+            yield text
+
+    reader = csv.reader(feed(source))
+    batch: list[list[str]] = []
+    starts: list[int] = []
     while True:
-        first = reader.line_num + skipped + 1
-        continued.clear()
-        batch: list[list[str]] = []
+        start = skipped + reader.line_num + 1
+        record.clear()
         try:
-            # A csv.Error leaves the rows read before it in the batch.
-            batch.extend(itertools.islice(reader, _BATCH_ROWS))
+            row = next(reader)
+        except StopIteration:
+            break
         except csv.Error as err:
-            starts = _starts(first, len(batch) + 1, continued)
             if batch:
-                yield batch, starts[:-1]
-            yield _unsplittable(err, starts[-1])
-            while quoted and next(lines, None) is not None:
+                yield batch, starts
+                batch, starts = [], []
+            yield _unsplittable(err, start)
+            quoted = _ENDS_QUOTED.fullmatch("".join(record))
+            while quoted and (text := next(source, None)) is not None:
                 skipped += 1
+                quoted = _ENDS_QUOTED.fullmatch('"' + text)
             continue
-        if not batch:
-            return
-        yield batch, _starts(first, len(batch), continued)
+        batch.append(row)
+        starts.append(start)
+        if len(batch) == _BATCH_ROWS:
+            yield batch, starts
+            batch, starts = [], []
+    if batch:
+        yield batch, starts
 
 
 def _plain_end(block: list[str], text: str) -> str | None:
@@ -193,15 +197,6 @@ def _plain_end(block: list[str], text: str) -> str | None:
              and all(map(str.endswith, block, itertools.repeat(end)))
              and (len(text) <= limit or max(map(len, block)) <= limit))
     return end if plain else None
-
-
-def _starts(first: int, count: int, continued: list[int]) -> Sequence[int]:
-    """The lines that ``count`` records start on, from line ``first`` on,
-    given the lines that continue a record."""
-    if not continued:
-        return range(first, first + count)
-    return list(itertools.islice(
-        itertools.filterfalse(set(continued).__contains__, itertools.count(first)), count))
 
 
 def _columns(

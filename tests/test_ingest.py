@@ -169,18 +169,23 @@ def test_bare_carriage_return_in_a_field_is_a_schema_violation():
 OVERSIZED_CELL = "9" * 140_000  # over the csv module's 131,072-character field limit
 
 
-@pytest.mark.parametrize("closing", ['999",', '999"', '9""9",7'])
-def test_no_line_inside_an_unterminated_quoted_field_becomes_a_row(closing):
+# The quoted field opens on the line over the limit, or on the line before it.
+@pytest.mark.parametrize("opening, closing", [
+    *((f'"{OVERSIZED_CELL}', closing) for closing in ('999",', '999"', '9""9",7')),
+    (f'"7\n{OVERSIZED_CELL}', '999"'),
+], ids=['999",', '999"', '9""9",7', "opened_a_line_earlier"])
+def test_no_line_inside_an_unterminated_quoted_field_becomes_a_row(opening, closing):
     text = ("approach_id,cycle_length_s,red_s,green_s,car\n"
             "SR1,152,120,32,1\n"
-            f'SR1,152,120,32,"{OVERSIZED_CELL}\n'
+            f"SR1,152,120,32,{opening}\n"
             "SR1,120,80,35,5\n"
             f"{closing}\n"
             "SR1,152,120,32,3\n"
             "SR1,152,120,32,x\n")
     records, errors = scan_cycles(io.StringIO(text), CONFIGS)
     assert class_column(records, VehicleClass.CAR) == [1, 3]
-    assert [(type(e), e.row) for e in errors] == [(SchemaViolation, 3), (SchemaViolation, 7)]
+    assert [(type(e), e.row) for e in errors] == [
+        (SchemaViolation, 3), (SchemaViolation, 7 + opening.count("\n"))]
     assert "field larger than field limit" in str(errors[0])
     assert "not an integer: 'x'" in str(errors[1])
 
@@ -230,12 +235,14 @@ csv_lines = st.lists(
 def test_quote_tracking_ends_records_where_csv_does(lines):
     reader = csv.reader(lines)
     record_ends = [reader.line_num for _ in reader]
-    quoted, ends = False, []
+    quoted, ends = False, [0]
     for number, line in enumerate(lines, start=1):
         quoted = bool(_ENDS_QUOTED.fullmatch('"' + line if quoted else line))
+        # Matching the record's lines so far at once gives the same answer.
+        assert quoted == bool(_ENDS_QUOTED.fullmatch("".join(lines[ends[-1]:number])))
         if not quoted or number == len(lines):
             ends.append(number)
-    assert ends == record_ends
+    assert ends[1:] == record_ends
 
 
 def dirty_cycle_file(rows, seed):
@@ -273,13 +280,28 @@ def dirty_cycle_file(rows, seed):
     return "\n".join(lines) + "\n"
 
 
-@pytest.mark.parametrize("configs", [None, {
+def quote_all(text):
+    """``text`` rewritten with every field quoted, so that csv.reader reads it."""
+    out = io.StringIO()
+    csv.writer(out, quoting=csv.QUOTE_ALL, lineterminator="\n").writerows(
+        csv.reader(io.StringIO(text)))
+    return out.getvalue()
+
+
+DIRTY_CONFIGS = {
     approach_id: ApproachConfig(approach_id, "SSC", 2, Directionality.ONE_WAY, 7.0)
     for approach_id in ("SR1", "SR2", "SR3")
-}], ids=["no_configs", "configs"])
-def test_a_long_dirty_file_matches_the_reference_parser(configs):
-    text = dirty_cycle_file(5000, seed=10)
-    table, errors = scan_cycles(io.StringIO(text), configs)
+}
+
+
+@pytest.mark.parametrize("configs, rewrite, batch", [
+    (None, str, ingest_module._BATCH_ROWS), (DIRTY_CONFIGS, str, ingest_module._BATCH_ROWS),
+    (None, quote_all, ingest_module._BATCH_ROWS), (DIRTY_CONFIGS, quote_all, 3),
+], ids=["no_configs", "configs", "quoted", "quoted_configs_batch_3"])
+def test_a_long_dirty_file_matches_the_reference_parser(configs, rewrite, batch):
+    text = rewrite(dirty_cycle_file(5000, seed=10))
+    with mock.patch.object(ingest_module, "_BATCH_ROWS", batch):
+        table, errors = scan_cycles(io.StringIO(text), configs)
     expected_records, expected_errors = oracles.scan_cycles(io.StringIO(text), configs)
     assert len(table) > 4500 and len(errors) > 200
     assert oracles.columns(table) == oracles.columns(expected_records)

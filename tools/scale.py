@@ -6,11 +6,13 @@
 Run from the repository root.  For each row count (``--rows``, default 10k,
 100k and 1M) a child process writes ``report_long``-shaped inputs with
 ``bench/workloads.py`` (50 intersections x 4 approaches, ``rows // 200``
-cycles each) in two orders: *grouped*, as the generator writes them, and
+cycles each) in three orders: *grouped*, as the generator writes them,
 *time*, the same rows stably sorted by timestamp, as a detector export
-lists them.  ``analyze report``, ``variability`` and ``peak-hours`` then run
-on both files, once per round for each tree given by ``--src``, the trees
-alternating which goes first.
+lists them, and *quoted*, the grouped cycle and approach files with every
+field quoted (``csv.QUOTE_ALL``), as a spreadsheet may write them.
+``analyze report``, ``variability`` and ``peak-hours`` then run on each, once
+per round for each tree given by ``--src``, the trees alternating which goes
+first.
 
 Each run is started with ``os.posix_spawn`` and reaped with ``os.wait4``,
 from this launcher, which holds none of the generated data and imports
@@ -22,7 +24,7 @@ benchmark, so rounds compare across host drift.  Every tree is
 byte-compiled before the first run.
 
 Every run must exit 0, and a tree's stdout and artifacts for a command must
-be byte-identical in every round and for both orders of a row count.  Each
+be byte-identical in every round and for every order of a row count.  Each
 run also records whether they are those of the first tree.  The runs and
 their medians go to ``--out`` (default ``BENCH_scale.json``); the exit
 status is 1 if a check failed.
@@ -46,17 +48,19 @@ REPO = TOOLS.parent
 BENCH = REPO / "bench"
 
 SEED = 301
-ORDERS = ("grouped", "time")
+ORDERS = ("grouped", "time", "quoted")
 COMMANDS = ("report", "variability", "peak-hours")
 
 
 def write_inputs(directory: str, rows: int, seed: int) -> None:
     """Write ``report_long``-shaped inputs of ``rows`` rows into
-    ``directory/grouped`` and the same rows, stably sorted by timestamp, into
-    ``directory/time``.  Run in a child of the launcher."""
+    ``directory/grouped``, the same rows, stably sorted by timestamp, into
+    ``directory/time``, and the grouped files with every field quoted into
+    ``directory/quoted``.  Run in a child of the launcher."""
+    import csv
     import workloads
 
-    grouped, time_ordered = Path(directory, "grouped"), Path(directory, "time")
+    grouped, time_ordered, quoted = (Path(directory, order) for order in ORDERS)
     shape = workloads.Shape(50, 4, rows // 200)
     inputs = workloads.generate(workloads.WORKLOADS["report_long"], seed, grouped, shape)
     time_ordered.mkdir()
@@ -64,6 +68,12 @@ def write_inputs(directory: str, rows: int, seed: int) -> None:
     header, *lines = inputs.cycles.read_text(encoding="utf-8").splitlines(keepends=True)
     lines.sort(key=lambda line: int(line.rsplit(",", 1)[1]))
     (time_ordered / inputs.cycles.name).write_text(header + "".join(lines), encoding="utf-8")
+    quoted.mkdir()
+    for path in (inputs.cycles, inputs.approaches):
+        with open(path, newline="", encoding="utf-8") as plain, \
+                open(quoted / path.name, "w", newline="", encoding="utf-8") as out:
+            csv.writer(out, quoting=csv.QUOTE_ALL, lineterminator="\n").writerows(
+                csv.reader(plain))
 
 
 def spawn(argv: list[str], cwd: Path, env: dict[str, str]) -> tuple[int, float, int]:
