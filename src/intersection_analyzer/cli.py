@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
+import importlib
 import itertools
 import json
 import math
@@ -18,24 +19,42 @@ from collections import defaultdict
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Mapping, Sequence, TextIO
 
-from . import report as rpt
-from .config import load_config
-from .delay import DelayPolicy
 from .errors import AnalyzerError, InputError, IoFailure
-from .ingest import RowCount, RowTotals, ingest_approaches, ingest_cycles, scan_cycles
 from .model import ApproachConfig, CycleTable, DayFilter, _frozen
-from .pipeline import VC_STANDARD, analyze_records
-from .stats import (
-    check_window, five_number, pairwise_z_matrix, summarize, window_cycle_lengths,
-    peak_window, z_test,
-)
 
 DEFAULT_OUT = "analysis_out"
+
+
+def _deferred(module: str, name: str) -> Callable:
+    """A stand-in for ``module.name`` that imports ``module`` on its first
+    call, so that a subcommand loads only the modules it runs."""
+    target = None
+
+    def call(*args, **kwargs):
+        nonlocal target
+        if target is None:
+            target = getattr(importlib.import_module(f".{module}", __package__), name)
+        return target(*args, **kwargs)
+
+    call.__name__ = call.__qualname__ = name
+    return call
+
+
+# The handlers call these through this module, where a caller can wrap them.
+load_config = _deferred("config", "load_config")
+ingest_approaches = _deferred("ingest", "ingest_approaches")
+ingest_cycles = _deferred("ingest", "ingest_cycles")
+scan_cycles = _deferred("ingest", "scan_cycles")
+analyze_records = _deferred("pipeline", "analyze_records")
+window_cycle_lengths = _deferred("stats", "window_cycle_lengths")
+z_test = _deferred("stats", "z_test")
+five_number = _deferred("stats", "five_number")
 
 
 def _check(args: argparse.Namespace) -> None:
     """Reject bad flag values and missing input files before any parsing."""
     if hasattr(args, "window"):
+        from .stats import check_window
         check_window(args.window, "--window")
     if hasattr(args, "span") and args.span < 1:
         raise InputError(f"--span must be >= 1, got {args.span}")
@@ -90,7 +109,8 @@ def _emit(out: Path | None, artifacts: Iterable[tuple[str, Callable[[], str]]]) 
     Each text is written to a temp file and dropped before the next is
     built; if a build or a write fails, no output changes.
     """
-    with rpt.ArtifactWriter(out or DEFAULT_OUT) as writer:
+    from .report import ArtifactWriter
+    with ArtifactWriter(out or DEFAULT_OUT) as writer:
         for name, build in artifacts:
             writer.stage(name, build())
         for path in writer.commit():
@@ -101,6 +121,7 @@ def _emit(out: Path | None, artifacts: Iterable[tuple[str, Callable[[], str]]]) 
 # --- subcommand handlers -----------------------------------------------------
 
 def cmd_validate(args) -> int:
+    from .ingest import RowCount
     approaches = _load_approaches(args)
     with _read_text(args.cycles) as handle:
         valid, errors = scan_cycles(handle, approaches, RowCount())
@@ -115,6 +136,8 @@ def cmd_validate(args) -> int:
 
 
 def cmd_peak_hours(args) -> int:
+    from . import report as rpt
+    from .stats import peak_window
     table = _load_records(args, _load_approaches(args))
     windows = window_cycle_lengths(table, args.window, DayFilter(args.day))
     start, end = peak_window(windows, args.span)
@@ -133,6 +156,9 @@ def _sample(tally: Mapping[int, int]) -> list[float]:
 
 
 def cmd_variability(args) -> int:
+    from . import report as rpt
+    from .ingest import RowTotals
+    from .stats import pairwise_z_matrix, summarize
     approaches = _load_approaches(args)
     with _read_text(args.cycles) as handle:
         totals, errors = scan_cycles(handle, approaches, RowTotals())
@@ -185,6 +211,7 @@ def cmd_variability(args) -> int:
 
 
 def cmd_los(args) -> int:
+    from .los import VC_STANDARD
     if not args.delay and not args.vc:
         raise InputError("nothing to classify: pass --delay and/or --vc values")
     for value in (args.delay or []) + (args.vc or []):
@@ -210,18 +237,24 @@ def cmd_los(args) -> int:
     return 0
 
 
+def _report():
+    """The report module, imported when the first artifact is built."""
+    from . import report
+    return report
+
+
 # artifact -> its text, from one analysis and the configured active hours per day
 ARTIFACTS: dict[str, Callable] = {
-    "flow.csv": lambda result, hours: rpt.flow_csv(result),
-    "saturation.csv": lambda result, hours: rpt.saturation_csv(result),
-    "composition.csv": lambda result, hours: rpt.composition_csv(result),
-    "green.csv": lambda result, hours: rpt.green_csv(result),
-    "green_series.csv": lambda result, hours: rpt.green_series_csv(result),
-    "delay_los.csv": lambda result, hours: rpt.delay_csv(result),
-    "intersections.csv": lambda result, hours: rpt.intersections_csv(result),
-    "emissions.csv": lambda result, hours: rpt.emissions_csv(result),
-    "emissions_summary.csv": lambda result, hours: rpt.emissions_summary_csv(result, hours),
-    "summary.txt": lambda result, hours: rpt.summary_text(result, hours),
+    "flow.csv": lambda result, hours: _report().flow_csv(result),
+    "saturation.csv": lambda result, hours: _report().saturation_csv(result),
+    "composition.csv": lambda result, hours: _report().composition_csv(result),
+    "green.csv": lambda result, hours: _report().green_csv(result),
+    "green_series.csv": lambda result, hours: _report().green_series_csv(result),
+    "delay_los.csv": lambda result, hours: _report().delay_csv(result),
+    "intersections.csv": lambda result, hours: _report().intersections_csv(result),
+    "emissions.csv": lambda result, hours: _report().emissions_csv(result),
+    "emissions_summary.csv": lambda result, hours: _report().emissions_summary_csv(result, hours),
+    "summary.txt": lambda result, hours: _report().summary_text(result, hours),
 }
 # Windowed averages, staged when every record carries a timestamp.
 WINDOWED = "windowed.csv"
@@ -229,6 +262,7 @@ WINDOWED = "windowed.csv"
 
 def cmd_analysis(args) -> int:
     """Run the pipeline once and stage the artifacts the subcommand lists."""
+    from .delay import DelayPolicy
     config = load_config(args.config)
     approaches = _load_approaches(args)
     table = _load_records(args, approaches)
@@ -242,7 +276,7 @@ def cmd_analysis(args) -> int:
     artifacts = [(name, functools.partial(ARTIFACTS[name], result, hours))
                  for name in names if name != WINDOWED]
     if WINDOWED in names and table and not table.untimed():
-        artifacts.append((WINDOWED, lambda: rpt.windowed_csv(
+        artifacts.append((WINDOWED, lambda: _report().windowed_csv(
             window_cycle_lengths(table, args.window, DayFilter(args.day)))))
     status = _emit(args.out, artifacts)
     if getattr(args, "format", FLAGS["format"]["default"]) == "text":

@@ -18,7 +18,6 @@ from typing import Mapping, Sequence
 
 from .errors import InputError, InvariantViolation
 from .model import VehicleClass, _frozen
-from .stats import require_finite
 
 
 class FuelType(Enum):
@@ -161,6 +160,8 @@ def scale_emissions(
     mean per-intersection rate is extrapolated by the citywide intersection
     count and the result is flagged as an estimate.
     """
+    from .stats import require_finite  # here, not at import: config loads this module
+
     if intersection_count_citywide < 1:
         raise InputError("intersection count must be >= 1")
     if active_hours_per_day <= 0:

@@ -17,6 +17,8 @@ from .errors import InputError, InvariantViolation
 from .model import _frozen
 
 GRADES = ("A", "B", "C", "D", "E", "F")
+# The band table that grades V/C ratios; every other table grades delay.
+VC_STANDARD = "vc_ratio"
 
 
 @_frozen

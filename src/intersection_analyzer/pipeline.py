@@ -36,11 +36,10 @@ from .delay import SATURATION_GUARD, DelayPolicy, unclamped_delays
 from .emissions import CityEstimate, idle_fuel_columns, scale_emissions
 from .errors import AnalyzerError, InputError, InvariantViolation, SaturatedRegime, UnknownApproach
 from .flow import WIDTH_FLOW_RATE, discharge_flows, hourly_volumes
+from .los import VC_STANDARD
 from .model import VEHICLE_CLASSES, ApproachConfig, CycleTable
 from .report import fmt_column
 from .stats import group_totals, require_finite
-
-VC_STANDARD = "vc_ratio"
 
 # A divisor of 0 read through this becomes NaN, so the quotient is NaN (an
 # absent value) instead of a ZeroDivisionError.

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from intersection_analyzer import CycleTable, cli, ingest_approaches, scan_cycles, stats
+from intersection_analyzer import CycleTable, cli, ingest_approaches, report, scan_cycles, stats
 from intersection_analyzer.cli import main
 from intersection_analyzer.errors import InvariantViolation
 from intersection_analyzer.stats import z_test
@@ -313,7 +313,7 @@ def test_a_failed_later_artifact_leaves_nothing_behind(tmp_path, capsys, monkeyp
         raise InvariantViolation("summary failed")
 
     # summary.txt is built last: every other artifact is staged before it fails.
-    monkeypatch.setattr(cli.rpt, "summary_text", fail)
+    monkeypatch.setattr(report, "summary_text", fail)
     for out_dir in (out, tmp_path / "fresh" / "out"):
         code = main(["report", "--cycles", str(other), "--approaches", str(STUDY_APPROACHES),
                      "--out", str(out_dir)])
@@ -811,3 +811,36 @@ def test_the_cli_imports_no_stdlib_module_it_does_not_need():
     assert child.returncode == 0, child.stderr
     assert child.stdout.splitlines() == [
         "[]", "delay 1 s: delay_hcm=A delay_heterogeneous=A", "[]"]
+
+
+# subcommand -> the package modules a run of it loads
+MODULES_LOADED = {
+    "validate": "cli errors ingest model",
+    "los": "cli config emissions errors flow los model pcu",
+    "variability": "cli errors ingest model report stats",
+    "peak-hours": "cli errors ingest model report stats",
+}
+
+
+@pytest.mark.parametrize("command", sorted(MODULES_LOADED))
+def test_each_subcommand_loads_only_the_modules_it_runs(command, tmp_path):
+    # A short run such as `validate` would otherwise compile or load the
+    # analysis, report and statistics code it never calls.
+    argv = {
+        "validate": ["validate", *STUDY],
+        "los": ["los", "--delay", "1", "--vc", "0.5"],
+        "variability": ["variability", "--cycles", str(SPREAD_CYCLES),
+                        "--approaches", str(SPREAD_APPROACHES), "--out", str(tmp_path)],
+        "peak-hours": ["peak-hours", *WEEK, "--span", "2", "--out", str(tmp_path)],
+    }[command]
+    script = (
+        "import sys\n"
+        "from intersection_analyzer.cli import main\n"
+        f"assert main({argv!r}) == 0\n"
+        "print(*sorted(name.partition('.')[2] for name in sys.modules\n"
+        "              if name.startswith('intersection_analyzer.')))\n")
+    src = Path(cli.__file__).parents[1]
+    child = subprocess.run([sys.executable, "-S", "-c", script], capture_output=True,
+                           text=True, env={**os.environ, "PYTHONPATH": str(src)}, timeout=60)
+    assert child.returncode == 0, child.stderr
+    assert child.stdout.splitlines()[-1] == MODULES_LOADED[command]
