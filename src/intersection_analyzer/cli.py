@@ -20,7 +20,7 @@ from pathlib import Path
 from typing import Callable, Iterable, Iterator, Mapping, Sequence, TextIO
 
 from .errors import AnalyzerError, InputError, IoFailure
-from .model import ApproachConfig, CycleTable, DayFilter, _frozen
+from .model import ApproachConfig, DayFilter, _frozen
 
 DEFAULT_OUT = "analysis_out"
 
@@ -43,7 +43,6 @@ def _deferred(module: str, name: str) -> Callable:
 # The handlers call these through this module, where a caller can wrap them.
 load_config = _deferred("config", "load_config")
 ingest_approaches = _deferred("ingest", "ingest_approaches")
-ingest_cycles = _deferred("ingest", "ingest_cycles")
 scan_cycles = _deferred("ingest", "scan_cycles")
 analyze_records = _deferred("pipeline", "analyze_records")
 window_cycle_lengths = _deferred("stats", "window_cycle_lengths")
@@ -98,9 +97,14 @@ def _load_approaches(args) -> dict[str, ApproachConfig] | None:
         return ingest_approaches(handle)
 
 
-def _load_records(args, approaches) -> CycleTable:
+def _load_records(args, approaches, sink=None):
+    """Read the cycle file into ``sink`` (a new ``CycleTable`` if None) and
+    return it; raise the file's first error, if it has one."""
     with _read_text(args.cycles) as handle:
-        return ingest_cycles(handle, approaches)
+        records, errors = scan_cycles(handle, approaches, sink)
+    if errors:
+        raise errors[0]
+    return records
 
 
 def _emit(out: Path | None, artifacts: Iterable[tuple[str, Callable[[], str]]]) -> int:
@@ -160,10 +164,7 @@ def cmd_variability(args) -> int:
     from .ingest import RowTotals
     from .stats import pairwise_z_matrix, summarize
     approaches = _load_approaches(args)
-    with _read_text(args.cycles) as handle:
-        totals, errors = scan_cycles(handle, approaches, RowTotals())
-    if errors:
-        raise errors[0]
+    totals = _load_records(args, approaches, RowTotals())
 
     # Each approach's row totals, tallied; its sample is the tally expanded.
     tallies: dict[str, dict[int, int]] = defaultdict(dict)
@@ -225,14 +226,16 @@ def cmd_los(args) -> int:
         name: table for name, table in sorted(config.los_tables.items())
         if name != VC_STANDARD
     }
+    if args.delay and not delay_tables:
+        raise InputError("no delay band table configured")
+    if args.vc and vc_table is None:
+        raise InputError("no vc_ratio band table configured")
     for value in args.delay or []:
         grades = " ".join(
             f"{name}={table.classify(value).grade}"
             for name, table in delay_tables.items())
         print(f"delay {value:g} s: {grades}")
     for value in args.vc or []:
-        if vc_table is None:
-            raise InputError("no vc_ratio band table configured")
         print(f"vc {value:g}: vc_ratio={vc_table.classify(value).grade}")
     return 0
 

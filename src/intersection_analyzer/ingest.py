@@ -246,30 +246,25 @@ def _not_finite(values: Sequence[float]) -> Iterable[int]:
     return itertools.compress(itertools.count(), map(operator.not_, map(math.isfinite, values)))
 
 
-def _negative(values: Sequence[int]) -> Iterable[int]:
-    if min(values, default=0) >= 0:
-        return ()
-    return itertools.compress(itertools.count(), map(operator.gt, itertools.repeat(0), values))
-
-
 def _column(
     cells: Sequence[str],
     convert: Callable[[str], object],
     fill: object,
-    suspects: Callable[[Sequence], Iterable[int]],
     redo: Callable[[str, int], object],
     lines: Sequence[int],
     bad: dict[int, InputError | None],
+    suspects: Callable[[Sequence], Iterable[int]] = lambda values: (),
 ) -> list:
     """``convert`` of each cell, as a list built at C level.
 
-    A cell that ``convert`` rejects reads as ``fill``.  Each value at an
-    index ``suspects`` yields, ``fill`` among them, is replaced by ``redo``
-    of its stripped cell and line; where ``redo`` raises, the value stays
-    and the error for the line goes into ``bad`` (unless the line already
-    has one).
+    Each cell that ``convert`` rejects, and each at an index ``suspects``
+    yields, is redone in index order: its value is ``redo`` of its stripped
+    cell and line.  Where ``redo`` raises, the value is ``fill`` (or the
+    suspect value), a placeholder for a row that is dropped, and the error
+    for the line goes into ``bad`` (unless the line already has one).
     """
     values: list = []
+    rejected: set[int] = set()
     converted = map(convert, cells)
     while True:
         try:
@@ -277,9 +272,10 @@ def _column(
             # goes on with the cell after it.
             values.extend(converted)
             break
-        except (ValueError, OverflowError):
+        except (ValueError, OverflowError, KeyError):
+            rejected.add(len(values))
             values.append(fill)
-    for i in suspects(values):
+    for i in sorted(rejected.union(suspects(values))):
         try:
             values[i] = redo(cells[i].strip(), lines[i])
         except SchemaViolation as err:
@@ -296,9 +292,11 @@ def _float_column(
 ) -> list[float]:
     """One batch's cells of a float column: an empty cell of an optional
     column reads as NaN, which marks an absent value, and any other cell
-    that is not a finite number gets ``_float_cell``'s error."""
-    return _column(cells, float, math.nan, _not_finite, lambda raw, line: (
-        _float_cell(raw, column, line) if raw or not optional else math.nan), lines, bad)
+    that is not a finite number gets ``_float_cell``'s error.  ``float``
+    reads "inf" and "nan", so the non-finite values are redone too."""
+    return _column(cells, float, math.nan, lambda raw, line: (
+        _float_cell(raw, column, line) if raw or not optional else math.nan),
+        lines, bad, _not_finite)
 
 
 def _count_column(
@@ -309,23 +307,10 @@ def _count_column(
 ) -> list[int]:
     """One batch's cells of a count column: a blank cell reads as 0, and
     any other cell that is not an integer in [0, ``COUNT_MAX``] gets
-    ``_int_cell``'s error.  Cells are read from ``_COUNTS`` in one pass;
-    only where that raises ``KeyError`` is each cell it lacks, stripped, read
-    by ``_int_cell``."""
-    try:
-        return list(map(_COUNTS.__getitem__, cells))
-    except KeyError:
-        pass
-    counts = list(map(_COUNTS.get, cells))
-    for i in itertools.compress(itertools.count(), map(operator.is_, counts,
-                                                        itertools.repeat(None))):
-        raw = cells[i].strip()
-        try:
-            counts[i] = _int_cell(raw, column, lines[i]) if raw else 0
-        except SchemaViolation as err:
-            counts[i] = 0  # a placeholder: the row is dropped
-            bad.setdefault(lines[i], _detached(err))
-    return counts
+    ``_int_cell``'s error.  Cells are looked up in ``_COUNTS``; only a cell
+    it lacks is read, stripped, by ``_int_cell``."""
+    return _column(cells, _COUNTS.__getitem__, 0, lambda raw, line: (
+        _int_cell(raw, column, line) if raw else 0), lines, bad)
 
 
 class RowCount:
@@ -541,7 +526,7 @@ def _add_approaches(
     directionality = list(map(_DIRECTIONALITY.get, directions))
     _flag(map(operator.is_, directionality, itertools.repeat(None)), lines, bad,
           lambda j: f"directionality must be 'oneway' or 'twoway', got {directions[j]!r}")
-    lanes = _column(lane_cells, int, -1, _negative, _lanes_cell, lines, bad)
+    lanes = _column(lane_cells, int, -1, _lanes_cell, lines, bad)
     widths = _float_column(width_cells, "width_m", False, lines, bad)
     flags = []
     for name, cells in (("free_left", free_cells), ("is_major", major_cells)):

@@ -102,6 +102,30 @@ def test_variability_tallies_rows_without_building_a_table(tmp_path, monkeypatch
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("argv", [
+    # The study has one row per approach and no timestamps; the week has both.
+    ["validate", *STUDY],
+    ["peak-hours", *WEEK],
+    ["variability", *WEEK],
+    ["flow", *STUDY],
+    ["report", *STUDY],
+], ids=lambda argv: argv[0])
+def test_each_subcommand_reads_its_cycle_file_through_scan_cycles(
+        tmp_path, monkeypatch, capsys, argv):
+    # bench/tracing.py times its ingest.cycles layer at this one name.
+    calls = []
+    scan = cli.scan_cycles
+
+    def counted(*args):
+        calls.append(args)
+        return scan(*args)
+
+    monkeypatch.setattr(cli, "scan_cycles", counted)
+    out = [] if argv[0] == "validate" else ["--out", str(tmp_path)]
+    assert main([*argv, *out]) == 0
+    assert len(calls) == 1
+
+
 def test_peak_hours_finds_midday_window(capsys):
     assert main(["peak-hours", "--cycles", str(WEEK_CYCLES),
                  "--window", "1800", "--span", "4", "--day", "weekday"]) == 0
@@ -196,6 +220,21 @@ def test_los_subcommand(capsys):
 
 def test_los_without_values_errors(capsys):
     assert main(["los"]) == 2
+
+
+@pytest.mark.parametrize("table, argv, message", [
+    ("delay_hcm", ["--delay", "5", "--vc", "0.5"], "no vc_ratio band table configured"),
+    ("vc_ratio", ["--delay", "5"], "no delay band table configured"),
+], ids=["no_vc_table", "no_delay_table"])
+def test_los_checks_its_band_tables_before_printing(tmp_path, capsys, table, argv, message):
+    # A config's los_bands replaces the shipped tables: here it keeps one.
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"los_bands": {table: SHIPPED_CONFIG["los_bands"][table]}}))
+    assert main(["los", *argv, "--config", str(config)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    record = json.loads(captured.err)
+    assert (record["error"], record["message"]) == ("InputError", message)
 
 
 def test_report_writes_all_families(tmp_path, capsys):

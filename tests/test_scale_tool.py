@@ -2,19 +2,32 @@
 the three input orders, exits 0 and writes the same bytes for each."""
 
 import json
+import shutil
 import subprocess
 import sys
 from pathlib import Path
 
-TOOL = Path(__file__).resolve().parents[1] / "tools" / "scale.py"
+REPO = Path(__file__).resolve().parents[1]
+TOOL = REPO / "tools" / "scale.py"
+
+
+def compiled(src: Path) -> dict[Path, int]:
+    return {path: path.stat().st_mtime_ns for path in src.rglob("*.pyc")}
 
 
 def test_scale_tool_runs_each_command_on_each_input_order(tmp_path):
+    # The tool byte-compiles the tree it times: a copy, so that the checkout
+    # keeps whatever bytecode it had.
+    src = tmp_path / "src"
+    shutil.copytree(REPO / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
+    before = compiled(REPO / "src")
     out = tmp_path / "scale.json"
     done = subprocess.run(
-        [sys.executable, str(TOOL), "--rows", "1000", "--rounds", "1", "--out", str(out)],
+        [sys.executable, str(TOOL), "--rows", "1000", "--rounds", "1", "--out", str(out),
+         "--src", f"copy={src}"],
         capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
+    assert compiled(REPO / "src") == before
     report = json.loads(out.read_text())
     assert report["problems"] == []
     runs = report["runs"]
